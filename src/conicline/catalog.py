@@ -16,21 +16,16 @@ exposes them by name.
 from dataclasses import dataclass
 from typing import Optional
 
-from . import words
 from .errors import UnknownModel
 from .invariants import bigness_certificate, compare, invariant_bundle
 from .presentations import Presentation
 from .tietze import simplify
 from .van_kampen import assemble, parse_mt_table, present
-
-
-def _rel(u, v=()):
-    """Relator of the relation ``u = v``."""
-    return words.concat(tuple(u), words.inverse(tuple(v)))
+from .words import relator
 
 
 def _comm(a, b):
-    return _rel(tuple(a) + tuple(b), tuple(b) + tuple(a))
+    return relator(tuple(a) + tuple(b), tuple(b) + tuple(a))
 
 
 # -- the nine simplified groups --------------------------------------------
@@ -42,20 +37,20 @@ _GROUPS = {
     "z-plus-conic-pair": Presentation(3, [
         _comm((1,), (2,)), _comm((1,), (3,)),
         (2, 3, 2, 3), (3, 2, 3, 2)]),
-    "square-commuting": Presentation(2, [_rel((1, 2, 1, 2), (2, 1, 2, 1))]),
+    "square-commuting": Presentation(2, [relator((1, 2, 1, 2), (2, 1, 2, 1))]),
     "free-2": Presentation(2, []),
     # two lines: the five possibilities
     "commuting-squares-3": Presentation(3, [
-        _rel((2, 3, 2, 3), (3, 2, 3, 2)),
-        _rel((1, 3, 1, 3), (3, 1, 3, 1)),
+        relator((2, 3, 2, 3), (3, 2, 3, 2)),
+        relator((1, 3, 1, 3), (3, 1, 3, 1)),
         _comm((1,), (2,)),
         _comm((2,), (3, 1, -3))]),
     "triple-square": Presentation(3, [
-        _rel((3, 2, 1, 3, 2, 1), (2, 1, 3, 2, 1, 3)),
-        _rel((3, 2, 1, 3, 2, 1), (1, 3, 2, 1, 3, 2))]),
+        relator((3, 2, 1, 3, 2, 1), (2, 1, 3, 2, 1, 3)),
+        relator((3, 2, 1, 3, 2, 1), (1, 3, 2, 1, 3, 2))]),
     "z-plus-square-commuting": Presentation(3, [
         _comm((1,), (2,)), _comm((1,), (3,)),
-        _rel((2, 3, 2, 3), (3, 2, 3, 2))]),
+        relator((2, 3, 2, 3), (3, 2, 3, 2))]),
     "z-plus-free-2": Presentation(3, [_comm((1,), (2,)), _comm((1,), (3,))]),
     "z2-plus-conic-pair": Presentation(4, [
         _comm((1,), (2,)), _comm((1,), (3,)), _comm((1,), (4,)),
@@ -92,51 +87,53 @@ strands: 4
 
 _PUB_ONE_LINE_SIMPLE_TANGENT = Presentation(5, [
     (5, 4, 3, 2, 1),
-    _rel((4,), (5,)),
+    relator((4,), (5,)),
     _comm((1,), (2,)),
-    _rel((3, 5, 3, 5), (5, 3, 5, 3)),
+    relator((3, 5, 3, 5), (5, 3, 5, 3)),
     _comm((2, 1, -2), (5, 3, -5)),
-    _rel((2,), (5, 3, -5)),
-    _rel((-1, 2, 1), (4, 3, -4)),
-    _rel((2, 1, -2, 5, 2, 1, -2, 5), (5, 2, 1, -2, 5, 2, 1, -2)),
-    _rel((3, 4, 3, 4), (4, 3, 4, 3)),
-    _rel((5,), (2, -1, -2, 4, 2, 1, -2)),
+    relator((2,), (5, 3, -5)),
+    relator((-1, 2, 1), (4, 3, -4)),
+    relator((2, 1, -2, 5, 2, 1, -2, 5), (5, 2, 1, -2, 5, 2, 1, -2)),
+    relator((3, 4, 3, 4), (4, 3, 4, 3)),
+    relator((5,), (2, -1, -2, 4, 2, 1, -2)),
 ])
 
 _PUB_ONE_LINE_TANGENT_AT_TANGENCY = Presentation(5, [
     (5, 4, 3, 2, 1),
-    _rel((4,), (5,)),
-    _rel((5, 3, 2, 5, 3, 2), (3, 2, 5, 3, 2, 5)),
-    _rel((5, 3, 2, 5, 3, 2), (2, 5, 3, 2, 5, 3)),
-    _rel((1,), (5, 3, 2, -3, -5)),
-    _rel((1,), (4, 2, -4)),
-    _rel((2, 4, 2, 4), (4, 2, 4, 2)),
-    _rel((-3, 4, 3), (5,)),
+    relator((4,), (5,)),
+    relator((5, 3, 2, 5, 3, 2), (3, 2, 5, 3, 2, 5)),
+    relator((5, 3, 2, 5, 3, 2), (2, 5, 3, 2, 5, 3)),
+    relator((1,), (5, 3, 2, -3, -5)),
+    relator((1,), (4, 2, -4)),
+    relator((2, 4, 2, 4), (4, 2, 4, 2)),
+    relator((-3, 4, 3), (5,)),
 ])
 
 _PUB_ONE_LINE_BOTH_TANGENCIES = Presentation(5, [
     (5, 4, 3, 2, 1),
-    _rel((4,), (5,)),
-    _rel((1,), (4, 3, -4)),
-    _rel((2, 4, 3), (4, 3, 2)),
-    _rel((4, 3, 2, 4, 3), (3, 2, 4, 3, 4)),
-    _rel((1,), (-2, -3, -4, 3, 4, 3, 2)),
-    _rel((-2, -3, 4, 3, 2), (1, 5, -1)),
-    _rel((2, 1, 5), (1, 5, 2)),
-    _rel((1, 5, 2, 1, 5), (5, 2, 1, 5, 1)),
+    relator((4,), (5,)),
+    relator((1,), (4, 3, -4)),
+    relator((2, 4, 3), (4, 3, 2)),
+    relator((4, 3, 2, 4, 3), (3, 2, 4, 3, 4)),
+    relator((1,), (-2, -3, -4, 3, 4, 3, 2)),
+    relator((-2, -3, 4, 3, 2), (1, 5, -1)),
+    relator((2, 1, 5), (1, 5, 2)),
+    relator((1, 5, 2, 1, 5), (5, 2, 1, 5, 1)),
 ])
 
 _PUB_TWO_LINES_BOTH_TANGENCIES = Presentation(6, [
     (6, 5, 4, 3, 2, 1),
-    _rel((3, -5, 6, 5), (-5, 6, 5, 3)),
-    _rel((-3, 4, 3), (-5, -6, 5, 6, 5)),
-    _rel((5, -5, 6, 5, 2, 5, -5, 6, 5, 2), (2, 5, -5, 6, 5, 2, 5, -5, 6, 5)),
-    _rel((5, -5, 6, 5, 2, 5, -5, 6, 5, 2), (-5, 6, 5, 2, 5, -5, 6, 5, 2, 5)),
-    _rel((1,), (6, 5, 2, -5, -6)),
-    _rel((1,), (4, 3, 2, -3, -4)),
-    _rel((4, 3, 2, 4, 3, 2), (2, 4, 3, 2, 4, 3)),
-    _rel((4, 3, 2, 4, 3, 2), (3, 2, 4, 3, 2, 4)),
-    _rel((4,), (5,)),
+    relator((3, -5, 6, 5), (-5, 6, 5, 3)),
+    relator((-3, 4, 3), (-5, -6, 5, 6, 5)),
+    relator((5, -5, 6, 5, 2, 5, -5, 6, 5, 2),
+            (2, 5, -5, 6, 5, 2, 5, -5, 6, 5)),
+    relator((5, -5, 6, 5, 2, 5, -5, 6, 5, 2),
+            (-5, 6, 5, 2, 5, -5, 6, 5, 2, 5)),
+    relator((1,), (6, 5, 2, -5, -6)),
+    relator((1,), (4, 3, 2, -3, -4)),
+    relator((4, 3, 2, 4, 3, 2), (2, 4, 3, 2, 4, 3)),
+    relator((4, 3, 2, 4, 3, 2), (3, 2, 4, 3, 2, 4)),
+    relator((4,), (5,)),
 ])
 
 _W_A = (6, 5, 4, -5, -6, 6, 5, 3, -5)
@@ -144,31 +141,31 @@ _W_B = (5, 3, -5, 6, 5, 4, -5, -6, 6)
 _W_C = (6, 5, 3, -5, 6, 5, 4, -5, -6)
 _PUB_TWO_LINES_ONE_AT_TANGENCY = Presentation(6, [
     (6, 5, 4, 3, 2, 1),
-    _rel((4,), (5,)),
+    relator((4,), (5,)),
     _comm((1,), (2,)),
-    _rel((2, 1, -2, 5, 3), (5, 3, 2, 1, -2)),
-    _rel((5, 3, 2, 1, -2, 5, 3), (3, 5, 3, 2, 1, -2, 5)),
+    relator((2, 1, -2, 5, 3), (5, 3, 2, 1, -2)),
+    relator((5, 3, 2, 1, -2, 5, 3), (3, 5, 3, 2, 1, -2, 5)),
     _comm((1,), (4,)),
     _comm((1,), (6,)),
-    _rel((2,), (5, 3, -5)),
-    _rel((2,), (6, 4, 3, -4, -6)),
-    _rel(_W_A + _W_A, _W_B + _W_B),
-    _rel(_W_A + _W_A, _W_C + _W_C),
-    _rel((4,), (6, 5, -6)),
+    relator((2,), (5, 3, -5)),
+    relator((2,), (6, 4, 3, -4, -6)),
+    relator(_W_A + _W_A, _W_B + _W_B),
+    relator(_W_A + _W_A, _W_C + _W_C),
+    relator((4,), (6, 5, -6)),
 ])
 
 _PUB_TWO_LINES_TANGENT_PAIR = Presentation(6, [
     (6, 5, 4, 3, 2, 1),
-    _rel((4,), (5,)),
-    _rel((1,), (4, 3, -4)),
-    _rel((4, 3, 2), (2, 4, 3)),
-    _rel((4, 3, 2, 4, 3), (3, 2, 4, 3, 4)),
-    _rel((4, 6, 4, 6), (6, 4, 6, 4)),
-    _rel((4, 3, -4, 4, 2, 4, 3, -4, 4), (4, 2, 4, 3, -4, 4, 4, 3, -4)),
-    _rel((2, 4, 3, -4, 4), (4, 3, -4, 4, 2)),
-    _rel((4, 3, -4),
+    relator((4,), (5,)),
+    relator((1,), (4, 3, -4)),
+    relator((4, 3, 2), (2, 4, 3)),
+    relator((4, 3, 2, 4, 3), (3, 2, 4, 3, 4)),
+    relator((4, 6, 4, 6), (6, 4, 6, 4)),
+    relator((4, 3, -4, 4, 2, 4, 3, -4, 4), (4, 2, 4, 3, -4, 4, 4, 3, -4)),
+    relator((2, 4, 3, -4, 4), (4, 3, -4, 4, 2)),
+    relator((4, 3, -4),
          (-2, -3, -4, 6, -4, -6, 4, 3, -4, 6, 4, -6, 4, 3, 2)),
-    _rel((-2, -3, -4, 6, 4, -6, 4, 3, 2), (4, 3, -4, 4, 4, -3, -4)),
+    relator((-2, -3, -4, 6, 4, -6, 4, 3, 2), (4, 3, -4, 4, 4, -3, -4)),
     _comm((4, 1, -4), (6,)),
     _comm((4, 2, -4), (6,)),
     _comm((5, 3, -5), (6,)),

@@ -137,7 +137,8 @@ def _cmd_invariants(args):
     ab = d["abelianization"]
     text = (f"abelianization rank: {ab['free_rank']}\n"
             f"abelianization torsion: {ab['torsion']}\n"
-            + "\n".join(f"hom-count {t}: {c}"
+            + "\n".join(f"hom-count {t}: "
+                        + ("skipped (over budget)" if c is None else str(c))
                         for t, c in sorted(d["hom_counts"].items())))
     _emit(args, text, d)
     return 0

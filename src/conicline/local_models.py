@@ -33,11 +33,6 @@ class LocalModel:
     provenance: str  # "formula" | "tracked"
 
 
-def _rel(u, v=()):
-    """Relator of the relation ``u = v``."""
-    return words.concat(tuple(u), words.inverse(tuple(v)))
-
-
 def _build_catalog():
     models = []
 
@@ -46,64 +41,64 @@ def _build_catalog():
                                  half, tuple(relations), provenance))
 
     s1 = BraidWord(2, (1,))
-    add("branch-point", "y^2 - x", 2, s1, s1, [_rel((1,), (2,))])
+    add("branch-point", "y^2 - x", 2, s1, s1, [words.relator((1,), (2,))])
     add("node", "y^2 - x^2", 2, s1 ** 2, s1,
-        [_rel((1, 2), (2, 1))])
+        [words.relator((1, 2), (2, 1))])
     add("simple-tangency", "y*(y - x^2)", 2, s1 ** 4, s1 ** 2,
-        [_rel((1, 2, 1, 2), (2, 1, 2, 1))])
+        [words.relator((1, 2, 1, 2), (2, 1, 2, 1))])
     add("conic-conic-tangency", "(y + x^2)*(y - x^2)", 2, s1 ** 4, s1 ** 2,
-        [_rel((1, 2, 1, 2), (2, 1, 2, 1))])
+        [words.relator((1, 2, 1, 2), (2, 1, 2, 1))])
 
     # line through the tangency point, line on the left (y = -2x)
     add("3comp-type1", "(2*x + y)*(y + x^2)*(y - x^2)", 3,
         full_twist(3, 2, 3) ** 2 * block_around(3, 1, 2, 3),
         half_block_around(3, 1, 2, 3) * full_twist(3, 2, 3),
-        [_rel((1, 3, 2), (3, 2, 1)),
-         _rel((3, 2, 1, 3, 2), (2, 3, 2, 1, 3))])
+        [words.relator((1, 3, 2), (3, 2, 1)),
+         words.relator((3, 2, 1, 3, 2), (2, 3, 2, 1, 3))])
     # line through the tangency point, line on the right (y = 2x)
     add("3comp-type2", "(2*x - y)*(y + x^2)*(y - x^2)", 3,
         full_twist(3, 1, 2) ** 2 * block_around(3, 3, 1, 2),
         half_block_around(3, 3, 1, 2) * full_twist(3, 1, 2),
-        [_rel((3, 2, 1), (2, 1, 3)),
-         _rel((3, 2, 1, 2, 1), (1, 3, 2, 1, 2))])
+        [words.relator((3, 2, 1), (2, 1, 3)),
+         words.relator((3, 2, 1, 2, 1), (1, 3, 2, 1, 2))])
     # line transverse to the common tangent: fiber rotates as a cross
     add("3comp-rotation", "y*(y^2 + x)*(y^2 - x)", 5,
         half_twist(5, 1, 5),
         BraidWord(5, (2, 3, 2, 1, 4)),  # quarter rotation, tracker-frozen
-        [_rel((4, 3, 2), (2, 4, 3)),
-         _rel((3, 2, 4, 3, 4), (4, 3, 2, 4, 3)),
-         _rel((1,), (4, 3, -4)),
-         _rel((4,), (5,))])
+        [words.relator((4, 3, 2), (2, 4, 3)),
+         words.relator((3, 2, 4, 3, 4), (4, 3, 2, 4, 3)),
+         words.relator((1,), (4, 3, -4)),
+         words.relator((4,), (5,))])
     # line tangent to both conics at the tangency point
     add("3comp-common-tangent", "y*(y + x^2)*(y - x^2)", 3,
         full_twist(3, 1, 3) ** 2, full_twist(3, 1, 3),
-        [_rel((3, 2, 1, 3, 2, 1), (1, 3, 2, 1, 3, 2)),
-         _rel((1, 3, 2, 1, 3, 2), (2, 1, 3, 2, 1, 3))])
+        [words.relator((3, 2, 1, 3, 2, 1), (1, 3, 2, 1, 3, 2)),
+         words.relator((1, 3, 2, 1, 3, 2), (2, 1, 3, 2, 1, 3))])
 
     # tangent line plus a transverse line on the left
     add("4comp-tangentline-type1", "y*(2*x + y)*(y + x^2)*(y - x^2)", 4,
         full_twist(4, 2, 4) ** 2 * block_around(4, 1, 2, 4),
         half_block_around(4, 1, 2, 4) * full_twist(4, 2, 4),
-        [_rel((1, 4, 3, 2), (4, 3, 2, 1)),
-         _rel((4, 3, 2, 4, 3, 2, 1), (3, 2, 4, 3, 2, 1, 4)),
-         _rel((3, 2, 4, 3, 2, 1, 4), (2, 4, 3, 2, 1, 4, 3))])
+        [words.relator((1, 4, 3, 2), (4, 3, 2, 1)),
+         words.relator((4, 3, 2, 4, 3, 2, 1), (3, 2, 4, 3, 2, 1, 4)),
+         words.relator((3, 2, 4, 3, 2, 1, 4), (2, 4, 3, 2, 1, 4, 3))])
     # tangent line plus a transverse line on the right
     add("4comp-tangentline-type2", "y*(2*x - y)*(y + x^2)*(y - x^2)", 4,
         full_twist(4, 1, 3) ** 2 * block_around(4, 4, 1, 3),
         half_block_around(4, 4, 1, 3) * full_twist(4, 1, 3),
-        [_rel((4, 3, 2, 1), (3, 2, 1, 4)),
-         _rel((3, 2, 1, 3, 2, 1, 4), (2, 1, 3, 2, 1, 4, 3)),
-         _rel((2, 1, 3, 2, 1, 4, 3), (1, 3, 2, 1, 4, 3, 2))])
+        [words.relator((4, 3, 2, 1), (3, 2, 1, 4)),
+         words.relator((3, 2, 1, 3, 2, 1, 4), (2, 1, 3, 2, 1, 4, 3)),
+         words.relator((2, 1, 3, 2, 1, 4, 3), (1, 3, 2, 1, 4, 3, 2))])
     # tangent line plus a line transverse to it (the "thick line" trick):
     # rotate the five inner points, then the outer line circles them all
     add("4comp-tangentline-type3", "x*y*(y + x^2)*(y - x^2)", 6,
         half_twist(6, 1, 5) * block_around(6, 6, 1, 5),
         BraidWord(6, (2, 3, 2, 1, 4)) * half_block_around(6, 6, 1, 5),
-        [_rel((5, 4, 3, 2), (2, 5, 4, 3)),
-         _rel((3, 5, 4, 3, 2, 5, 4), (5, 4, 3, 2, 5, 4, 3)),
-         _rel((5, 4, 3, 2, 5, 4, 3), (4, 3, 5, 4, 3, 2, 5)),
-         _rel((1,), (5, 4, 3, -4, -5)),
-         _rel((5,), (6,))])
+        [words.relator((5, 4, 3, 2), (2, 5, 4, 3)),
+         words.relator((3, 5, 4, 3, 2, 5, 4), (5, 4, 3, 2, 5, 4, 3)),
+         words.relator((5, 4, 3, 2, 5, 4, 3), (4, 3, 5, 4, 3, 2, 5)),
+         words.relator((1,), (5, 4, 3, -4, -5)),
+         words.relator((5,), (6,))])
 
     # two transverse lines through the tangency point
     add("4comp-twolines-type1", "(2*x + y)*(2*x - y)*(y + x^2)*(y - x^2)", 4,
@@ -111,18 +106,18 @@ def _build_catalog():
         * block_around(4, 4, 1, 3),
         half_twist(4, 1, 4) * half_twist(4, 2, 3).inverse()
         * full_twist(4, 2, 3),
-        [_rel((4, 3, 2, 1), (1, 4, 3, 2)),
-         _rel((1, 4, 3, 2), (3, 2, 1, 4)),
-         _rel((4, 3, 2, 1, 3, 2), (2, 4, 3, 2, 1, 3))])
+        [words.relator((4, 3, 2, 1), (1, 4, 3, 2)),
+         words.relator((1, 4, 3, 2), (3, 2, 1, 4)),
+         words.relator((4, 3, 2, 1, 3, 2), (2, 4, 3, 2, 1, 3))])
     # a line pair transverse to the common tangent (hidden branch points)
     add("4comp-twolines-type2", "y*(x + 2*y)*(y^2 + x)*(y^2 - x)", 6,
         BraidWord(6, (3, 4, 3, 2, 1, 3, 5, 4, 2, 3, 2, 4, 1, 3, 5, 2)),
         BraidWord(6, (2, 3, 2, 4, 1, 3, 5, 2)),
-        [_rel((5, 4, 3, 2), (2, 5, 4, 3)),
-         _rel((2, 5, 4, 3), (3, 2, 5, 4)),
-         _rel((4, 5, 4, 3, 2, 5), (5, 4, 3, 2, 5, 4)),
-         _rel((1,), (5, 4, -5)),
-         _rel((5,), (6,))],
+        [words.relator((5, 4, 3, 2), (2, 5, 4, 3)),
+         words.relator((2, 5, 4, 3), (3, 2, 5, 4)),
+         words.relator((4, 5, 4, 3, 2, 5), (5, 4, 3, 2, 5, 4)),
+         words.relator((1,), (5, 4, -5)),
+         words.relator((5,), (6,))],
         provenance="tracked")
 
     return {m.id: m for m in models}
@@ -165,6 +160,6 @@ def generalized_tangency(n):
     braid = full_twist(n, 1, n) ** 2
     base = tuple(range(n, 0, -1))
     shifts = [base[k:] + base[:k] for k in range(n)]
-    relators = [_rel(shifts[k] * 2, shifts[k + 1] * 2)
+    relators = [words.relator(shifts[k] * 2, shifts[k + 1] * 2)
                 for k in range(n - 1)]
     return braid, relators

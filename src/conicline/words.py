@@ -36,6 +36,11 @@ def inverse(w):
     return tuple(-a for a in reversed(w))
 
 
+def relator(u, v=()):
+    """The relator ``u v^-1`` of the relation ``u = v``."""
+    return concat(tuple(u), inverse(tuple(v)))
+
+
 def conjugate(w, c):
     """Return the reduced form of ``c w c^-1``."""
     return concat(c, w, inverse(c))

@@ -65,6 +65,20 @@ def test_invariants_and_compare(tmp_path, capsys):
     assert "equivalent" in out
 
 
+def test_invariants_reports_skipped_hom_count(tmp_path, capsys):
+    # 43 S4 orbits x 24^5 rows exceed the default budget; S3 still fits
+    free7 = tmp_path / "free7.pres"
+    free7.write_text("gens: 7\n")
+    code, out, _ = run(capsys, "invariants", "--presentation", str(free7))
+    assert code == 0
+    assert "hom-count S3: 279936" in out
+    assert "hom-count S4: skipped" in out
+    code, out, _ = run(capsys, "--format", "json", "invariants",
+                       "--presentation", str(free7))
+    assert code == 0
+    assert json.loads(out)["hom_counts"] == {"S3": 6 ** 7, "S4": None}
+
+
 def test_bigness(tmp_path, capsys):
     conic = tmp_path / "conic.pres"
     conic.write_text("gens: 2\nx1 x2 x1 x2\nx2 x1 x2 x1\n")

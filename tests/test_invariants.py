@@ -1,15 +1,19 @@
+import itertools
 import random
 
 import pytest
 
-from conicline.errors import ScriptStepFailed
+from conicline.errors import BudgetExceeded, ScriptStepFailed
 from conicline.invariants import (abelianization, bigness_certificate,
                                   builtin_table, compare, count_homs,
                                   exponent_matrix, format_group_table,
                                   invariant_bundle, parse_group_table,
                                   smith_normal_form, symmetric_group_table,
                                   verdict_sound)
+from conicline.local_models import generalized_tangency
 from conicline.presentations import Presentation
+from conicline.tietze import simplify
+from conicline.van_kampen import Factorization, present
 
 CONIC = Presentation(2, [(1, 2, 1, 2), (2, 1, 2, 1)])
 G2 = Presentation(2, [(1, 2, 1, 2, -1, -2, -1, -2)])
@@ -52,6 +56,72 @@ def test_hom_counts_known_values():
     assert count_homs(CONIC, s3) == 24
 
 
+def _brute_force_homs(p, table):
+    """Reference count: every assignment of images, checked letter by letter."""
+    def value(word, images):
+        acc = table.identity
+        for a in word:
+            g = images[abs(a) - 1]
+            acc = table.mult[acc][g if a > 0 else table.inverse[g]]
+        return acc
+
+    return sum(all(value(r, images) == table.identity for r in p.relators)
+               for images in itertools.product(range(table.size),
+                                               repeat=p.ngen))
+
+
+def _relabelled_dihedral_table():
+    """D4 on the square's corners, parsed from text with the identity last."""
+    def compose(a, b):
+        return tuple(a[b[i]] for i in range(4))
+
+    elements, frontier = {(0, 1, 2, 3)}, [(0, 1, 2, 3)]
+    while frontier:
+        a = frontier.pop()
+        for g in ((1, 2, 3, 0), (3, 2, 1, 0)):
+            b = compose(a, g)
+            if b not in elements:
+                elements.add(b)
+                frontier.append(b)
+    elements = sorted(elements, reverse=True)
+    index = {e: i for i, e in enumerate(elements)}
+    rows = [" ".join(str(index[compose(a, b)]) for b in elements)
+            for a in elements]
+    return parse_group_table("name: D4\norder: 8\n" + "\n".join(rows))
+
+
+def test_count_homs_matches_brute_force():
+    d4 = _relabelled_dihedral_table()
+    assert d4.size == 8 and d4.identity != 0
+    rng = random.Random(11)
+    for ngen in range(4):
+        letters = [s * g for g in range(1, ngen + 1) for s in (1, -1)]
+        for _ in range(4):
+            relators = [[rng.choice(letters) for _ in range(rng.randint(1, 8))]
+                        for _ in range(rng.randint(0, 3) if ngen else 0)]
+            p = Presentation(ngen, relators)
+            for table in (builtin_table("S3"), builtin_table("S4"), d4):
+                assert count_homs(p, table) == _brute_force_homs(p, table), \
+                    (p, table.name)
+
+
+@pytest.mark.parametrize("n, s3, s4", [(3, 162, 6216), (4, 918, 141528),
+                                       (5, 5346, 3342984)])
+def test_count_homs_tangency_published(n, s3, s4):
+    braid, _ = generalized_tangency(n)
+    q = simplify(present(Factorization(n, (braid,)))).presentation
+    assert count_homs(q, builtin_table("S3")) == s3
+    assert count_homs(q, builtin_table("S4")) == s4
+
+
+def test_count_homs_budget_counts_rows():
+    # S3 x S3 has 11 conjugation orbits, so CONIC needs 11 rows
+    s3 = builtin_table("S3")
+    assert count_homs(CONIC, s3, budget=11) == 24
+    with pytest.raises(BudgetExceeded):
+        count_homs(CONIC, s3, budget=10)
+
+
 def test_symmetric_group_table_round_trip():
     t = symmetric_group_table(3)
     u = parse_group_table(format_group_table(t))
@@ -77,6 +147,21 @@ def test_compare_equivalent_relabelled():
     v = compare(CONIC, q)
     assert v.kind == "equivalent"
     assert verdict_sound(CONIC, q, v)
+
+
+def test_skipped_hom_counts_are_never_witnesses():
+    v = compare(CONIC, CONIC, hom_budget=1)
+    assert v.kind == "equivalent"
+    assert verdict_sound(CONIC, CONIC, v)
+    assert compare(F2, CONIC, hom_budget=1).kind == "distinct"
+    # these differ only in their hom counts (216 and 108 into S3); no other
+    # test counts them, so no cached count can stand in for a skipped one
+    f3 = Presentation(3, [])
+    h3 = Presentation(3, [(1, 2, 3, -1, -2, -3)])
+    assert compare(f3, h3, hom_budget=1).kind == "inconclusive"
+    assert dict(invariant_bundle(h3, budget=1).hom_counts) == \
+        {"S3": None, "S4": None}
+    assert dict(invariant_bundle(h3).hom_counts)["S3"] == 108
 
 
 def test_bundle_cached_and_equal():
