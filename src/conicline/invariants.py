@@ -264,6 +264,24 @@ def _conjugation_orbits(table, k):
             .reshape(len(reps), k), np.array(sizes, dtype=np.int64))
 
 
+def _hom_rows(ngen, table, budget):
+    """What :func:`count_homs` enumerates for ``ngen`` generators.
+
+    Returns ``(k, reps, weights, dense)``: the orbit representatives of
+    the first ``k`` images with their weights, and ``dense`` rows for
+    each of them.  Raises :class:`BudgetExceeded` when the
+    ``#orbits * dense`` rows exceed ``budget``.
+    """
+    k = min(ngen, 2)
+    reps, weights = _conjugation_orbits(table, k)
+    dense = table.size ** (ngen - k)
+    if len(weights) * dense > budget:
+        raise BudgetExceeded(f"{len(weights)} orbits x {table.size}^"
+                             f"{ngen - k} = {len(weights) * dense} rows "
+                             f"exceed budget {budget}")
+    return k, reps, weights, dense
+
+
 def count_homs(p, table, budget=10 ** 8):
     """Count the homomorphisms from the group of ``p`` into ``table``.
 
@@ -282,13 +300,8 @@ def count_homs(p, table, budget=10 ** 8):
     ``budget``.
     """
     size, n = table.size, p.ngen
-    k = min(n, 2)
-    reps, weights = _conjugation_orbits(table, k)
-    dense = size ** (n - k)
+    k, reps, weights, dense = _hom_rows(n, table, budget)
     rows = len(weights) * dense
-    if rows > budget:
-        raise BudgetExceeded(f"{len(weights)} orbits x {size}^{n - k} = "
-                             f"{rows} rows exceed budget {budget}")
     # flat[a * size + b] = (a b) * size: each letter is one gather
     flat = (np.asarray(table.mult, dtype=np.intp) * size).astype(
         np.min_scalar_type(size * size - 1)).ravel()
@@ -348,15 +361,15 @@ def invariant_bundle(p, targets=("S3", "S4"), budget=10 ** 8):
         # only built-in tables are safe cache keys by name
         key = ((p.ngen, p.relators, table.name)
                if table is _TABLES.get(table.name) else None)
-        if key is not None and key in _BUNDLE_CACHE:
-            n = _BUNDLE_CACHE[key]
-        else:
-            try:
+        try:
+            _hom_rows(p.ngen, table, budget)  # a cached count obeys it too
+            n = _BUNDLE_CACHE.get(key)
+            if n is None:
                 n = count_homs(p, table, budget)
-            except BudgetExceeded:
-                n = None
-            if key is not None and n is not None:
-                _BUNDLE_CACHE[key] = n
+                if key is not None:
+                    _BUNDLE_CACHE[key] = n
+        except BudgetExceeded:
+            n = None
         counts.append((table.name, n))
     return InvariantBundle(abelianization(p), tuple(counts))
 

@@ -12,6 +12,17 @@ the move budget runs out:
 4. remove a relator that a bounded rewrite search proves to be a
    consequence of the remaining ones.
 
+Passes 3 and 4 share one piece finder.  A piece of relator ``r`` is a
+prefix, at least half as long as ``s``, of a rotation of relator ``s``
+or of ``s^-1``; rewriting replaces it by the inverse of the rest of that
+rotation.  The rotations of ``s`` and ``s^-1`` are indexed by their
+prefix of length ``(len(s) + 1) // 2``, the shortest admissible piece,
+so each start in ``r r`` costs one dict lookup plus a letter-by-letter
+extension of its hits.  The index is built once per relator for each
+pass-3 step and each pass-4 search.  Pass 3 takes the first rewrite, in
+scan order, whose piece is longer than half of ``s``; pass 4 takes them
+all.
+
 Every move is recorded in the presentation trace, so the output replays
 bit-for-bit from the input.  The engine never claims non-equivalence:
 running out of budget only means failure-to-match within budget.
@@ -39,18 +50,13 @@ def simplify(p, budget=10000):
     if budget < 0:
         raise ValueError("budget must be >= 0")
     start_len = len(p.trace)
-    spent = 0
-    exhausted = False
-    while True:
-        if spent >= budget:
-            exhausted = bool(_find_any_change(p))
-            break
-        q = _one_step(p)
+    q = _one_step(p)
+    for _ in range(budget):
         if q is None:
             break
-        p = q
-        spent += 1
-    return SimplifyResult(p, p.trace[start_len:], exhausted)
+        p, q = q, _one_step(q)
+    # a move still applicable means the budget, not a fixpoint, stopped it
+    return SimplifyResult(p, p.trace[start_len:], q is not None)
 
 
 def _one_step(p):
@@ -65,10 +71,6 @@ def _one_step(p):
     if step is not None:
         return step
     return _consequence_step(p)
-
-
-def _find_any_change(p):
-    return _one_step(p) is not None
 
 
 # -- pass 1: trivial and duplicate relators --------------------------------
@@ -111,40 +113,57 @@ def _elimination_step(p):
     return p.remove_relator(i, f"defines x{g}").substitute(g, definition)
 
 
-# -- pass 3: rewriting one relator against another -------------------------
+# -- passes 3 and 4: the piece finder ---------------------------------------
 
-def _rotations(w):
-    return [w[r:] + w[:r] for r in range(len(w))]
+def _piece_index(s):
+    """The rotations of ``s`` and of ``s^-1``, indexed by prefix.
 
-
-def _rewrite_once(r, s, min_extra=1):
-    """Rewrite cyclic relator ``r`` using relator ``s``.
-
-    Looks for a common piece of length ``L`` with ``2L >= len(s) +
-    min_extra`` and replaces it by the complementary piece of ``s``.
-    With ``min_extra=1`` the result is strictly shorter.  Returns the
-    rewritten word or None.
+    Returns ``(rotations, index)``: the ``2 len(s)`` rotations in scan
+    order, and a dict from each prefix of length ``(len(s) + 1) // 2``
+    (the shortest admissible piece) to the rotations that start with it.
     """
-    m = len(s)
-    if m < 2 or len(r) < (m + min_extra + 1) // 2:
-        return None
+    rotations = [z[i:] + z[:i] for z in (s, words.inverse(s))
+                 for i in range(len(s))]
+    index = {}
+    for zi, z in enumerate(rotations):
+        index.setdefault(z[:(len(s) + 1) // 2], []).append(zi)
+    return rotations, index
+
+
+def _rewrites(r, piece_index, shortest):
+    """Rewrites of cyclic relator ``r`` by the indexed relator ``s``.
+
+    Each replaces a piece of ``r`` that is a prefix of length ``L`` of a
+    rotation ``z`` of ``s^±1``, ``shortest <= L < len(s)``, by the
+    inverse of the rest of ``z``; ``shortest`` is at least half of
+    ``len(s)``.  Rewrites come in scan order: by rotation, longer pieces
+    first, then by start in ``r``.
+    """
+    rotations, index = piece_index
+    m = len(rotations) // 2
+    h, cap = (m + 1) // 2, min(m - 1, len(r))
     doubled = r + r
-    for z in _rotations(s) + _rotations(words.inverse(s)):
-        for piece_len in range(min(m - 1, len(r)), (m + min_extra - 1) // 2, -1):
-            piece = z[:piece_len]
-            for k in range(len(r)):
-                if doubled[k:k + piece_len] == piece:
-                    rest = doubled[k + piece_len:k + len(r)]
-                    return words.concat(words.inverse(z[piece_len:]), rest)
-    return None
+    hits = []
+    for k in range(len(r) if h <= cap else 0):
+        for zi in index.get(doubled[k:k + h], ()):
+            z, top = rotations[zi], h
+            while top < cap and z[top] == doubled[k + top]:
+                top += 1
+            hits.extend((zi, piece, k) for piece in range(shortest, top + 1))
+    hits.sort(key=lambda hit: (hit[0], -hit[1], hit[2]))
+    for zi, piece, k in hits:
+        yield words.concat(words.inverse(rotations[zi][piece:]),
+                           doubled[k + piece:k + len(r)])
 
 
 def _shorten_step(p):
+    indexes = [_piece_index(s) for s in p.relators]
     for i, r in enumerate(p.relators):
         for j, s in enumerate(p.relators):
             if i == j or len(s) > len(r):
                 continue
-            new = _rewrite_once(r, s)
+            # a piece longer than half of s strictly shortens r
+            new = next(_rewrites(r, indexes[j], len(s) // 2 + 1), None)
             if new is not None and len(words.cyclic_reduce(new)) < len(r):
                 return p.replace_relator(i, new, f"rewritten with relator {j}")
     return None
@@ -152,34 +171,13 @@ def _shorten_step(p):
 
 # -- pass 4: bounded consequence detection ---------------------------------
 
-def _rewrite_variants(r, s):
-    """All one-step rewrites of cyclic relator ``r`` by relator ``s``.
-
-    Shortening and length-preserving replacements are both produced;
-    anything longer is not.
-    """
-    m = len(s)
-    out = []
-    if m < 2 or not r:
-        return out
-    doubled = r + r
-    for z in _rotations(s) + _rotations(words.inverse(s)):
-        for piece_len in range(min(m - 1, len(r)), (m - 1) // 2, -1):
-            piece = z[:piece_len]
-            for k in range(len(r)):
-                if doubled[k:k + piece_len] == piece:
-                    rest = doubled[k + piece_len:k + len(r)]
-                    out.append(words.concat(words.inverse(z[piece_len:]), rest))
-    return out
-
-
 def _trivializes(target, others, beam=_SEARCH_BEAM, depth=_SEARCH_DEPTH):
     """Bounded search showing ``target`` is a consequence of ``others``.
 
     Breadth-limited rewriting that also admits length-preserving steps;
     states are deduplicated by cyclic normal form.
     """
-    rules = [s for s in others if s]
+    rules = [(len(s), _piece_index(s)) for s in others if s]
     if not rules:
         return False
     start = words.cyclic_normal_form(target)
@@ -190,10 +188,10 @@ def _trivializes(target, others, beam=_SEARCH_BEAM, depth=_SEARCH_DEPTH):
     for _ in range(depth):
         next_frontier = []
         for w in frontier:
-            for s in rules:
-                if len(s) > 2 * len(w):
+            for m, piece_index in rules:
+                if m > 2 * len(w):
                     continue
-                for new in _rewrite_variants(w, s):
+                for new in _rewrites(w, piece_index, (m + 1) // 2):
                     key = words.cyclic_normal_form(new)
                     if not key:
                         return True

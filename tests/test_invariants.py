@@ -169,6 +169,15 @@ def test_bundle_cached_and_equal():
     assert invariant_bundle(CONIC) != invariant_bundle(F2)
 
 
+def test_cached_bundle_still_obeys_budget():
+    # a full count first fills the cache; a tighter budget must still skip
+    full = dict(invariant_bundle(CONIC).hom_counts)
+    assert None not in full.values()
+    assert dict(invariant_bundle(CONIC, budget=1).hom_counts) == \
+        {"S3": None, "S4": None}
+    assert dict(invariant_bundle(CONIC).hom_counts) == full
+
+
 def test_bigness_conic_reaches_torus_form():
     report = bigness_certificate(CONIC)
     names = [name for name, _ in report.steps]

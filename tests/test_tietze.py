@@ -1,6 +1,15 @@
+import hashlib
+import random
+
+import pytest
+
+from conicline import words
+from conicline.catalog import expected_groups
 from conicline.invariants import invariant_bundle
+from conicline.local_models import generalized_tangency
 from conicline.presentations import Presentation, replay
-from conicline.tietze import simplify
+from conicline.tietze import _piece_index, _rewrites, simplify
+from conicline.van_kampen import Factorization, present
 
 CONIC = Presentation(2, [(1, 2, 1, 2), (2, 1, 2, 1)])
 
@@ -39,11 +48,164 @@ def test_preserves_invariant_bundle():
     assert invariant_bundle(s) == invariant_bundle(CONIC)
 
 
-def test_big_presentation_reaches_small_form():
-    # a padded conic-pair presentation collapses back to two generators
+def _padded_conic():
     p = CONIC
     for d in [(1,), (2,), (1, 2), (2, -1)]:
         p = p.add_generator(d)
-    s = simplify(p).presentation
+    return p
+
+
+def test_big_presentation_reaches_small_form():
+    # a padded conic-pair presentation collapses back to two generators
+    s = simplify(_padded_conic()).presentation
     assert s.ngen == 2
     assert invariant_bundle(s) == invariant_bundle(CONIC)
+
+
+def test_budget_boundary_sets_exhausted():
+    # five moves: drop the duplicate, then four eliminations (each
+    # elimination records two trace entries)
+    p = _padded_conic()
+    full = simplify(p)
+    assert not full.exhausted
+    exact = simplify(p, budget=5)
+    assert not exact.exhausted
+    assert exact.trace == full.trace
+    assert simplify(p, budget=4).exhausted
+    assert simplify(p, budget=0).exhausted
+
+
+def test_budget_boundary_on_rewrite_moves():
+    # the n = 5 tangency group needs four single-entry moves
+    p = present(Factorization(5, (generalized_tangency(5)[0],)))
+    full = simplify(p)
+    assert len(full.trace) == 4 and not full.exhausted
+    assert not simplify(p, budget=4).exhausted
+    assert simplify(p, budget=3).exhausted
+    assert simplify(p, budget=0).exhausted
+
+
+# -- the piece finder against the nested scan it replaced -------------------
+
+def _rotations(w):
+    return [w[r:] + w[:r] for r in range(len(w))]
+
+
+def _scan_once(r, s):
+    """First strictly shortening rewrite, by the nested scan."""
+    m = len(s)
+    if m < 2 or len(r) < (m + 2) // 2:
+        return None
+    doubled = r + r
+    for z in _rotations(s) + _rotations(words.inverse(s)):
+        for piece_len in range(min(m - 1, len(r)), m // 2, -1):
+            piece = z[:piece_len]
+            for k in range(len(r)):
+                if doubled[k:k + piece_len] == piece:
+                    rest = doubled[k + piece_len:k + len(r)]
+                    return words.concat(words.inverse(z[piece_len:]), rest)
+    return None
+
+
+def _scan_variants(r, s):
+    """All shortening or length-preserving rewrites, by the nested scan."""
+    m = len(s)
+    out = []
+    if m < 2 or not r:
+        return out
+    doubled = r + r
+    for z in _rotations(s) + _rotations(words.inverse(s)):
+        for piece_len in range(min(m - 1, len(r)), (m - 1) // 2, -1):
+            piece = z[:piece_len]
+            for k in range(len(r)):
+                if doubled[k:k + piece_len] == piece:
+                    rest = doubled[k + piece_len:k + len(r)]
+                    out.append(words.concat(words.inverse(z[piece_len:]),
+                                            rest))
+    return out
+
+
+def _random_cyclic_word(rng, ngen, length):
+    w = []
+    while len(w) < length:
+        a = rng.choice([1, -1]) * rng.randint(1, ngen)
+        if w and a == -w[-1] or len(w) == length - 1 and w and a == -w[0]:
+            continue
+        w.append(a)
+    return tuple(w)
+
+
+def test_piece_finder_matches_nested_scan():
+    rng = random.Random(20261018)
+    shortened = variants = 0
+    for _ in range(2500):
+        ngen = rng.randint(1, 3)
+        s = _random_cyclic_word(rng, ngen, rng.randint(0, 14))
+        r = _random_cyclic_word(rng, ngen, rng.randint(0, 14))
+        if s and rng.random() < 0.5:
+            # plant a long piece of a rotation of s or s^-1 in r
+            z = rng.choice(_rotations(s) + _rotations(words.inverse(s)))
+            r = words.cyclic_reduce(z[:rng.randint(1, len(s))] + r)[:14]
+            r = words.cyclic_reduce(r)
+        assert words.cyclic_reduce(r) == r and words.cyclic_reduce(s) == s
+        index = _piece_index(s)
+        once = next(_rewrites(r, index, len(s) // 2 + 1), None)
+        assert once == _scan_once(r, s), (r, s)
+        found = list(_rewrites(r, index, (len(s) + 1) // 2))
+        assert found == _scan_variants(r, s), (r, s)
+        shortened += once is not None
+        variants += len(found)
+    # the planted pieces make both readers do real work
+    assert shortened > 500 and variants > 5000
+
+
+# -- traces replay bit-for-bit: digests recorded before the piece finder ----
+
+def _trace_digest(p):
+    res = simplify(p)
+    q = res.presentation
+    return hashlib.sha256(
+        repr((q.ngen, q.relators, res.trace)).encode()).hexdigest()
+
+
+TANGENCY_DIGESTS = {
+    3: "8023b6082eba30e230b36857045a3d649e20d0c16e977744d229e67c6ba6c0ef",
+    4: "10e7aae72e812b4a4b5cb2b4023463bc1f8b2db62c0964419af3a40643d58f05",
+    5: "798cd7e636f40b88c4878b5e7f6b6afa69ed1cda0ee0242818b35abf96c277fb",
+    6: "ac46fc3480ab9ee5cdd77f930df3534cceab2930d462a46a9bb72252b697ed8d",
+    7: "a5a52224761191850fa79dceabff13f9a2a8b523fa5d8b95bcad9dac171eb1c1",
+}
+
+CATALOG_DIGESTS = {
+    "commuting-squares-3":
+        "d80a49b1c7a4a75ad2cfa5eca70a1bd8f406396a72b7dc61f2d5ab716b7787d8",
+    "conic-pair":
+        "6ac325bd55ea7accf472c494b9af826c1cd027bc82e7717c9c714b5bc68d3512",
+    "free-2":
+        "f7d3a2d85ebef40626e0b526f8d4115e6b5b7ea05300a8b4ec1e06e466a54aaf",
+    "square-commuting":
+        "37c4143da1d6f2e72b34bf50badacd43e0ed28931a2e1b2652884ae98add1519",
+    "triple-square":
+        "09f41107f24ba604a3ffc9097047ccee2aa6aba377748bb4ea4c7572486c55a2",
+    "z-plus-conic-pair":
+        "63c490b71e091d65a1c43352e1a523725c93262bc6cef7ca4af39202420bdea3",
+    "z-plus-free-2":
+        "703996bcf1d590c01f550bbb93383abec5d6407c07370d54014bdd486c591b78",
+    "z-plus-square-commuting":
+        "ab374a897304c609290e032ae2cc932c83355a92866c2f155c20c1911b6a8937",
+    "z2-plus-conic-pair":
+        "ddf8805fa04066cc6ec8d1384678dc179ec700e3e8d08753635e2a9c1044ab1f",
+}
+
+
+@pytest.mark.parametrize("n", sorted(TANGENCY_DIGESTS))
+def test_tangency_trace_digest(n):
+    p = present(Factorization(n, (generalized_tangency(n)[0],)))
+    assert _trace_digest(p) == TANGENCY_DIGESTS[n]
+
+
+def test_catalog_trace_digests():
+    groups = expected_groups()
+    assert sorted(groups) == sorted(CATALOG_DIGESTS)
+    for name, g in groups.items():
+        assert _trace_digest(g) == CATALOG_DIGESTS[name], name
