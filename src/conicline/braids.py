@@ -218,9 +218,15 @@ def format_braid(b):
 
 
 def parse_braid(text, strands):
+    """Inverse of :func:`format_braid`.
+
+    Only ``s<i>`` tokens with ``1 <= i < strands`` (with optional caret
+    powers) are accepted, or ``e`` for the whole word, so that a row of
+    a Lefschetz-pair table such as ``1 2 1 s2`` is never read as a braid.
+    """
     names = [f"s{i}" for i in range(1, strands)]
-    try:
-        letters = words.parse_word(text, names)
-    except ParseError:
-        raise
-    return BraidWord(strands, letters)
+    if text.strip() != "e":
+        for token in text.split():
+            if token.partition("^")[0] not in names:
+                raise ParseError(f"not a generator of B_{strands}: {token!r}")
+    return BraidWord(strands, words.parse_word(text, names))

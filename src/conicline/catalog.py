@@ -16,7 +16,7 @@ exposes them by name.
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import UnknownModel
+from .errors import ConiclineError, UnknownModel
 from .invariants import bigness_certificate, compare, invariant_bundle
 from .presentations import Presentation
 from .tietze import simplify
@@ -411,7 +411,7 @@ def verify(entry, budget=20000):
         report = bigness_certificate(source_for_bigness, entry.bigness_kill,
                                      budget, entry.bigness_quotient)
         bigness = tuple(name for name, _ in report.steps)
-    except Exception as exc:      # noqa: BLE001 - reported, not hidden
+    except ConiclineError as exc:
         detail = (detail + "; " if detail else "") + f"bigness failed: {exc}"
     return VerificationReport(entry.id, stages, kind,
                               computed_b, expected_b.as_dict(), bigness,

@@ -13,10 +13,6 @@ class MapsNotInverse(ConiclineError):
     """A change of generators whose two maps do not invert each other."""
 
 
-class BudgetExhausted(ConiclineError):
-    """A bounded search ran out of steps."""
-
-
 class StrandMismatch(ConiclineError):
     """A braid was applied to a base with the wrong number of strands."""
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import words
 from .errors import BudgetExceeded, ParseError, ScriptStepFailed
-from .presentations import Presentation, TietzeMove, replay
+from .presentations import Presentation, replay
 from .tietze import simplify
 
 # -- Smith normal form -----------------------------------------------------
@@ -256,10 +256,11 @@ def _conjugation_orbits(table, k):
     for t in range(size ** k):
         if not seen[t]:
             rep = t // place % size
-            orbit = np.unique(conj[:, rep] @ place)
+            orbit = conj[:, rep] @ place
             seen[orbit] = True
             reps.append(rep)
-            sizes.append(orbit.size)
+            # a set, not np.unique, which imports numpy.ma on first use
+            sizes.append(len(set(orbit.tolist())))
     return (np.array(reps, dtype=np.min_scalar_type(size - 1))
             .reshape(len(reps), k), np.array(sizes, dtype=np.int64))
 
@@ -387,7 +388,6 @@ class ComparisonVerdict:
     trace2: tuple = ()
     bundle1: Optional[InvariantBundle] = None
     bundle2: Optional[InvariantBundle] = None
-    budget_spent: int = 0
 
     def as_dict(self):
         out = {"kind": self.kind}
@@ -417,14 +417,10 @@ def _relabel_moves(q1, q2):
             mapped = [words.substitute_letters(r, old_in_new)
                       for r in q1.relators]
             if _canonical_multiset(mapped) == target:
-                new_in_old = {}
-                for g in range(1, n + 1):
-                    new_in_old[perm[g - 1]] = (signs[g - 1] * g,)
-                move = TietzeMove(
-                    "change_generators",
-                    (tuple(sorted((k, tuple(v)) for k, v in new_in_old.items())),
-                     tuple(sorted((k, tuple(v)) for k, v in old_in_new.items()))))
-                return (move,)
+                new_in_old = {perm[g - 1]: (signs[g - 1] * g,)
+                              for g in range(1, n + 1)}
+                return (q1.change_generators(new_in_old,
+                                             old_in_new).trace[-1],)
     return None
 
 
@@ -441,23 +437,22 @@ def compare(p1, p2, budget=20000, targets=("S3", "S4"), hom_budget=10 ** 8):
     q1, q2 = r1.presentation, r2.presentation
     b1 = invariant_bundle(q1, targets, hom_budget)
     b2 = invariant_bundle(q2, targets, hom_budget)
-    spent = len(r1.trace) + len(r2.trace)
     if b1.abelianization != b2.abelianization:
         return ComparisonVerdict("distinct",
                                  ("abelianization",
                                   b1.abelianization.as_dict(),
                                   b2.abelianization.as_dict()),
-                                 r1.trace, r2.trace, b1, b2, spent)
+                                 r1.trace, r2.trace, b1, b2)
     for (name1, c1), (_, c2) in zip(b1.hom_counts, b2.hom_counts):
         if None not in (c1, c2) and c1 != c2:
             return ComparisonVerdict("distinct", (f"hom_count_{name1}", c1, c2),
-                                     r1.trace, r2.trace, b1, b2, spent)
+                                     r1.trace, r2.trace, b1, b2)
     relabel = _relabel_moves(q1, q2)
     if relabel is not None:
         return ComparisonVerdict("equivalent", None,
-                                 r1.trace + relabel, r2.trace, b1, b2, spent)
+                                 r1.trace + relabel, r2.trace, b1, b2)
     return ComparisonVerdict("inconclusive", None, r1.trace, r2.trace,
-                             b1, b2, spent)
+                             b1, b2)
 
 
 def verdict_sound(p1, p2, verdict):

@@ -69,13 +69,6 @@ class Presentation:
     def name(self, g):
         return self.labels[g - 1] if self.labels else f"x{g}"
 
-    def with_trace(self, move):
-        return Presentation(self.ngen, self.relators, self.labels,
-                            self.trace + (move,))
-
-    def total_relator_length(self):
-        return sum(len(r) for r in self.relators)
-
     # -- elementary moves -------------------------------------------------
 
     def substitute(self, g, definition):

@@ -46,7 +46,14 @@ class SimplifyResult:
 
 
 def simplify(p, budget=10000):
-    """Greedy Tietze simplification within ``budget`` recorded moves."""
+    """Greedy Tietze simplification within ``budget`` steps.
+
+    Each step applies the first applicable move in the fixed pass order.
+    The budget counts steps, not trace entries: a generator elimination
+    is one step that records two entries (``remove_relator``, then
+    ``eliminate``).  ``exhausted`` is true when a step was still
+    applicable as the budget ran out.
+    """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     start_len = len(p.trace)

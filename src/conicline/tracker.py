@@ -2,10 +2,14 @@
 
 A curve ``p(x, y) = 0`` is tracked by sampling the fiber roots in ``y``
 along ``x(t) = center + radius * exp(2 pi i t)``, matching consecutive
-fibers by global nearest-neighbour assignment, and emitting an Artin
-letter whenever two strands adjacent in the real-part order exchange
-places.  Steps refine adaptively (bisection) whenever the matching is
-ambiguous or several overlapping exchanges happen at once.
+fibers, and emitting an Artin letter whenever two strands adjacent in
+the real-part order exchange places.  Each old root is matched to its
+nearest new root; a step is accepted only when that map is one-to-one
+and every root moves at most 1/``MATCH_SAFETY`` of the gap between the
+new roots.  Under that test the nearest-neighbour map is the unique
+minimum-cost assignment, so no global assignment solver is needed.
+Steps refine adaptively (bisection) whenever the matching is ambiguous
+or several overlapping exchanges happen at once.
 
 Strand order is by ``Re(y)`` with ties broken by ``Im(y)``; this is
 implemented as the order of ``Re(exp(-i*delta) * y)`` for a tiny fixed
@@ -14,11 +18,10 @@ real part.
 """
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .braids import BraidWord, braid_permutation
 from .errors import (AmbiguousMatching, CollisionOnLoop,
@@ -144,7 +147,6 @@ class LoopSpec:
     center: complex = 0j
     radius: Fraction = Fraction(1)
     samples: int = 256
-    max_refine: int = MAX_REFINE
 
     def __post_init__(self):
         if self.radius <= 0:
@@ -162,7 +164,6 @@ class TrackedBraid:
     permutation: tuple
     min_gap: float
     refinements: int
-    basepoint_fiber: list = field(default_factory=list)
 
 
 def track(p, loop, t0=0.0, t1=1.0):
@@ -179,34 +180,30 @@ def track(p, loop, t0=0.0, t1=1.0):
         d = abs(s - complex(loop.center))
         if abs(d - float(loop.radius)) < 1e-6 * max(1.0, float(loop.radius)):
             raise CollisionOnLoop(f"loop passes through singular x ~ {s}")
-    return track_path(p, loop.point, t0, t1, loop.samples, loop.max_refine)
+    return track_path(p, loop.point, t0, t1, loop.samples)
 
 
-def track_path(p, xfun, t0=0.0, t1=1.0, samples=256, max_refine=MAX_REFINE):
+def track_path(p, xfun, t0=0.0, t1=1.0, samples=256):
     """Track the fiber roots along an arbitrary path ``t -> xfun(t)``."""
     if t1 <= t0:
         raise ValueError("need t1 > t0")
-    n = p.degy
-    state = _TrackState(p, xfun, max_refine)
+    state = _TrackState(p, xfun)
     roots = p.roots_at(xfun(t0))
     state.note_gap(roots)
-    basepoint = list(roots)
     letters = []
     for k in range(samples):
         ta = t0 + (t1 - t0) * k / samples
         tb = t0 + (t1 - t0) * (k + 1) / samples
         roots = state.advance(roots, ta, tb, letters, 0)
-    braid = BraidWord(n, letters)
-    perm = braid_permutation(braid)
-    return TrackedBraid(braid, perm, state.min_gap, state.refinements,
-                        basepoint)
+    braid = BraidWord(p.degy, letters)
+    return TrackedBraid(braid, braid_permutation(braid), state.min_gap,
+                        state.refinements)
 
 
 class _TrackState:
-    def __init__(self, p, xfun, max_refine=MAX_REFINE):
+    def __init__(self, p, xfun):
         self.p = p
         self.xfun = xfun
-        self.max_refine = max_refine
         self.min_gap = float("inf")
         self.refinements = 0
 
@@ -216,107 +213,94 @@ class _TrackState:
                 self.min_gap = min(self.min_gap, abs(roots[i] - roots[j]))
 
     def advance(self, roots, ta, tb, letters, depth):
-        """Continue strands from ``ta`` to ``tb``, appending crossings."""
+        """Continue strands from ``ta`` to ``tb``, appending crossings.
+
+        A step whose permutation is a disjoint set of adjacent
+        transpositions is accepted at once.  Any other step is bisected,
+        up to ``MAX_REFINE`` times; a step still unresolved at that depth
+        is accepted only as an exactly simultaneous symmetric crossing
+        (see ``_reversed_blocks``).
+        """
         new_roots = self.p.roots_at(self.xfun(tb))
         self.note_gap(new_roots)
-        matched = _match(roots, new_roots)
-        swaps = None
-        if matched is not None:
-            swaps = _adjacent_swaps(roots, matched)
-        if matched is None or swaps is None:
-            if depth >= self.max_refine:
-                if matched is None:
-                    raise AmbiguousMatching(
-                        f"matching stayed ambiguous near t={ta}")
-                return self._resolve_cluster(roots, matched, letters, ta)
-            self.refinements += 1
-            tm = (ta + tb) / 2
-            mid = self.advance(roots, ta, tm, letters, depth + 1)
-            return self.advance(mid, tm, tb, letters, depth + 1)
-        return self._finish_step(roots, matched, swaps, letters)
-
-    def _finish_step(self, roots, matched, swaps, letters):
-        for i in sorted(swaps):
-            # strand order positions i, i+1 (0-based) exchange
-            upper_moves_left = (roots[i + 1].imag + matched[i + 1].imag
-                                > roots[i].imag + matched[i].imag)
-            letters.append(i + 1 if upper_moves_left else -(i + 1))
-        order = sorted(range(len(matched)), key=lambda k: _order_key(matched[k]))
-        return [matched[k] for k in order]
-
-    def _resolve_cluster(self, roots, matched, letters, ta):
-        """Handle an exactly simultaneous symmetric crossing.
-
-        Curves whose fiber is symmetric about a strand (such as the
-        rotation models, with roots in antipodal pairs) make several
-        strands pass through one point's real part at the same instant;
-        no amount of bisection separates the event.  When the step's
-        permutation reverses contiguous blocks, the event is a
-        half-twist of each block, oriented by which way the upper strand
-        of the outermost pair travels.
-        """
-        n = len(matched)
-        order = sorted(range(n), key=lambda k: _order_key(matched[k]))
-        perm = [0] * n
-        for pos, k in enumerate(order):
-            perm[k] = pos
-        k = 0
-        while k < n:
-            if perm[k] == k:
-                k += 1
-                continue
-            j = perm[k]
-            if j <= k or any(perm[i] != k + j - i for i in range(k, j + 1)):
+        # new_roots come in strand order, so the index of each strand's
+        # match is its new position and new_roots is the next fiber
+        perm = _match(roots, new_roots)
+        blocks = None if perm is None else _reversed_blocks(perm)
+        if blocks is None or any(j > k + 1 for k, j in blocks):
+            if depth < MAX_REFINE:
+                self.refinements += 1
+                tm = (ta + tb) / 2
+                mid = self.advance(roots, ta, tm, letters, depth + 1)
+                return self.advance(mid, tm, tb, letters, depth + 1)
+            if perm is None:
+                raise AmbiguousMatching(
+                    f"matching stayed ambiguous near t={ta}")
+            if blocks is None:
                 raise CollisionOnLoop(
                     f"unresolvable crossing cluster near t={ta}")
-            upper_is_right = (roots[j].imag + matched[j].imag
-                              > roots[k].imag + matched[k].imag)
-            # the upper strand of the outer pair moves right-to-left
-            # exactly when it starts on the right
+        for k, j in blocks:
+            # the strands at k and j trade places; the upper one of them
+            # moves right-to-left exactly when it starts on the right
+            upper_is_right = (roots[j].imag + new_roots[k].imag
+                              > roots[k].imag + new_roots[j].imag)
             sign = 1 if upper_is_right else -1
             for top in range(j - 1, k - 1, -1):
                 letters.extend(sign * s for s in range(k + 1, top + 2))
-            k = j + 1
-        return [matched[i] for i in order]
+        return new_roots
 
 
 def _match(roots, new_roots):
-    """Nearest-neighbour assignment; None when ambiguous."""
-    n = len(roots)
-    cost = np.empty((n, n))
-    for i, a in enumerate(roots):
-        for j, b in enumerate(new_roots):
-            cost[i, j] = abs(a - b)
-    rows, cols = linear_sum_assignment(cost)
-    assign = [new_roots[c] for c in cols[np.argsort(rows)]]
-    max_move = max(abs(a - b) for a, b in zip(roots, assign))
-    gap = min(abs(assign[i] - assign[j])
-              for i in range(n) for j in range(i + 1, n)) if n > 1 else float("inf")
-    if max_move * MATCH_SAFETY > gap and max_move > 0:
+    """The step's permutation: ``perm[k]`` is the position in
+    ``new_roots`` of the continuation of strand ``k``; None when the
+    matching is ambiguous.
+
+    Each old root ``a`` goes to its nearest new root.  The step is
+    accepted only if that map is one-to-one and every root moves at most
+    1/``MATCH_SAFETY`` of the gap between the new roots.  This is
+    exactly the minimum-cost assignment under the same test: when the
+    test holds, any other new root lies at least ``gap - max_move >= 4
+    max_move`` from ``a``, so each nearest neighbour is unique and no
+    other assignment costs as little.  Conversely a one-to-one
+    nearest-neighbour map has minimum cost, and under the test it is the
+    only such assignment.  Coincident new roots (``gap == 0``) are never
+    matched one-to-one, so they are always refused.
+    """
+    n = len(new_roots)
+    perm = [min(range(n), key=lambda j: abs(a - new_roots[j])) for a in roots]
+    if len(set(perm)) < n:
         return None
-    return assign
+    max_move = max(abs(a - new_roots[j]) for a, j in zip(roots, perm))
+    gap = min((abs(new_roots[i] - new_roots[j])
+               for i in range(n) for j in range(i + 1, n)),
+              default=float("inf"))
+    if max_move * MATCH_SAFETY > gap:
+        return None
+    return perm
 
 
-def _adjacent_swaps(roots, matched):
-    """Positions whose strands swapped, if the step is a disjoint set of
-    adjacent transpositions; otherwise None."""
-    n = len(matched)
-    order = sorted(range(n), key=lambda k: _order_key(matched[k]))
-    # perm[k] = new position of the strand previously at position k
-    perm = [0] * n
-    for pos, k in enumerate(order):
-        perm[k] = pos
-    swaps = []
+def _reversed_blocks(perm):
+    """The position blocks ``(k, j)``, left to right, whose order ``perm``
+    reverses, if it fixes every other position; otherwise None.
+
+    A block of two is an ordinary crossing.  Longer blocks come from
+    curves whose fiber is symmetric about a strand (such as the rotation
+    models, with roots in antipodal pairs), where several strands pass
+    through one point's real part at the same instant and no amount of
+    bisection separates the event; it is a half-twist of each block.
+    """
+    blocks = []
     k = 0
-    while k < n:
-        if perm[k] == k:
+    while k < len(perm):
+        j = perm[k]
+        if j == k:
             k += 1
-        elif k + 1 < n and perm[k] == k + 1 and perm[k + 1] == k:
-            swaps.append(k)
-            k += 2
-        else:
+            continue
+        if j < k or any(perm[i] != k + j - i for i in range(k, j + 1)):
             return None
-    return swaps
+        blocks.append((k, j))
+        k = j + 1
+    return blocks
 
 
 # -- polynomial text syntax ------------------------------------------------

@@ -9,9 +9,6 @@ import re
 
 from .errors import ParseError
 
-Word = tuple  # alias used in signatures for readability
-
-
 def reduce(letters):
     """Freely reduce a sequence of signed letters.
 

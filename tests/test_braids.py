@@ -5,7 +5,8 @@ from conicline.braids import (BraidWord, action_equal, artin_apply,
                               block_around, braid_permutation, format_braid,
                               full_twist, half_block_around, half_twist,
                               identity_braid, parse_braid, standard_gbase)
-from conicline.errors import BadBlock, NonAdjacentMover, StrandMismatch
+from conicline.errors import (BadBlock, NonAdjacentMover, ParseError,
+                               StrandMismatch)
 
 
 def test_artin_generator_action():
@@ -95,3 +96,13 @@ def test_power():
     b = BraidWord(3, (1,))
     assert (b ** 3).letters == (1, 1, 1)
     assert action_equal(b ** -1, b.inverse())
+
+
+def test_parse_braid_accepts_only_artin_generators():
+    assert parse_braid("s2^-1 s1^2", 3).letters == (-2, 1, 1)
+    assert parse_braid("e", 3) == identity_braid(3)
+    # bare indices and free-group letters are not braid generators, so
+    # a Lefschetz-table row such as "1 2 1 s2" is not read as a braid
+    for text in ("1 2", "x1", "s1 1", "s3", "1"):
+        with pytest.raises(ParseError):
+            parse_braid(text, 3)

@@ -1,7 +1,7 @@
 import pytest
 
 from conicline import catalog
-from conicline.errors import UnknownModel
+from conicline.errors import ScriptStepFailed, UnknownModel
 from conicline.invariants import compare, invariant_bundle
 from conicline.presentations import (format_presentation, parse_presentation)
 
@@ -57,3 +57,21 @@ def test_verify_all_passes_and_is_deterministic():
     second = catalog.verify_all()
     assert [r.as_dict() for r in first] == [r.as_dict() for r in second]
     assert [r.entry_id for r in first] == sorted(r.entry_id for r in first)
+
+
+def test_verify_reports_a_failed_bigness_step(monkeypatch):
+    def fail(*args):
+        raise ScriptStepFailed("torus", "no torus form")
+    monkeypatch.setattr(catalog, "bigness_certificate", fail)
+    r = catalog.verify("conic-pair")
+    assert r.verdict == "equivalent"
+    assert not r.passed
+    assert "bigness failed: step 'torus' failed: no torus form" in r.detail
+
+
+def test_verify_propagates_programming_errors(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("not a verification failure")
+    monkeypatch.setattr(catalog, "bigness_certificate", broken)
+    with pytest.raises(RuntimeError, match="not a verification failure"):
+        catalog.verify("conic-pair")

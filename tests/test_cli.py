@@ -112,3 +112,15 @@ def test_bad_input_exit_2(capsys):
                        "/nonexistent/file.pres")
     assert code == 2
     assert "error" in err
+
+
+def test_present_reads_lefschetz_table_without_flag(tmp_path, capsys):
+    table = tmp_path / "t.txt"
+    table.write_text("strands: 3\n1 2 1 s2\n")
+    code, plain, _ = run(capsys, "present", "--factorization", str(table))
+    assert code == 0
+    code, forced, _ = run(capsys, "present", "--factorization", str(table),
+                          "--mt-table")
+    assert code == 0
+    assert plain == forced
+    assert plain.split() == ["gens:", "3", "x2", "x1^-1", "x1", "x2^-1"]

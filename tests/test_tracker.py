@@ -1,12 +1,21 @@
 import cmath
+import hashlib
+import itertools
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conicline.braids import BraidWord, action_equal, identity_braid
 from conicline.errors import CollisionOnLoop, ParseError
-from conicline.tracker import (CurvePoly, LoopSpec, format_poly,
-                               singular_x_values, track, track_path)
+from conicline.tracker import (MATCH_SAFETY, CurvePoly, LoopSpec, _match,
+                               format_poly, singular_x_values, track,
+                               track_path)
 
 UNIT = LoopSpec(center=0j, radius=Fraction(1), samples=64)
 
@@ -92,3 +101,119 @@ def test_track_path_segments():
     arc = lambda t: cmath.exp(2j * cmath.pi * t)
     tb = track_path(p, arc, 0.0, 1.0, 64)
     assert action_equal(tb.braid, BraidWord(2, (1,)))
+
+
+_PERMUTATIONS = {n: np.array(list(itertools.permutations(range(n))))
+                 for n in range(2, 7)}
+
+
+def _optimal_match(roots, new_roots):
+    """Reference matching: the minimum-cost assignment found by trying
+    every permutation, accepted under the tracker's safety test."""
+    n = len(new_roots)
+    perms = _PERMUTATIONS[n]
+    cost = np.abs(np.subtract.outer(np.array(roots), np.array(new_roots)))
+    best = perms[np.argmin(cost[np.arange(n), perms].sum(axis=1))]
+    max_move = cost[np.arange(n), best].max()
+    gap = min(abs(a - b) for a, b in itertools.combinations(new_roots, 2))
+    if max_move * MATCH_SAFETY > gap and max_move > 0:
+        return None
+    return best.tolist()
+
+
+def test_match_equals_optimal_assignment():
+    rng = random.Random(20261018)
+    accepted = rejected = 0
+    for _ in range(20000):
+        n = rng.randint(2, 6)
+        new_roots = [complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                     for _ in range(n)]
+        gap = min(abs(a - b) for a, b in itertools.combinations(new_roots, 2))
+        # displacements from far inside to far outside the accepted range
+        scale = gap / MATCH_SAFETY * 10 ** rng.uniform(-1.5, 1.5)
+        if rng.random() < 0.02:
+            scale = 0.0
+        origin = list(range(n))
+        rng.shuffle(origin)
+        roots = [new_roots[j] + scale * cmath.exp(2j * cmath.pi * rng.random())
+                 * rng.random() for j in origin]
+        want = _optimal_match(roots, new_roots)
+        assert _match(roots, new_roots) == want, (roots, new_roots)
+        if want is None:
+            rejected += 1
+        else:
+            accepted += 1
+    assert accepted > 5000 and rejected > 5000
+    # coincident new roots: never one-to-one, so refused
+    assert _match([0j, 1j], [0j, 0j]) is None
+
+
+CONIC_PAIR = "(x^2+y^2-1)*(x^2+y^2-1+(y-3/10)^2/2)"
+
+# sha256 of repr((letters, permutation, refinements, min_gap)) of
+# ``track`` at 256 samples: every local model whose equation's monodromy
+# is its model braid (unit loop), and the conic pair with 0, 1 and 2
+# lines (radius-3 loop).  The rotation models exercise the
+# simultaneous-crossing path.
+GOLDEN_TRACKS = [
+    ('3comp-common-tangent', 'y^3 - x^4*y', 1,
+     'd22abef6ba1e99b738f2974bcc2cfd86a987b59fdf32dd8a0d28a4a58b814dfe'),
+    ('3comp-rotation', 'y^5 - x^2*y', 1,
+     '1e4f2d4b97ee458c3d649e3a32db80d5825c8ae127444d5e81bfaa4743501650'),
+    ('3comp-type1', 'y^3 + 2*x*y^2 - x^4*y - 2*x^5', 1,
+     '3a3143c82374e640abcd56a1372d0d682729136bef6c53a3e8f3ac8a683468cf'),
+    ('3comp-type2', '-y^3 + 2*x*y^2 + x^4*y - 2*x^5', 1,
+     '86de3e455f1e5bb0f364cb6c4dbea4b7a980d7b4d2b824bb563441ede6df25a2'),
+    ('4comp-tangentline-type1', 'y^4 + 2*x*y^3 - x^4*y^2 - 2*x^5*y', 1,
+     '03caa820fab43815b8a7aafae0cdc9c2f340a8b8feb037c6ef0b92a86238d238'),
+    ('4comp-tangentline-type2', '-y^4 + 2*x*y^3 + x^4*y^2 - 2*x^5*y', 1,
+     'b4d991b5bbf1d36c107e386f9e9eb8b817ce6a112c9032fbc07e7a7f1f77f70c'),
+    ('4comp-twolines-type1', '-y^4 + x^4*y^2 + 4*x^2*y^2 - 4*x^6', 1,
+     'eaa37cd5578e33d071f55d0c5b9066168b0ce6813cfafc71d5820873410ba08c'),
+    ('4comp-twolines-type2', '2*y^6 + x*y^5 - 2*x^2*y^2 - x^3*y', 1,
+     '95b77c38568f7535e72166d3fbdcc2eed63d6f0f53db4de9388b8b36d3b3d8d1'),
+    ('branch-point', 'y^2 - x', 1,
+     'd909a4aedb14190a56f087e4f28ae71269c27832f7ba0b294a51bb7777c8df81'),
+    ('conic-conic-tangency', 'y^2 - x^4', 1,
+     '7d9db41b5954203edb76edd56d1460c13c3e9b78f9da344b629635e53a1c8241'),
+    ('node', 'y^2 - x^2', 1,
+     'c0d163c77f01861ec0c79c7689bd5f766084eb0e5d29788ac3465a2d1f6d14e9'),
+    ('simple-tangency', 'y^2 - x^2*y', 1,
+     '50e1aac1c2efd9508652dee1ae258be3a691046cdac44daf5c7f9c3f4b87da59'),
+    ('conic-pair', CONIC_PAIR, 3,
+     '2ea28465f0f9a6735bcc5b796eff73b274de21eb4e8a9776589c1868dcb3d020'),
+    ('conic-pair+line', CONIC_PAIR + "*(y-2*x-1/10)", 3,
+     '39196c6a397375cca6da237fb5dd144901f0f8673860dd16d6f0b8ba688f739c'),
+    ('conic-pair+2lines', CONIC_PAIR + "*(10*y-20*x-1)*(10*y+30*x-7)", 3,
+     '20eb5f8f8bdde8a39fdfe108240731329d29b3de12265733423db0bc97f93a4f'),
+]
+
+
+@pytest.mark.parametrize("equation, radius, digest",
+                         [case[1:] for case in GOLDEN_TRACKS],
+                         ids=[case[0] for case in GOLDEN_TRACKS])
+def test_tracked_braids_unchanged(equation, radius, digest):
+    tb = track(CurvePoly.parse(equation),
+               LoopSpec(0j, Fraction(radius), samples=256))
+    key = repr((tb.braid.letters, tb.permutation, tb.refinements,
+                tb.min_gap))
+    assert hashlib.sha256(key.encode()).hexdigest() == digest
+
+
+def test_runs_without_scipy():
+    code = """
+import sys
+sys.modules["scipy"] = None
+import conicline.cli
+from conicline.invariants import builtin_table, count_homs
+from conicline.presentations import Presentation
+from conicline.tracker import CurvePoly, LoopSpec, track
+tb = track(CurvePoly.parse("y^2 - x"), LoopSpec(samples=64))
+assert tb.braid.letters == (1,), tb.braid
+conic = Presentation(2, [(1, 2, 1, 2), (2, 1, 2, 1)])
+assert count_homs(conic, builtin_table("S3")) == 24
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
