@@ -3,13 +3,15 @@
 A curve ``p(x, y) = 0`` is tracked by sampling the fiber roots in ``y``
 along ``x(t) = center + radius * exp(2 pi i t)``, matching consecutive
 fibers, and emitting an Artin letter whenever two strands adjacent in
-the real-part order exchange places.  Each old root is matched to its
-nearest new root; a step is accepted only when that map is one-to-one
-and every root moves at most 1/``MATCH_SAFETY`` of the gap between the
-new roots.  Under that test the nearest-neighbour map is the unique
-minimum-cost assignment, so no global assignment solver is needed.
-Steps refine adaptively (bisection) whenever the matching is ambiguous
-or several overlapping exchanges happen at once.
+the real-part order exchange places.  The fibers over all sample points
+are solved in one batch (``CurvePoly.fibers``), with roots identical to
+``np.roots`` and checked by their residuals.  Each old root is matched
+to its nearest new root; a step is accepted only when that map is
+one-to-one and every root moves at most 1/``MATCH_SAFETY`` of the gap
+between the new roots.  Under that test the nearest-neighbour map is the
+unique minimum-cost assignment, so no global assignment solver is
+needed.  Steps refine adaptively (bisection) whenever the matching is
+ambiguous or several overlapping exchanges happen at once.
 
 Strand order is by ``Re(y)`` with ties broken by ``Im(y)``; this is
 implemented as the order of ``Re(exp(-i*delta) * y)`` for a tiny fixed
@@ -18,13 +20,16 @@ real part.
 """
 
 import cmath
+import itertools
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .braids import BraidWord, braid_permutation
-from .errors import (AmbiguousMatching, CollisionOnLoop,
+from .errors import (AmbiguousMatching, CollisionOnLoop, ConiclineError,
                      LeadingCoefficientVanishes, NoConvergence, ParseError)
 
 # order key rotation; breaks real-part ties by imaginary part
@@ -37,10 +42,6 @@ MATCH_SAFETY = 5.0
 MAX_REFINE = 20
 
 
-def _order_key(z):
-    return z.real * _COS_D + z.imag * _SIN_D
-
-
 class CurvePoly:
     """A polynomial in x and y with exact rational coefficients."""
 
@@ -49,11 +50,8 @@ class CurvePoly:
         self.coeffs = {k: Fraction(v) for k, v in coeffs.items() if v != 0}
         self.degy = max((j for _, j in self.coeffs), default=0)
         self.degx = max((i for i, _ in self.coeffs), default=0)
-        # y-coefficient polynomials in x, constant term first
-        self.ycoeffs = []
-        for j in range(self.degy + 1):
-            self.ycoeffs.append({i: c for (i, jj), c in self.coeffs.items()
-                                 if jj == j})
+        # the terms as (power of x, power of y, complex coefficient)
+        self.terms = [(i, j, complex(c)) for (i, j), c in self.coeffs.items()]
 
     @classmethod
     def parse(cls, text):
@@ -62,40 +60,67 @@ class CurvePoly:
     def __repr__(self):
         return f"CurvePoly({format_poly(self)!r})"
 
-    def _eval_xpoly(self, xpoly, x):
-        return sum(complex(c) * x ** i for i, c in xpoly.items())
+    def y_coefficients(self, xs):
+        """The fiber polynomials over ``xs``, one row per x, constant term
+        first; summed term by term over Python's own complex powers."""
+        powers = np.array([[x ** i for i in range(self.degx + 1)]
+                           for x in xs], dtype=complex)
+        out = np.zeros((len(xs), self.degy + 1), dtype=complex)
+        for i, j, c in self.terms:
+            out[:, j] += c * powers[:, i]
+        return out
 
-    def y_coefficients_at(self, x):
-        """Coefficients of the fiber polynomial, constant term first."""
-        return [self._eval_xpoly(c, x) for c in self.ycoeffs]
-
-    def evaluate(self, x, y):
-        return sum(complex(c) * x ** i * y ** j
-                   for (i, j), c in self.coeffs.items())
+    def fibers(self, xs, tol=RESIDUAL_TOL):
+        """Per x in ``xs``, its ``degy`` fiber roots in strand order, or the
+        error refusing the fiber, returned for a tracker to raise on
+        reaching it.  Roots equal ``np.roots`` bit for bit: zero low-order
+        coefficients give zero roots, the rest are companion-matrix
+        eigenvalues, one stacked ``eigvals`` call per zero-root count.
+        Refused: ``|a_n| <= tol max |a_j|`` (``LeadingCoefficientVanishes``)
+        or ``|sum a_j r^j| > 1e4 tol max(sum |a_j| max(1, |r|)^j, 1)`` for
+        a root ``r`` (``NoConvergence``)."""
+        coeffs = self.y_coefficients(xs)
+        n = self.degy
+        mags = np.abs(coeffs)
+        solvable = mags[:, -1] > tol * mags.max(axis=1)
+        zeros = (coeffs == 0).cumprod(axis=1).sum(axis=1)
+        roots = np.zeros((len(xs), n), dtype=complex)
+        for z in set(zeros[solvable].tolist()) - {n}:   # n: all roots 0
+            rows = np.flatnonzero(solvable & (zeros == z))
+            top = coeffs[rows, z:][:, ::-1]   # highest degree first
+            comp = np.zeros((len(rows), n - z, n - z), dtype=complex)
+            comp[:, 0, :] = -top[:, 1:] / top[:, :1]
+            comp[:, 1:, :-1] = np.eye(n - z - 1)
+            roots[rows, :n - z] = np.linalg.eigvals(comp)
+        a, m, r = coeffs[solvable], mags[solvable], roots[solvable]
+        residual, res_scale, grow = a[:, -1:], m[:, -1:], np.maximum(abs(r), 1)
+        for j in range(n - 1, -1, -1):   # Horner, per root
+            residual = residual * r + a[:, j:j + 1]
+            res_scale = res_scale * grow + m[:, j:j + 1]
+        bad = (abs(residual) > 1e4 * tol * np.maximum(res_scale, 1)).any(1)
+        order = np.argsort(roots.real * _COS_D + roots.imag * _SIN_D,
+                           axis=1, kind="stable")
+        out = np.take_along_axis(roots, order, axis=1).tolist()
+        for k in np.flatnonzero(~solvable):
+            out[k] = LeadingCoefficientVanishes(
+                f"leading y-coefficient vanishes at x={xs[k]}")
+        for k in np.flatnonzero(solvable)[bad]:
+            out[k] = NoConvergence(f"root residual too large at x={xs[k]}")
+        return out
 
     def roots_at(self, x, tol=RESIDUAL_TOL):
-        """The ``degy`` fiber roots over ``x`` (companion-matrix solve)."""
-        coeffs = self.y_coefficients_at(x)
-        scale = max(abs(c) for c in coeffs) if coeffs else 0.0
-        if scale == 0.0 or abs(coeffs[-1]) <= tol * scale:
-            raise LeadingCoefficientVanishes(
-                f"leading y-coefficient vanishes at x={x}")
-        # numpy wants the highest degree first
-        roots = np.roots(np.array(coeffs[::-1], dtype=complex))
-        roots = [complex(r) for r in roots]
-        for r in roots:
-            res_scale = sum(abs(complex(c)) * max(1.0, abs(r)) ** j
-                            for j, c in enumerate(coeffs))
-            if abs(self.evaluate(x, r)) > 1e4 * tol * max(res_scale, 1.0):
-                raise NoConvergence(f"root residual too large at x={x}")
-        return sorted(roots, key=_order_key)
+        """``fibers`` on a batch of one, raising a refused fiber's error."""
+        return _reached(self.fibers([x], tol)[0])
 
     def derivative_y(self):
-        d = {}
-        for (i, j), c in self.coeffs.items():
-            if j >= 1:
-                d[(i, j - 1)] = d.get((i, j - 1), 0) + c * j
-        return CurvePoly(d)
+        return CurvePoly({(i, j - 1): c * j
+                          for (i, j), c in self.coeffs.items() if j})
+
+
+def _reached(fiber):
+    if isinstance(fiber, ConiclineError):   # a refused fiber
+        raise fiber
+    return fiber
 
 
 def singular_x_values(p):
@@ -109,37 +134,22 @@ def singular_x_values(p):
     n, m = p.degy, q.degy
     if n < 1 or m < 0:
         return []
-    deg_bound = p.degx * (n + m) + 1
-    count = 1
-    while count < deg_bound + 1:
-        count *= 2
+    count = 1 << (p.degx * (n + m) + 1).bit_length()   # 2^k > degree bound
     xs = [cmath.exp(2j * cmath.pi * k / count) * 1.37 for k in range(count)]
-    values = [_sylvester_det(p, q, x) for x in xs]
+    # the Sylvester matrices, leading coefficients first
+    a = p.y_coefficients(xs)[:, ::-1]
+    b = q.y_coefficients(xs)[:, ::-1]
+    mats = np.zeros((count, n + m, n + m), dtype=complex)
+    for r in range(m):
+        mats[:, r, r:r + n + 1] = a
+    for r in range(n):
+        mats[:, m + r, r:r + m + 1] = b
     # invert the evaluation at scaled roots of unity
-    coeffs = np.fft.fft(np.array(values)) / count
+    coeffs = np.fft.fft(np.linalg.det(mats)) / count
     coeffs = coeffs / (1.37 ** np.arange(count))
     mags = np.abs(coeffs)
-    top = mags.max()
-    if top == 0:
-        return []
-    deg = max(i for i in range(count) if mags[i] > 1e-8 * top)
-    poly = coeffs[:deg + 1][::-1]
-    if deg == 0:
-        return []
-    return [complex(r) for r in np.roots(poly)]
-
-
-def _sylvester_det(p, q, x):
-    n, m = p.degy, q.degy
-    a = p.y_coefficients_at(x)[::-1]  # leading first
-    b = q.y_coefficients_at(x)[::-1]
-    size = n + m
-    mat = np.zeros((size, size), dtype=complex)
-    for r in range(m):
-        mat[r, r:r + n + 1] = a
-    for r in range(n):
-        mat[m + r, r:r + m + 1] = b
-    return complex(np.linalg.det(mat))
+    deg = max(np.flatnonzero(mags > 1e-8 * mags.max()), default=0)
+    return np.roots(coeffs[:deg + 1][::-1]).tolist()
 
 
 @dataclass(frozen=True)
@@ -149,8 +159,9 @@ class LoopSpec:
     samples: int = 256
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not (0 < self.radius <= sys.float_info.max
+                and cmath.isfinite(complex(self.center))):
+            raise ValueError("need a finite center and a finite radius > 0")
         if self.samples < 8:
             raise ValueError("need at least 8 samples")
 
@@ -174,8 +185,6 @@ def track(p, loop, t0=0.0, t1=1.0):
     imaginary part) moves from right to left, the sign fixed by the
     branch-point calibration ``y^2 - x -> s1``.
     """
-    if t1 <= t0:
-        raise ValueError("need t1 > t0")
     for s in singular_x_values(p):
         d = abs(s - complex(loop.center))
         if abs(d - float(loop.radius)) < 1e-6 * max(1.0, float(loop.radius)):
@@ -187,33 +196,29 @@ def track_path(p, xfun, t0=0.0, t1=1.0, samples=256):
     """Track the fiber roots along an arbitrary path ``t -> xfun(t)``."""
     if t1 <= t0:
         raise ValueError("need t1 > t0")
-    state = _TrackState(p, xfun)
-    roots = p.roots_at(xfun(t0))
-    state.note_gap(roots)
+    if p.degy == 0:
+        raise ConiclineError("the curve has no strands: it has no y term")
+    ts = [t0 + (t1 - t0) * k / samples for k in range(samples + 1)]
+    fibers = p.fibers([xfun(t) for t in ts])
+    roots = _reached(fibers[0])
+    state = _TrackState(p, xfun, _gap(roots))
     letters = []
-    for k in range(samples):
-        ta = t0 + (t1 - t0) * k / samples
-        tb = t0 + (t1 - t0) * (k + 1) / samples
-        roots = state.advance(roots, ta, tb, letters, 0)
+    for ta, tb, fiber in zip(ts, ts[1:], fibers[1:]):
+        roots = state.advance(roots, ta, tb, fiber, letters, 0)
     braid = BraidWord(p.degy, letters)
     return TrackedBraid(braid, braid_permutation(braid), state.min_gap,
                         state.refinements)
 
 
+@dataclass
 class _TrackState:
-    def __init__(self, p, xfun):
-        self.p = p
-        self.xfun = xfun
-        self.min_gap = float("inf")
-        self.refinements = 0
+    p: CurvePoly
+    xfun: object
+    min_gap: float
+    refinements: int = 0
 
-    def note_gap(self, roots):
-        for i in range(len(roots)):
-            for j in range(i + 1, len(roots)):
-                self.min_gap = min(self.min_gap, abs(roots[i] - roots[j]))
-
-    def advance(self, roots, ta, tb, letters, depth):
-        """Continue strands from ``ta`` to ``tb``, appending crossings.
+    def advance(self, roots, ta, tb, fiber, letters, depth):
+        """Continue strands from ``ta`` to ``fiber`` at ``tb``; add crossings.
 
         A step whose permutation is a disjoint set of adjacent
         transpositions is accepted at once.  Any other step is bisected,
@@ -221,18 +226,20 @@ class _TrackState:
         is accepted only as an exactly simultaneous symmetric crossing
         (see ``_reversed_blocks``).
         """
-        new_roots = self.p.roots_at(self.xfun(tb))
-        self.note_gap(new_roots)
+        new_roots = _reached(fiber)
+        gap = _gap(new_roots)
+        self.min_gap = min(self.min_gap, gap)
         # new_roots come in strand order, so the index of each strand's
         # match is its new position and new_roots is the next fiber
-        perm = _match(roots, new_roots)
+        perm = _match(roots, new_roots, gap)
         blocks = None if perm is None else _reversed_blocks(perm)
         if blocks is None or any(j > k + 1 for k, j in blocks):
             if depth < MAX_REFINE:
                 self.refinements += 1
                 tm = (ta + tb) / 2
-                mid = self.advance(roots, ta, tm, letters, depth + 1)
-                return self.advance(mid, tm, tb, letters, depth + 1)
+                mid = self.advance(roots, ta, tm, self.p.roots_at(
+                    self.xfun(tm)), letters, depth + 1)
+                return self.advance(mid, tm, tb, fiber, letters, depth + 1)
             if perm is None:
                 raise AmbiguousMatching(
                     f"matching stayed ambiguous near t={ta}")
@@ -250,10 +257,16 @@ class _TrackState:
         return new_roots
 
 
-def _match(roots, new_roots):
+def _gap(roots):
+    """The least distance between two of ``roots`` (inf for fewer)."""
+    return min((abs(a - b) for a, b in itertools.combinations(roots, 2)),
+               default=float("inf"))
+
+
+def _match(roots, new_roots, gap=None):
     """The step's permutation: ``perm[k]`` is the position in
     ``new_roots`` of the continuation of strand ``k``; None when the
-    matching is ambiguous.
+    matching is ambiguous.  ``gap`` is ``_gap(new_roots)`` if known.
 
     Each old root ``a`` goes to its nearest new root.  The step is
     accepted only if that map is one-to-one and every root moves at most
@@ -271,10 +284,7 @@ def _match(roots, new_roots):
     if len(set(perm)) < n:
         return None
     max_move = max(abs(a - new_roots[j]) for a, j in zip(roots, perm))
-    gap = min((abs(new_roots[i] - new_roots[j])
-               for i in range(n) for j in range(i + 1, n)),
-              default=float("inf"))
-    if max_move * MATCH_SAFETY > gap:
+    if max_move * MATCH_SAFETY > (_gap(new_roots) if gap is None else gap):
         return None
     return perm
 
@@ -305,24 +315,15 @@ def _reversed_blocks(perm):
 
 # -- polynomial text syntax ------------------------------------------------
 
+_TOKEN = re.compile(r"\s*(?:(\d+|[-+*/^()xy])|(\S))")
+
+
 def _tokenize(text):
     out = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "+-*/^()xy":
-            out.append(c)
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(text[i:j])
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r} in polynomial")
+    for tok, bad in _TOKEN.findall(text):
+        if bad:
+            raise ParseError(f"unexpected character {bad!r} in polynomial")
+        out.append(tok)
     return out
 
 
@@ -366,8 +367,8 @@ class _PolyParser:
             elif self.peek() == "/":
                 self.take()
                 tok = self.take()
-                if tok is None or not tok.isdigit():
-                    raise ParseError("division only by integer constants")
+                if tok is None or not tok.isdigit() or int(tok) == 0:
+                    raise ParseError("division only by nonzero integers")
                 p = _scale(p, Fraction(1, int(tok)))
             elif self.peek() in ("(", "x", "y") or (
                     self.peek() or "").isdigit():
@@ -450,5 +451,4 @@ def format_poly(p):
             terms.append(f"-{body}")
         else:
             terms.append(f"{c}*{body}")
-    out = " + ".join(terms).replace("+ -", "- ")
-    return out
+    return " + ".join(terms).replace("+ -", "- ")

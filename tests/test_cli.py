@@ -124,3 +124,16 @@ def test_present_reads_lefschetz_table_without_flag(tmp_path, capsys):
     assert code == 0
     assert plain == forced
     assert plain.split() == ["gens:", "3", "x2", "x1^-1", "x1", "x2^-1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--poly", "x/0+y"], "division"),
+    (["--poly", "x"], "no strands"),
+    (["--poly", "1"], "no strands"),
+    (["--poly", "y^2-x", "--radius", "1e400"], "finite"),
+    (["--poly", "y^2-x", "--center", "1e400"], "finite"),
+])
+def test_track_refuses_untrackable_input(capsys, argv, message):
+    code, _, err = run(capsys, "track", *argv)
+    assert code == 2
+    assert message in err

@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 
 from conicline.braids import BraidWord, action_equal, identity_braid
-from conicline.errors import CollisionOnLoop, ParseError
-from conicline.tracker import (MATCH_SAFETY, CurvePoly, LoopSpec, _match,
-                               format_poly, singular_x_values, track,
-                               track_path)
+from conicline.errors import (AmbiguousMatching, CollisionOnLoop,
+                              LeadingCoefficientVanishes, NoConvergence,
+                              ParseError)
+from conicline.local_models import get_model, list_models
+from conicline.tracker import (_COS_D, _SIN_D, MATCH_SAFETY, CurvePoly,
+                               LoopSpec, _match, format_poly,
+                               singular_x_values, track, track_path)
 
 UNIT = LoopSpec(center=0j, radius=Fraction(1), samples=64)
 
@@ -217,3 +220,146 @@ assert count_homs(conic, builtin_table("S3")) == 24
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert done.returncode == 0, done.stderr
+
+
+def test_parse_tokens():
+    assert CurvePoly.parse(" y ^ 2-3/4 *x  ").coeffs == \
+        CurvePoly.parse("y^2 - 3/4*x").coeffs
+    for text in ("y^2 - x;", "x/0 + y", "y^2 - x/"):
+        with pytest.raises(ParseError):
+            CurvePoly.parse(text)
+
+
+def test_loop_spec_rejects_non_finite_values():
+    for bad in (dict(radius=float("inf")), dict(radius=float("nan")),
+                dict(radius=Fraction(10) ** 400), dict(center=complex("inf")),
+                dict(radius=Fraction(0))):
+        with pytest.raises(ValueError):
+            LoopSpec(**bad)
+
+
+ZERO_CONSTANT = "y^2 + y + 1 - x"   # constant coefficient 0 only at x = 1
+
+# sha256 of repr of the fiber roots, in strand order, over the 1025 grid
+# points of the 1024-sample loop, recorded with the per-fiber solver
+# (``np.roots`` after a scalar evaluation of the coefficients) that the
+# batched solve replaced: every local model (unit loop), the conic curves
+# (radius 3) and a curve with a zero root at exactly one grid point.
+GOLDEN_FIBERS = {
+    '3comp-common-tangent':
+        '7632dd6c2df0d2140b43fd9c20576cf7adbf4117d9de73d942ab1e36300f6618',
+    '3comp-rotation':
+        'a591050bb2e8f9d5b87df10ce9f1879f4e99d0d42b874982c9f549f7c1e93603',
+    '3comp-type1':
+        '139c70436e9d236e628603105f440fad0d76074b13aa617c9486cdab27b2602f',
+    '3comp-type2':
+        '20279064629cd0ba535ac8ecaf4569fbd6b1459a946a286b93882e992d30e47e',
+    '4comp-tangentline-type1':
+        'ab58d122159e50e2e7f79a5f28950ce850ec0f533646e4658e6b9c31afafe840',
+    '4comp-tangentline-type2':
+        '7cf5188a5dfc2f7cf75974ead7d2cdfc4afcb8fde7147153f32defbf3c9e44a4',
+    '4comp-tangentline-type3':
+        '2ce85bfaed8ef44797dffb3b8e9f0026459aada9277d7100374d519629cc63de',
+    '4comp-twolines-type1':
+        '27e4041a039b4a45aa1f404f00beec78b945bc6ba5352b6aed1241c1c7a65bd2',
+    '4comp-twolines-type2':
+        'b41becac0785706d46a297787d98ee4524487d88a78d4e895ae0302d5c7e96ba',
+    'branch-point':
+        '5d274c6bb9ae24da9fa3e35477b6692047e25a24c734ade14d90713f73945c02',
+    'conic-conic-tangency':
+        '5e2ec4997177caf5e459ac8dcfd520c014a4204a23509411d6e72086ca092268',
+    'conic-pair':
+        '6903cc56764a1341445862fc12bbeb7ea1e662b135752815d76c14f92d58b928',
+    'conic-pair+2lines':
+        '436ae10a24602372f251c362d735a0f7013eef95f34f466cadda29cd2925e4be',
+    'conic-pair+line':
+        'd599dcba760456daf1580a822d2c3d60c892e8c8c2b789c0d0afe23dc6139aa0',
+    'node':
+        '0fa09886191ec6e3cef955c03faa3cb816cd932483b87b5648f2c79413f167e3',
+    'simple-tangency':
+        '33c74806099ef765301714527b19ca1baa617b530edb5aafc8ba013bc7d75e66',
+    'zero-constant':
+        '351cc66516be4a3d8b641fb891563391ae5d11d34e881d51d8f12e09bcfa381c',
+}
+
+
+def _catalog_curves():
+    curves = [(m, format_poly(get_model(m).equation), 1)
+              for m in list_models()]
+    curves += [(name, eq, radius) for name, eq, radius, _ in GOLDEN_TRACKS
+               if name.startswith("conic-pair")]
+    return curves + [("zero-constant", ZERO_CONSTANT, 1)]
+
+
+def _strand_order(roots):
+    return sorted(roots, key=lambda z: z.real * _COS_D + z.imag * _SIN_D)
+
+
+@pytest.mark.parametrize("name, equation, radius", _catalog_curves(),
+                         ids=[c[0] for c in _catalog_curves()])
+def test_batched_solve_equals_np_roots(name, equation, radius):
+    p = CurvePoly.parse(equation)
+    loop = LoopSpec(0j, Fraction(radius), samples=1024)
+    xs = [loop.point(k / 1024) for k in range(1025)]
+    fibers = p.fibers(xs)
+    for row, fiber in zip(p.y_coefficients(xs), fibers):
+        want = _strand_order(np.roots(row[::-1]).tolist())
+        assert repr(fiber) == repr(want)    # repr tells every bit apart
+    digest = hashlib.sha256(repr(fibers).encode()).hexdigest()
+    assert digest == GOLDEN_FIBERS[name]
+    assert repr(p.roots_at(xs[1])) == repr(fibers[1])
+
+
+def test_zero_constant_coefficient_at_one_grid_point():
+    p = CurvePoly.parse(ZERO_CONSTANT)
+    assert p.fibers([1 + 0j]) == [[-1 + 0j, 0j]]
+    for samples in (64, 1024):
+        tb = track(p, LoopSpec(0j, Fraction(1), samples))
+        assert (tb.braid.letters, tb.permutation, tb.refinements,
+                tb.min_gap) == ((1,), (2, 1), 0, 1.0)
+
+
+def test_tracked_braid_unchanged_at_1024_samples():
+    equation = CONIC_PAIR + "*(10*y-20*x-1)*(10*y+30*x-7)"
+    tb = track(CurvePoly.parse(equation),
+               LoopSpec(0j, Fraction(3), samples=1024))
+    key = repr((tb.braid.letters, tb.permutation, tb.refinements,
+                tb.min_gap))
+    assert hashlib.sha256(key.encode()).hexdigest() == \
+        '26b6e4c9d9866475f9e88138440050f42e938d3a54bf32723fdb9a30266e3c3d'
+
+
+def test_refused_grid_fiber_raises_only_when_reached():
+    # along x = 1 - t on 8 steps: a double root over x = 1/2 (t = 1/2)
+    # and a vanishing leading coefficient over x = 0 (t = 1)
+    p = CurvePoly.parse("x*y^2 - (2*x - 1)^2")
+    line = lambda t: complex(1 - t)
+    fibers = p.fibers([line(k / 8) for k in range(9)])
+    assert isinstance(fibers[-1], LeadingCoefficientVanishes)
+    with pytest.raises(AmbiguousMatching):
+        track_path(p, line, 0.0, 1.0, 8)
+    assert track_path(p, line, 0.0, 0.25, 8).braid.letters == ()
+    with pytest.raises(LeadingCoefficientVanishes):
+        track_path(CurvePoly.parse("x*y^2 - 1"), line, 0.0, 1.0, 8)
+    with pytest.raises(LeadingCoefficientVanishes):
+        CurvePoly.parse("x*y^2 - 1").roots_at(0j)
+
+
+def test_residual_check_matches_scalar_reference():
+    p = CurvePoly.parse("(y - 1/3)*(y - 2/7)*(y + 5/11)*(y - x)")
+    xs = [0.3 + 0.1j, -1.2 + 0.7j, 2j, 1.5 - 0.25j]
+    rows = p.y_coefficients(xs).tolist()
+    roots = p.fibers(xs)
+    refusals = 0
+    for tol in [10.0 ** -e for e in range(10, 31)]:
+        for a, fiber, got in zip(rows, roots, p.fibers(xs, tol)):
+            want = any(
+                abs(sum(c * r ** j for j, c in enumerate(a)))
+                > 1e4 * tol * max(sum(abs(c) * max(1.0, abs(r)) ** j
+                                      for j, c in enumerate(a)), 1.0)
+                for r in fiber)
+            assert isinstance(got, NoConvergence) == want, (tol, a)
+            refusals += want
+    assert 0 < refusals < 21 * len(xs)
+    with pytest.raises(NoConvergence):
+        p.roots_at(xs[0], tol=1e-300)
