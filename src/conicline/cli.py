@@ -73,7 +73,7 @@ def _parse_range(s):
     try:
         a, b = s.split(":")
         return float(Fraction(a)), float(Fraction(b))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ConiclineError(f"bad range {s!r}, expected t0:t1") from None
 
 

@@ -8,10 +8,11 @@ are solved in one batch (``CurvePoly.fibers``), with roots identical to
 ``np.roots`` and checked by their residuals.  Each old root is matched
 to its nearest new root; a step is accepted only when that map is
 one-to-one and every root moves at most 1/``MATCH_SAFETY`` of the gap
-between the new roots.  Under that test the nearest-neighbour map is the
-unique minimum-cost assignment, so no global assignment solver is
-needed.  Steps refine adaptively (bisection) whenever the matching is
-ambiguous or several overlapping exchanges happen at once.
+between the new roots, which makes it the unique minimum-cost
+assignment.  All steps of the grid are matched at once in numpy; steps
+whose matching is ambiguous, or which hold several overlapping
+exchanges, are bisected level by level, each level's midpoints solved
+in one batch and its half-steps matched at once.
 
 Strand order is by ``Re(y)`` with ties broken by ``Im(y)``; this is
 implemented as the order of ``Re(exp(-i*delta) * y)`` for a tiny fixed
@@ -20,7 +21,6 @@ real part.
 """
 
 import cmath
-import itertools
 import re
 import sys
 from dataclasses import dataclass
@@ -63,8 +63,14 @@ class CurvePoly:
     def y_coefficients(self, xs):
         """The fiber polynomials over ``xs``, one row per x, constant term
         first; summed term by term over Python's own complex powers."""
-        powers = np.array([[x ** i for i in range(self.degx + 1)]
-                           for x in xs], dtype=complex)
+        rows = []
+        for x in xs:
+            try:
+                rows.append([x ** i for i in range(self.degx + 1)])
+            except OverflowError:
+                raise ConiclineError(
+                    f"x^{self.degx} overflows a float at x={x}") from None
+        powers = np.array(rows, dtype=complex)
         out = np.zeros((len(xs), self.degy + 1), dtype=complex)
         for i, j, c in self.terms:
             out[:, j] += c * powers[:, i]
@@ -110,17 +116,14 @@ class CurvePoly:
 
     def roots_at(self, x, tol=RESIDUAL_TOL):
         """``fibers`` on a batch of one, raising a refused fiber's error."""
-        return _reached(self.fibers([x], tol)[0])
+        fiber = self.fibers([x], tol)[0]
+        if isinstance(fiber, ConiclineError):
+            raise fiber
+        return fiber
 
     def derivative_y(self):
         return CurvePoly({(i, j - 1): c * j
                           for (i, j), c in self.coeffs.items() if j})
-
-
-def _reached(fiber):
-    if isinstance(fiber, ConiclineError):   # a refused fiber
-        raise fiber
-    return fiber
 
 
 def singular_x_values(p):
@@ -164,9 +167,11 @@ class LoopSpec:
             raise ValueError("need a finite center and a finite radius > 0")
         if self.samples < 8:
             raise ValueError("need at least 8 samples")
+        # point() runs once per sample: convert the exact radius once
+        object.__setattr__(self, "_radius", float(self.radius))
 
     def point(self, t):
-        return complex(self.center) + float(self.radius) * cmath.exp(2j * cmath.pi * t)
+        return complex(self.center) + self._radius * cmath.exp(2j * cmath.pi * t)
 
 
 @dataclass
@@ -193,74 +198,114 @@ def track(p, loop, t0=0.0, t1=1.0):
 
 
 def track_path(p, xfun, t0=0.0, t1=1.0, samples=256):
-    """Track the fiber roots along an arbitrary path ``t -> xfun(t)``."""
+    """Track the fiber roots along an arbitrary path ``t -> xfun(t)``.
+
+    A step whose permutation is a disjoint set of adjacent transpositions
+    is accepted at once.  Any other step is bisected, up to
+    ``MAX_REFINE`` times; a step still unresolved at that depth is
+    accepted only as an exactly simultaneous symmetric crossing (see
+    ``_reversed_blocks``).  The steps of each depth are matched together,
+    but letters and the error raised follow the path: each step has a
+    key (grid index, then 0 or 1 per bisection) that orders it before
+    its halves and its left half before its right.
+    """
     if t1 <= t0:
         raise ValueError("need t1 > t0")
     if p.degy == 0:
         raise ConiclineError("the curve has no strands: it has no y term")
     ts = [t0 + (t1 - t0) * k / samples for k in range(samples + 1)]
     fibers = p.fibers([xfun(t) for t in ts])
-    roots = _reached(fibers[0])
-    state = _TrackState(p, xfun, _gap(roots))
-    letters = []
-    for ta, tb, fiber in zip(ts, ts[1:], fibers[1:]):
-        roots = state.advance(roots, ta, tb, fiber, letters, 0)
-    braid = BraidWord(p.degy, letters)
-    return TrackedBraid(braid, braid_permutation(braid), state.min_gap,
-                        state.refinements)
-
-
-@dataclass
-class _TrackState:
-    p: CurvePoly
-    xfun: object
-    min_gap: float
-    refinements: int = 0
-
-    def advance(self, roots, ta, tb, fiber, letters, depth):
-        """Continue strands from ``ta`` to ``fiber`` at ``tb``; add crossings.
-
-        A step whose permutation is a disjoint set of adjacent
-        transpositions is accepted at once.  Any other step is bisected,
-        up to ``MAX_REFINE`` times; a step still unresolved at that depth
-        is accepted only as an exactly simultaneous symmetric crossing
-        (see ``_reversed_blocks``).
-        """
-        new_roots = _reached(fiber)
-        gap = _gap(new_roots)
-        self.min_gap = min(self.min_gap, gap)
-        # new_roots come in strand order, so the index of each strand's
-        # match is its new position and new_roots is the next fiber
-        perm = _match(roots, new_roots, gap)
-        blocks = None if perm is None else _reversed_blocks(perm)
-        if blocks is None or any(j > k + 1 for k, j in blocks):
-            if depth < MAX_REFINE:
-                self.refinements += 1
-                tm = (ta + tb) / 2
-                mid = self.advance(roots, ta, tm, self.p.roots_at(
-                    self.xfun(tm)), letters, depth + 1)
-                return self.advance(mid, tm, tb, fiber, letters, depth + 1)
-            if perm is None:
-                raise AmbiguousMatching(
-                    f"matching stayed ambiguous near t={ta}")
-            if blocks is None:
-                raise CollisionOnLoop(
+    # no step goes past the first refused fiber
+    stop = next((k for k, f in enumerate(fibers) if not isinstance(f, list)),
+                samples + 1)
+    if stop == 0:
+        raise fibers[0]
+    events = [((stop - 1,), fibers[stop])] if stop <= samples else []
+    # the steps of a depth as (key, start t, end t), with their fibers
+    steps = [((k,), ts[k], ts[k + 1]) for k in range(stop - 1)]
+    grid = np.array(fibers[:stop], dtype=complex)
+    a, b = grid[:-1], grid[1:]
+    min_gap, refinements = _gaps(grid[:1])[0], 0
+    for depth in range(MAX_REFINE + 1):
+        gaps = _gaps(b)
+        min_gap = gaps.min(initial=min_gap)
+        perms, accepted = _match_rows(a, b, gaps)
+        halve = []
+        for i in np.flatnonzero(
+                ~accepted | (perms != np.arange(p.degy)).any(1)).tolist():
+            key, ta, _ = steps[i]
+            blocks = _reversed_blocks(perms[i].tolist()) if accepted[i] else None
+            if depth < MAX_REFINE and (
+                    blocks is None or any(j > k + 1 for k, j in blocks)):
+                halve.append(i)
+            elif blocks is not None:
+                word = []
+                for k, j in blocks:
+                    # the strands at k and j trade places; the upper one of
+                    # them moves right-to-left exactly when it starts right
+                    sign = (1 if a[i, j].imag + b[i, k].imag
+                            > a[i, k].imag + b[i, j].imag else -1)
+                    for top in range(j - 1, k - 1, -1):
+                        word.extend(sign * s for s in range(k + 1, top + 2))
+                events.append((key, word))
+            else:
+                events.append((key, CollisionOnLoop(
                     f"unresolvable crossing cluster near t={ta}")
-        for k, j in blocks:
-            # the strands at k and j trade places; the upper one of them
-            # moves right-to-left exactly when it starts on the right
-            upper_is_right = (roots[j].imag + new_roots[k].imag
-                              > roots[k].imag + new_roots[j].imag)
-            sign = 1 if upper_is_right else -1
-            for top in range(j - 1, k - 1, -1):
-                letters.extend(sign * s for s in range(k + 1, top + 2))
-        return new_roots
+                    if accepted[i] else AmbiguousMatching(
+                    f"matching stayed ambiguous near t={ta}")))
+        if not halve:
+            break
+        refinements += len(halve)
+        tm = [(steps[i][1] + steps[i][2]) / 2 for i in halve]
+        mids = p.fibers([xfun(t) for t in tm])
+        events += [(steps[i][0], m) for i, m in zip(halve, mids)
+                   if not isinstance(m, list)]
+        kept = [r for r, m in enumerate(mids) if isinstance(m, list)]
+        halve, tm = [halve[r] for r in kept], [tm[r] for r in kept]
+        mid = np.array([mids[r] for r in kept], complex).reshape(-1, p.degy)
+        a, b = np.concatenate([a[halve], mid]), np.concatenate([mid, b[halve]])
+        steps = ([(steps[i][0] + (0,), steps[i][1], t) for i, t in zip(halve, tm)]
+                 + [(steps[i][0] + (1,), t, steps[i][2])
+                    for i, t in zip(halve, tm)])
+    letters = []
+    for _, event in sorted(events, key=lambda e: e[0]):
+        if isinstance(event, ConiclineError):
+            raise event
+        letters += event
+    braid = BraidWord(p.degy, letters)
+    return TrackedBraid(braid, braid_permutation(braid), float(min_gap),
+                        refinements)
+
+
+def _distances(roots, new_roots):
+    """``|roots[:, k] - new_roots[:, j]|`` per row, shape ``(m, n, n)``,
+    equal to Python's ``abs`` bit for bit (``np.abs`` is not)."""
+    d = roots[:, :, None] - new_roots[:, None, :]
+    return np.hypot(d.real, d.imag)
+
+
+def _gaps(fibers):
+    """The least distance between two roots of each row (inf for fewer)."""
+    upper = np.triu_indices(fibers.shape[1], 1)
+    return _distances(fibers, fibers)[:, upper[0], upper[1]].min(
+        axis=1, initial=np.inf)
+
+
+def _match_rows(roots, new_roots, gaps):
+    """``_match`` on each row of ``roots`` and ``new_roots`` at once, with
+    ``gaps`` the new rows' gaps: the nearest-neighbour permutations and
+    whether each is accepted.  Fibers come in strand order, so
+    ``perms[i, k]`` is the new position of strand ``k``."""
+    dist = _distances(roots, new_roots)
+    perms = dist.argmin(axis=2)   # the first nearest, as ``min`` picks
+    moves = np.take_along_axis(dist, perms[:, :, None], axis=2).max(axis=(1, 2))
+    one_to_one = (np.sort(perms, axis=1) == np.arange(perms.shape[1])).all(1)
+    return perms, one_to_one & ~(moves * MATCH_SAFETY > gaps)
 
 
 def _gap(roots):
     """The least distance between two of ``roots`` (inf for fewer)."""
-    return min((abs(a - b) for a, b in itertools.combinations(roots, 2)),
-               default=float("inf"))
+    return float(_gaps(np.array([roots], dtype=complex))[0])
 
 
 def _match(roots, new_roots, gap=None):
@@ -279,14 +324,11 @@ def _match(roots, new_roots, gap=None):
     only such assignment.  Coincident new roots (``gap == 0``) are never
     matched one-to-one, so they are always refused.
     """
-    n = len(new_roots)
-    perm = [min(range(n), key=lambda j: abs(a - new_roots[j])) for a in roots]
-    if len(set(perm)) < n:
-        return None
-    max_move = max(abs(a - new_roots[j]) for a, j in zip(roots, perm))
-    if max_move * MATCH_SAFETY > (_gap(new_roots) if gap is None else gap):
-        return None
-    return perm
+    gap = _gap(new_roots) if gap is None else gap
+    perms, accepted = _match_rows(np.array([roots], dtype=complex),
+                                  np.array([new_roots], dtype=complex),
+                                  np.array([gap]))
+    return perms[0].tolist() if accepted[0] else None
 
 
 def _reversed_blocks(perm):

@@ -137,3 +137,18 @@ def test_track_refuses_untrackable_input(capsys, argv, message):
     code, _, err = run(capsys, "track", *argv)
     assert code == 2
     assert message in err
+
+
+def test_track_overflowing_loop_exit_2(capsys):
+    # x^2 leaves the float range on a finite loop of radius 1e200
+    code, _, err = run(capsys, "track", "--poly", "y^2-x^2",
+                       "--radius", "1e200")
+    assert code == 2
+    assert "overflows" in err and "x=(1e+200" in err
+
+
+def test_track_overflowing_range_exit_2(capsys):
+    code, _, err = run(capsys, "track", "--poly", "y^2-x^2",
+                       "--range", "0:1e400")
+    assert code == 2
+    assert "bad range" in err

@@ -1,3 +1,4 @@
+import ast
 import cmath
 import hashlib
 import itertools
@@ -11,14 +12,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conicline.braids import BraidWord, action_equal, identity_braid
+from conicline.braids import (BraidWord, action_equal, braid_permutation,
+                              identity_braid)
 from conicline.errors import (AmbiguousMatching, CollisionOnLoop,
-                              LeadingCoefficientVanishes, NoConvergence,
-                              ParseError)
+                              ConiclineError, LeadingCoefficientVanishes,
+                              NoConvergence, ParseError)
 from conicline.local_models import get_model, list_models
-from conicline.tracker import (_COS_D, _SIN_D, MATCH_SAFETY, CurvePoly,
-                               LoopSpec, _match, format_poly,
-                               singular_x_values, track, track_path)
+from conicline.tracker import (_COS_D, _SIN_D, MATCH_SAFETY, MAX_REFINE,
+                               CurvePoly, LoopSpec, _distances, _gap, _gaps,
+                               _match, _match_rows, _reversed_blocks,
+                               format_poly, singular_x_values, track,
+                               track_path)
 
 UNIT = LoopSpec(center=0j, radius=Fraction(1), samples=64)
 
@@ -363,3 +367,194 @@ def test_residual_check_matches_scalar_reference():
     assert 0 < refusals < 21 * len(xs)
     with pytest.raises(NoConvergence):
         p.roots_at(xs[0], tol=1e-300)
+
+
+def test_overflowing_power_of_x_is_a_typed_error():
+    p = CurvePoly.parse("y^2 - x^2")
+    with pytest.raises(ConiclineError, match=r"x=\(1e\+200\+0j\)"):
+        p.fibers([1 + 0j, 1e200 + 0j])
+    with pytest.raises(ConiclineError, match="overflows"):
+        track(p, LoopSpec(0j, Fraction(10) ** 200, samples=8))
+
+
+# -- the depth-first stepping that ``track_path`` replaced, as a reference --
+
+def _reference_gap(roots):
+    return min((abs(a - b) for a, b in itertools.combinations(roots, 2)),
+               default=float("inf"))
+
+
+def _reference_match(roots, new_roots):
+    """Nearest-neighbour matching in plain Python, one step at a time."""
+    n = len(new_roots)
+    perm = [min(range(n), key=lambda j: abs(a - new_roots[j])) for a in roots]
+    if len(set(perm)) < n:
+        return None
+    max_move = max(abs(a - new_roots[j]) for a, j in zip(roots, perm))
+    if max_move * MATCH_SAFETY > _reference_gap(new_roots):
+        return None
+    return perm
+
+
+def _depth_first_track(p, xfun, t0, t1, samples):
+    """``track_path`` as the recursive walk it replaced: each step is
+    matched on its own and bisected at once, one ``roots_at`` per
+    midpoint, so letters and the first error come in path order."""
+    ts = [t0 + (t1 - t0) * k / samples for k in range(samples + 1)]
+    fibers = p.fibers([xfun(t) for t in ts])
+    letters, refinements, gaps = [], [0], []
+
+    def reached(fiber):
+        if isinstance(fiber, ConiclineError):
+            raise fiber
+        gaps.append(_reference_gap(fiber))
+        return fiber
+
+    def advance(roots, ta, tb, fiber, depth):
+        new_roots = reached(fiber)
+        perm = _reference_match(roots, new_roots)
+        blocks = None if perm is None else _reversed_blocks(perm)
+        if blocks is None or any(j > k + 1 for k, j in blocks):
+            if depth < MAX_REFINE:
+                refinements[0] += 1
+                tm = (ta + tb) / 2
+                mid = advance(roots, ta, tm, p.roots_at(xfun(tm)), depth + 1)
+                return advance(mid, tm, tb, fiber, depth + 1)
+            if perm is None:
+                raise AmbiguousMatching(
+                    f"matching stayed ambiguous near t={ta}")
+            if blocks is None:
+                raise CollisionOnLoop(
+                    f"unresolvable crossing cluster near t={ta}")
+        for k, j in blocks:
+            upper_is_right = (roots[j].imag + new_roots[k].imag
+                              > roots[k].imag + new_roots[j].imag)
+            sign = 1 if upper_is_right else -1
+            for top in range(j - 1, k - 1, -1):
+                letters.extend(sign * s for s in range(k + 1, top + 2))
+        return new_roots
+
+    roots = reached(fibers[0])
+    for ta, tb, fiber in zip(ts, ts[1:], fibers[1:]):
+        roots = advance(roots, ta, tb, fiber, 0)
+    braid = BraidWord(p.degy, letters)
+    return braid.letters, braid_permutation(braid), refinements[0], min(gaps)
+
+
+def _outcome(fn, *args):
+    """repr of a tracked result, or the type and message of its error."""
+    try:
+        out = fn(*args)
+    except ConiclineError as exc:
+        return repr((type(exc).__name__, str(exc)))
+    if not isinstance(out, tuple):
+        out = (out.braid.letters, out.permutation, out.refinements,
+               out.min_gap)
+    return repr(out)
+
+
+def _assert_same_as_depth_first(p, xfun, t0, t1, samples):
+    want = _outcome(_depth_first_track, p, xfun, t0, t1, samples)
+    assert _outcome(track_path, p, xfun, t0, t1, samples) == want
+    return want
+
+
+def _scaled(p, sx, sy):
+    """``p(sx x, sy y)``: the same curve, stretched in both coordinates."""
+    return CurvePoly({(i, j): c * sx ** i * sy ** j
+                      for (i, j), c in p.coeffs.items()})
+
+
+def test_breadth_first_equals_depth_first_on_local_models():
+    rng = random.Random(20261018)
+    outcomes = []
+    for name in list_models():
+        model = get_model(name).equation
+        for _ in range(3):
+            p = _scaled(model, Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                        Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            radius = rng.uniform(0.3, 3.0)
+            phase = rng.random()
+            loop = lambda t: radius * cmath.exp(2j * cmath.pi * (t + phase))
+            samples = rng.choice([8, 24, 64])
+            t0, t1 = sorted([rng.random(), rng.random() + 0.5])
+            outcomes.append(_assert_same_as_depth_first(
+                p, loop, t0, t1, samples))
+    tracked = [ast.literal_eval(out) for out in outcomes]
+    assert sum(refinements > 0 for _, _, refinements, _ in tracked) > 20
+
+
+def test_breadth_first_equals_depth_first_on_simultaneous_crossings():
+    # roots in antipodal pairs cross at one instant: every crossing is
+    # bisected to the last level and accepted there as a long block
+    for name in ("3comp-rotation", "4comp-twolines-type2"):
+        p = get_model(name).equation
+        for samples in (16, 256):
+            loop = LoopSpec(0j, Fraction(1), samples)
+            got = _assert_same_as_depth_first(p, loop.point, 0.0, 1.0,
+                                              samples)
+            assert track(p, loop).refinements >= MAX_REFINE, got
+
+
+def test_breadth_first_raises_the_first_error_on_the_path():
+    line = lambda t: complex(1 - t)
+    # an ambiguous double root over x = 1/2 before a refused grid fiber
+    p = CurvePoly.parse("x*y^2 - (2*x - 1)^2")
+    for samples in (7, 8, 10):
+        want = _assert_same_as_depth_first(p, line, 0.0, 1.0, samples)
+        assert ("AmbiguousMatching" in want) == (samples != 7), want
+    # a refused midpoint (x = 0 at t = 1/2) before a refused grid fiber
+    # (x = 1 at t = 2), each a vanishing leading coefficient
+    p = CurvePoly.parse("x*(x - 1)*y^2 - 1")
+    path = lambda t: complex((t - 0.5) / 1.5)
+    want = _assert_same_as_depth_first(p, path, 0.0, 3.0, 3)
+    assert want == repr(("LeadingCoefficientVanishes",
+                         "leading y-coefficient vanishes at x=0j"))
+    want = _assert_same_as_depth_first(p, path, 1.0, 3.0, 2)
+    assert want == repr(("LeadingCoefficientVanishes",
+                         "leading y-coefficient vanishes at x=(1+0j)"))
+
+
+def _seeded_steps(rng, rows, n):
+    """Old and new fibers of ``rows`` steps, moved from far inside to far
+    outside the accepted range."""
+    old, new = [], []
+    for _ in range(rows):
+        fiber = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+        scale = _reference_gap(fiber) / MATCH_SAFETY * 10 ** rng.uniform(-1.5, 1.5)
+        origin = list(range(n))
+        rng.shuffle(origin)
+        old.append([fiber[j] + scale * cmath.exp(2j * cmath.pi * rng.random())
+                    * rng.random() for j in origin])
+        new.append(fiber)
+    return old, new
+
+
+def test_batched_matcher_equals_match_row_by_row():
+    rng = random.Random(603)
+    for n in range(1, 7):
+        old, new = _seeded_steps(rng, 400, n)
+        new_arr = np.array(new)
+        perms, accepted = _match_rows(np.array(old), new_arr, _gaps(new_arr))
+        got = [p.tolist() if ok else None for p, ok in zip(perms, accepted)]
+        assert got == [_match(a, b) for a, b in zip(old, new)]
+        assert got == [_reference_match(a, b) for a, b in zip(old, new)]
+        if n > 1:
+            assert 0 < accepted.sum() < len(old)
+
+
+def test_batched_distances_equal_python_abs():
+    rng = random.Random(604)
+    for n in (2, 3, 5):
+        # magnitudes from 1e-8 to 1e8, so near and far roots mix
+        values = [[cmath.rect(10 ** rng.uniform(-8, 8),
+                              rng.uniform(-cmath.pi, cmath.pi))
+                   for _ in range(n)] for _ in range(4000)]
+        rows = np.array(values)
+        dist = _distances(rows, np.roll(rows, 1, axis=0))
+        want = [[[abs(a - b) for b in right] for a in left]
+                for left, right in zip(values, values[-1:] + values[:-1])]
+        assert repr(dist.tolist()) == repr(want)
+        gaps = _gaps(rows)
+        assert repr(gaps.tolist()) == repr([_reference_gap(r) for r in values])
+        assert repr([_gap(r) for r in values[:100]]) == repr(gaps[:100].tolist())
