@@ -70,7 +70,7 @@ class CurvePoly:
             except OverflowError:
                 raise ConiclineError(
                     f"x^{self.degx} overflows a float at x={x}") from None
-        powers = np.array(rows, dtype=complex)
+        powers = np.array(rows, dtype=complex).reshape(len(xs), self.degx + 1)
         out = np.zeros((len(xs), self.degy + 1), dtype=complex)
         for i, j, c in self.terms:
             out[:, j] += c * powers[:, i]
@@ -204,10 +204,14 @@ def track_path(p, xfun, t0=0.0, t1=1.0, samples=256):
     is accepted at once.  Any other step is bisected, up to
     ``MAX_REFINE`` times; a step still unresolved at that depth is
     accepted only as an exactly simultaneous symmetric crossing (see
-    ``_reversed_blocks``).  The steps of each depth are matched together,
-    but letters and the error raised follow the path: each step has a
-    key (grid index, then 0 or 1 per bisection) that orders it before
-    its halves and its left half before its right.
+    ``_reversed_blocks``).  Steps are matched in batches: the whole grid
+    first, then the pending steps of least path key (grid index, then 0
+    or 1 per bisection), at most as many as the grid has, with one
+    ``fibers`` call for each batch's midpoints; that is one batch per
+    level of bisection unless steps keep failing at every level.  Letters
+    and the error raised follow the path in key order, and steps past the
+    first error are dropped, so a region that keeps failing costs at most
+    ``MAX_REFINE + 1`` batches more than a walk along the path.
     """
     if t1 <= t0:
         raise ValueError("need t1 > t0")
@@ -221,21 +225,25 @@ def track_path(p, xfun, t0=0.0, t1=1.0, samples=256):
     if stop == 0:
         raise fibers[0]
     events = [((stop - 1,), fibers[stop])] if stop <= samples else []
-    # the steps of a depth as (key, start t, end t), with their fibers
+    limit = (stop - 1,)   # the least key of an error so far, or past all
+    # pending steps as (key, start t, end t) in key order, with their fibers
     steps = [((k,), ts[k], ts[k + 1]) for k in range(stop - 1)]
     grid = np.array(fibers[:stop], dtype=complex)
     a, b = grid[:-1], grid[1:]
+    batch = max(stop - 1, 1)
     min_gap, refinements = _gaps(grid[:1])[0], 0
-    for depth in range(MAX_REFINE + 1):
-        gaps = _gaps(b)
+    while steps:
+        now, a_now, b_now = steps[:batch], a[:batch], b[:batch]
+        steps, a, b = steps[batch:], a[batch:], b[batch:]
+        gaps = _gaps(b_now)
         min_gap = gaps.min(initial=min_gap)
-        perms, accepted = _match_rows(a, b, gaps)
+        perms, accepted = _match_rows(a_now, b_now, gaps)
         halve = []
         for i in np.flatnonzero(
                 ~accepted | (perms != np.arange(p.degy)).any(1)).tolist():
-            key, ta, _ = steps[i]
+            key, ta, _ = now[i]
             blocks = _reversed_blocks(perms[i].tolist()) if accepted[i] else None
-            if depth < MAX_REFINE and (
+            if len(key) <= MAX_REFINE and (
                     blocks is None or any(j > k + 1 for k, j in blocks)):
                 halve.append(i)
             elif blocks is not None:
@@ -243,8 +251,8 @@ def track_path(p, xfun, t0=0.0, t1=1.0, samples=256):
                 for k, j in blocks:
                     # the strands at k and j trade places; the upper one of
                     # them moves right-to-left exactly when it starts right
-                    sign = (1 if a[i, j].imag + b[i, k].imag
-                            > a[i, k].imag + b[i, j].imag else -1)
+                    sign = (1 if a_now[i, j].imag + b_now[i, k].imag
+                            > a_now[i, k].imag + b_now[i, j].imag else -1)
                     for top in range(j - 1, k - 1, -1):
                         word.extend(sign * s for s in range(k + 1, top + 2))
                 events.append((key, word))
@@ -253,20 +261,24 @@ def track_path(p, xfun, t0=0.0, t1=1.0, samples=256):
                     f"unresolvable crossing cluster near t={ta}")
                     if accepted[i] else AmbiguousMatching(
                     f"matching stayed ambiguous near t={ta}")))
-        if not halve:
-            break
+                limit = min(limit, key)
         refinements += len(halve)
-        tm = [(steps[i][1] + steps[i][2]) / 2 for i in halve]
+        tm = [(now[i][1] + now[i][2]) / 2 for i in halve]
         mids = p.fibers([xfun(t) for t in tm])
-        events += [(steps[i][0], m) for i, m in zip(halve, mids)
-                   if not isinstance(m, list)]
-        kept = [r for r, m in enumerate(mids) if isinstance(m, list)]
-        halve, tm = [halve[r] for r in kept], [tm[r] for r in kept]
-        mid = np.array([mids[r] for r in kept], complex).reshape(-1, p.degy)
-        a, b = np.concatenate([a[halve], mid]), np.concatenate([mid, b[halve]])
-        steps = ([(steps[i][0] + (0,), steps[i][1], t) for i, t in zip(halve, tm)]
-                 + [(steps[i][0] + (1,), t, steps[i][2])
-                    for i, t in zip(halve, tm)])
+        for i, m in zip(halve, mids):
+            if not isinstance(m, list):   # its halves lie past the limit
+                events.append((now[i][0], m))
+                limit = min(limit, now[i][0])
+        mid = np.array([m if isinstance(m, list) else [np.nan] * p.degy
+                        for m in mids], complex).reshape(-1, p.degy)
+        steps += ([(now[i][0] + (0,), now[i][1], t) for i, t in zip(halve, tm)]
+                  + [(now[i][0] + (1,), t, now[i][2])
+                     for i, t in zip(halve, tm)])
+        a = np.concatenate([a, a_now[halve], mid])
+        b = np.concatenate([b, mid, b_now[halve]])
+        order = sorted((i for i, step in enumerate(steps) if step[0] < limit),
+                       key=lambda i: steps[i][0])
+        steps, a, b = [steps[i] for i in order], a[order], b[order]
     letters = []
     for _, event in sorted(events, key=lambda e: e[0]):
         if isinstance(event, ConiclineError):

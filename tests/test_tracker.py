@@ -515,6 +515,27 @@ def test_breadth_first_raises_the_first_error_on_the_path():
                          "leading y-coefficient vanishes at x=(1+0j)"))
 
 
+
+def test_coincident_roots_fail_without_bisecting_the_whole_loop():
+    # a repeated component fails every step at every level; a walk along
+    # the path stops at the first step's last level, and the batches may
+    # solve at most one grid's worth of midpoints per level before that
+    samples = 64
+    loop = LoopSpec(0j, Fraction(1), samples)
+    want = _outcome(_depth_first_track, CurvePoly.parse("(y - x)^2*(y + 2)"),
+                    loop.point, 0.0, 1.0, samples)
+    assert "AmbiguousMatching" in want
+    p = CurvePoly.parse("(y - x)^2*(y + 2)")
+    solve, solved = p.fibers, []
+
+    def counted(xs, *args):
+        solved.append(len(xs))
+        assert sum(solved) <= samples + 1 + (MAX_REFINE + 1) * samples
+        return solve(xs, *args)
+
+    p.fibers = counted
+    assert _outcome(track_path, p, loop.point, 0.0, 1.0, samples) == want
+
 def _seeded_steps(rng, rows, n):
     """Old and new fibers of ``rows`` steps, moved from far inside to far
     outside the accepted range."""
