@@ -315,15 +315,10 @@ def _match_rows(roots, new_roots, gaps):
     return perms, one_to_one & ~(moves * MATCH_SAFETY > gaps)
 
 
-def _gap(roots):
-    """The least distance between two of ``roots`` (inf for fewer)."""
-    return float(_gaps(np.array([roots], dtype=complex))[0])
-
-
-def _match(roots, new_roots, gap=None):
+def _match(roots, new_roots):
     """The step's permutation: ``perm[k]`` is the position in
     ``new_roots`` of the continuation of strand ``k``; None when the
-    matching is ambiguous.  ``gap`` is ``_gap(new_roots)`` if known.
+    matching is ambiguous.
 
     Each old root ``a`` goes to its nearest new root.  The step is
     accepted only if that map is one-to-one and every root moves at most
@@ -336,10 +331,9 @@ def _match(roots, new_roots, gap=None):
     only such assignment.  Coincident new roots (``gap == 0``) are never
     matched one-to-one, so they are always refused.
     """
-    gap = _gap(new_roots) if gap is None else gap
+    new_roots = np.array([new_roots], dtype=complex)
     perms, accepted = _match_rows(np.array([roots], dtype=complex),
-                                  np.array([new_roots], dtype=complex),
-                                  np.array([gap]))
+                                  new_roots, _gaps(new_roots))
     return perms[0].tolist() if accepted[0] else None
 
 

@@ -1,13 +1,15 @@
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
 from conicline.errors import BudgetExceeded, ScriptStepFailed
-from conicline.invariants import (abelianization, bigness_certificate,
+from conicline.invariants import (GroupTable, _hom_rows, _straight_line,
+                                  abelianization, bigness_certificate,
                                   builtin_table, compare, count_homs,
-                                  exponent_matrix, format_group_table,
-                                  invariant_bundle, parse_group_table,
+                                  exponent_matrix, invariant_bundle,
                                   smith_normal_form, symmetric_group_table,
                                   verdict_sound)
 from conicline.local_models import generalized_tangency
@@ -70,8 +72,37 @@ def _brute_force_homs(p, table):
                                                repeat=p.ngen))
 
 
+def _per_letter_homs(p, table):
+    """Reference count: the same rows as ``count_homs``, each relator
+    evaluated letter by letter with one table gather per letter."""
+    size, n = table.size, p.ngen
+    k, reps, weights, dense = _hom_rows(n, table, 10 ** 8)
+    flat = (np.asarray(table.mult, dtype=np.intp) * size).ravel()
+    inv = np.asarray(table.inverse)
+    place = size ** np.arange(n - k)
+    e = table.identity * size
+    rows = len(weights) * dense
+    total = 0
+    for lo in range(0, rows, 1 << 15):
+        orbit, rest = np.divmod(np.arange(lo, min(lo + (1 << 15), rows)),
+                                dense)
+        images = [reps[orbit, j] for j in range(k)]
+        images += [rest // place[j] % size for j in range(n - k)]
+        column = {}
+        for g, c in enumerate(images, 1):
+            column[g], column[-g] = c, inv[c]
+        ok = np.ones(orbit.size, dtype=bool)
+        for r in p.relators:
+            acc = np.full(orbit.size, e)
+            for a in r:
+                acc = flat[acc + column[a]]
+            ok &= acc == e
+        total += int(weights[orbit[ok]].sum())
+    return total
+
+
 def _relabelled_dihedral_table():
-    """D4 on the square's corners, parsed from text with the identity last."""
+    """D4 on the square's corners, numbered so that the identity is last."""
     def compose(a, b):
         return tuple(a[b[i]] for i in range(4))
 
@@ -85,24 +116,102 @@ def _relabelled_dihedral_table():
                 frontier.append(b)
     elements = sorted(elements, reverse=True)
     index = {e: i for i, e in enumerate(elements)}
-    rows = [" ".join(str(index[compose(a, b)]) for b in elements)
-            for a in elements]
-    return parse_group_table("name: D4\norder: 8\n" + "\n".join(rows))
+    mult = tuple(tuple(index[compose(a, b)] for b in elements)
+                 for a in elements)
+    identity = index[(0, 1, 2, 3)]
+    inverse = tuple(row.index(identity) for row in mult)
+    return GroupTable("D4", len(elements), mult, inverse, identity)
+
+
+def _seeded_presentation(rng, ngen):
+    """Relators sharing subwords as derived groups do: a planted word
+    repeated across and within relators, next to its inverse, runs such
+    as ``x1^5`` and length-1 relators; some generators, the highest
+    included, occur in no relator."""
+    used = [g for g in range(1, ngen + 1) if rng.random() < 0.75] or [1]
+    letters = [s * g for g in used for s in (1, -1)]
+
+    def word(lo, hi):
+        return [rng.choice(letters) for _ in range(rng.randint(lo, hi))]
+
+    u = word(2, 4)
+    u_inv = [-a for a in reversed(u)]
+    shapes = (lambda: word(0, 2) + u + word(0, 2) + u,
+              lambda: u + word(1, 3) + u_inv + word(0, 2),
+              lambda: u_inv + word(1, 3),
+              lambda: [rng.choice(letters)] * 5 + word(0, 2),
+              lambda: [rng.choice(letters)],
+              lambda: word(1, 6))
+    return Presentation(ngen, [rng.choice(shapes)()
+                               for _ in range(rng.randint(1, 4))] if ngen
+                        else [])
 
 
 def test_count_homs_matches_brute_force():
     d4 = _relabelled_dihedral_table()
     assert d4.size == 8 and d4.identity != 0
     rng = random.Random(11)
-    for ngen in range(4):
-        letters = [s * g for g in range(1, ngen + 1) for s in (1, -1)]
-        for _ in range(4):
-            relators = [[rng.choice(letters) for _ in range(rng.randint(1, 8))]
-                        for _ in range(rng.randint(0, 3) if ngen else 0)]
-            p = Presentation(ngen, relators)
+    for ngen in range(5):
+        for _ in range(12 if ngen else 1):
+            p = _seeded_presentation(rng, ngen)
             for table in (builtin_table("S3"), builtin_table("S4"), d4):
-                assert count_homs(p, table) == _brute_force_homs(p, table), \
-                    (p, table.name)
+                got = count_homs(p, table)
+                assert got == _per_letter_homs(p, table), (p, table.name)
+                if table.size ** ngen <= 24 ** 3:
+                    assert got == _brute_force_homs(p, table), (p, table.name)
+
+
+@pytest.mark.parametrize("relators, homs", [
+    ([(1, 2, 1, 2), (1, 2, 1, 2, 1, 2), (2, 1, 2, 1, 2)], 6),
+    ([(1, 2, 1, 2), (1, 2, -1, -2)], 72),
+])
+def test_count_homs_highest_generator_unused(relators, homs):
+    # the new symbols must not reuse x3's number although no relator uses x3
+    p = Presentation(3, relators)
+    s3 = builtin_table("S3")
+    assert count_homs(p, s3) == _brute_force_homs(p, s3) == homs
+
+
+def _expand(products, words, ngen):
+    """The relators a straight-line program stands for, as letters."""
+    letters = {}
+
+    def expand(s):
+        if abs(s) <= ngen:
+            return (s,)
+        if s < 0:
+            return tuple(-a for a in reversed(expand(-s)))
+        return letters[s]
+
+    for s, (a, b) in enumerate(products, ngen + 1):
+        letters[s] = expand(a) + expand(b)
+    return [sum((expand(s) for s in w), ()) for w in words]
+
+
+@pytest.mark.parametrize("relators, ngen, nproducts", [
+    ([(1, 2, 3), (1, 2, -3)], 3, 1),
+    ([(1, 2, 3), (-2, -1, 3)], 4, 1),     # a pair and its inverse
+    ([(1, 1, 1)], 1, 0),                  # overlapping pairs occur once
+    ([(1, 1, 1, 1)], 1, 1),
+    ([(1,) * 5, (2,)], 2, 1),
+    ([(1, 2), (2, 1)], 2, 0),
+    ([], 2, 0),
+])
+def test_straight_line_small_programs(relators, ngen, nproducts):
+    products, words = _straight_line(relators, ngen)
+    assert len(products) == nproducts
+    assert _expand(products, words, ngen) == [tuple(r) for r in relators]
+    assert all(abs(a) < s and abs(b) < s
+               for s, (a, b) in enumerate(products, ngen + 1))
+
+
+def test_straight_line_shares_tangency_subwords():
+    braid, _ = generalized_tangency(5)
+    q = simplify(present(Factorization(5, (braid,)))).presentation
+    products, words = _straight_line(q.relators, q.ngen)
+    assert sum(map(len, q.relators)) == 80
+    assert len(products) + sum(len(w) - 1 for w in words) <= 30
+    assert _expand(products, words, q.ngen) == list(q.relators)
 
 
 @pytest.mark.parametrize("n, s3, s4", [(3, 162, 6216), (4, 918, 141528),
@@ -122,12 +231,15 @@ def test_count_homs_budget_counts_rows():
         count_homs(CONIC, s3, budget=10)
 
 
-def test_symmetric_group_table_round_trip():
-    t = symmetric_group_table(3)
-    u = parse_group_table(format_group_table(t))
-    assert u.size == t.size
-    assert u.mult == t.mult
-    assert u.inverse == t.inverse
+def test_symmetric_group_tables_are_groups():
+    for k in (3, 4):
+        t = symmetric_group_table(k)
+        m, e = t.mult, t.identity
+        assert t.size == math.factorial(k)
+        for a, b, c in itertools.product(range(t.size), repeat=3):
+            assert m[m[a][b]][c] == m[a][m[b][c]]
+        for a in range(t.size):
+            assert m[a][t.inverse[a]] == e == m[t.inverse[a]][a]
 
 
 def test_compare_distinct_by_rank():

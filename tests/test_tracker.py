@@ -19,7 +19,7 @@ from conicline.errors import (AmbiguousMatching, CollisionOnLoop,
                               NoConvergence, ParseError)
 from conicline.local_models import get_model, list_models
 from conicline.tracker import (_COS_D, _SIN_D, MATCH_SAFETY, MAX_REFINE,
-                               CurvePoly, LoopSpec, _distances, _gap, _gaps,
+                               CurvePoly, LoopSpec, _distances, _gaps,
                                _match, _match_rows, _reversed_blocks,
                                format_poly, singular_x_values, track,
                                track_path)
@@ -578,4 +578,3 @@ def test_batched_distances_equal_python_abs():
         assert repr(dist.tolist()) == repr(want)
         gaps = _gaps(rows)
         assert repr(gaps.tolist()) == repr([_reference_gap(r) for r in values])
-        assert repr([_gap(r) for r in values[:100]]) == repr(gaps[:100].tolist())
