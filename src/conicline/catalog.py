@@ -4,9 +4,8 @@ Each entry records how an arrangement's fundamental group enters the
 pipeline — as a Lefschetz-pair table to assemble, as a presentation read
 off the braid monodromy, or (when no derivation data exists) only as the
 expected simplified group — together with verification metadata: the
-expected group, a cross-check entry when the arrangement is known to
-agree with another one, and the generator-killing data that drives the
-bigness certificate.
+expected group and the generator-killing data that drives the bigness
+certificate.
 
 The expected groups are the nine distinct simplified presentations for
 two tangent conics with up to two extra lines; :func:`expected_groups`
@@ -17,9 +16,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConiclineError, UnknownModel
-from .invariants import bigness_certificate, compare, invariant_bundle
+from .invariants import bigness_certificate, compare
 from .presentations import Presentation
-from .tietze import simplify
 from .van_kampen import assemble, parse_mt_table, present
 from .words import relator
 
@@ -181,10 +179,9 @@ class ArrangementEntry:
     ``source`` is ``("table", text)`` for a Lefschetz-pair table,
     ``("presentation", p)`` for a presentation read off the braid
     monodromy, or ``None`` when the arrangement carries only its
-    expected group.  ``crosscheck`` names another entry known to have
-    the same group.  ``bigness_kill``/``bigness_quotient`` feed the
-    bigness certificate: generators to kill and whether the certificate
-    needs the explicit quotient step.
+    expected group.  ``bigness_kill`` lists the generators the bigness
+    certificate kills first: the meridians of the extra lines in the
+    derived presentation, or in the expected group when there is none.
     """
 
     id: str
@@ -192,9 +189,7 @@ class ArrangementEntry:
     source: Optional[tuple]
     expected: Presentation
     figure: str = ""
-    crosscheck: Optional[str] = None
     bigness_kill: tuple = ()
-    bigness_quotient: Optional[bool] = None
     notes: str = ""
 
 
@@ -228,10 +223,8 @@ _ENTRIES = [
         None,
         _GROUPS["square-commuting"],
         figure="line through a tangency point",
-        crosscheck="one-line-tangent-at-tangency",
-        bigness_quotient=True,
-        notes="known to agree with the tangent-at-tangency case; "
-              "verified at the invariant level against it"),
+        notes="known to agree with the tangent-at-tangency case; no "
+              "derivation data beyond the expected group"),
     ArrangementEntry(
         "one-line-tangent-at-tangency",
         "a line through one tangency point, tangent to both conics there",
@@ -297,29 +290,24 @@ _ENTRIES = [
         "two-line case listing: the triple-square group",
         None,
         _GROUPS["triple-square"],
-        crosscheck="two-lines-both-tangencies",
         bigness_kill=(3,)),
     ArrangementEntry(
         "listing-z-plus-square-commuting",
         "two-line case listing: Z plus the square-commuting group",
         None,
         _GROUPS["z-plus-square-commuting"],
-        crosscheck="two-lines-each-tangent",
         bigness_kill=(1,)),
     ArrangementEntry(
         "listing-z-plus-free",
         "two-line case listing: Z plus the free group of rank two",
         None,
         _GROUPS["z-plus-free-2"],
-        crosscheck="two-lines-tangent-pair",
-        bigness_kill=(1,),
-        bigness_quotient=True),
+        bigness_kill=(1,)),
     ArrangementEntry(
         "listing-z2-plus-conic-pair",
         "two-line case listing: Z^2 plus the conic-pair group",
         None,
         _GROUPS["z2-plus-conic-pair"],
-        crosscheck="two-lines-transverse",
         bigness_kill=(1, 2)),
 ]
 
@@ -364,58 +352,44 @@ class VerificationReport:
                 "detail": self.detail}
 
 
-def _computed_presentation(entry):
-    """Run the entry's derivation pipeline, if it has one."""
+def _derivation(entry):
+    """The entry's derived presentation and the stages that produced it,
+    or ``(None, ("encode",))`` when it has no derivation data."""
     if entry.source is None:
-        return None, ()
+        return None, ("encode",)
     kind, data = entry.source
     if kind == "table":
         rows, n = parse_mt_table(data)
-        f = assemble(rows, n)
-        return present(f, projective=True), ("assemble", "present")
+        return (present(assemble(rows, n), projective=True),
+                ("assemble", "present", "simplify", "compare"))
     if kind == "presentation":
-        return data, ("presentation",)
+        return data, ("presentation", "simplify", "compare")
     raise ValueError(f"unknown source kind {kind!r}")
 
 
 def verify(entry, budget=20000):
-    """Check the entry's pipeline output against its expected group."""
+    """Check the entry's pipeline output against its expected group.
+
+    The derived presentation, or the expected group itself when there is
+    none, is compared with the expected group and run through the
+    bigness certificate.
+    """
     if isinstance(entry, str):
         entry = get_entry(entry)
-    expected_b = invariant_bundle(simplify(entry.expected, budget).presentation)
-    computed, stages = _computed_presentation(entry)
-    detail = ""
-    if computed is not None:
-        verdict = compare(computed, entry.expected, budget)
-        stages = stages + ("simplify", "compare")
-        kind = verdict.kind
-        computed_b = verdict.bundle1.as_dict()
-        source_for_bigness = computed
-    elif entry.crosscheck:
-        other = get_entry(entry.crosscheck)
-        verdict = compare(entry.expected, other.expected, budget)
-        stages = ("crosscheck",)
-        kind = verdict.kind
-        computed_b = verdict.bundle2.as_dict()
-        detail = f"compared against {entry.crosscheck}"
-        source_for_bigness = entry.expected
-    else:
-        verdict = compare(entry.expected, entry.expected, budget)
-        stages = ("encode",)
-        kind = verdict.kind
-        computed_b = None
-        detail = "no derivation data; expected group only"
-        source_for_bigness = entry.expected
+    derived, stages = _derivation(entry)
+    subject = entry.expected if derived is None else derived
+    verdict = compare(subject, entry.expected, budget)
+    detail = ("no derivation data; expected group only"
+              if derived is None else "")
     bigness = None
     try:
-        report = bigness_certificate(source_for_bigness, entry.bigness_kill,
-                                     budget, entry.bigness_quotient)
+        report = bigness_certificate(subject, entry.bigness_kill, budget)
         bigness = tuple(name for name, _ in report.steps)
     except ConiclineError as exc:
         detail = (detail + "; " if detail else "") + f"bigness failed: {exc}"
-    return VerificationReport(entry.id, stages, kind,
-                              computed_b, expected_b.as_dict(), bigness,
-                              detail)
+    computed = None if derived is None else verdict.bundle1.as_dict()
+    return VerificationReport(entry.id, stages, verdict.kind, computed,
+                              verdict.bundle2.as_dict(), bigness, detail)
 
 
 def verify_all(budget=20000):

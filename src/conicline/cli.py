@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import catalog, words
 from .braids import format_braid
 from .errors import ConiclineError
-from .invariants import (bigness_certificate, compare, invariant_bundle)
+from .invariants import bigness_certificate, compare, invariant_bundle
 from .local_models import get_model, list_models
 from .presentations import format_presentation, parse_presentation
 from .tietze import simplify
@@ -99,16 +99,10 @@ def _cmd_track(args):
 
 def _cmd_present(args):
     text = _read(args.factorization)
-    if args.mt_table:
-        f = None
-    else:
-        try:
-            f = parse_factorization(text)
-        except ConiclineError:
-            f = None
-    if f is None:
-        rows, n = parse_mt_table(text)
-        f = assemble(rows, n)
+    try:
+        f = parse_factorization(text)
+    except ConiclineError:
+        f = assemble(*parse_mt_table(text))
     p = present(f, projective=args.projective)
     _emit(args, format_presentation(p),
           {"presentation": format_presentation(p),
@@ -159,8 +153,7 @@ def _cmd_compare(args):
 def _cmd_bigness(args):
     p = _load_presentation(args.presentation)
     kill = tuple(int(k) for k in args.kill.split(",")) if args.kill else ()
-    quotient = {"auto": None, "yes": True, "no": False}[args.quotient]
-    report = bigness_certificate(p, kill, args.budget, quotient)
+    report = bigness_certificate(p, kill, args.budget)
     d = report.as_dict()
     text = "\n".join(f"step {name}: {desc}" for name, desc in report.steps)
     _emit(args, text + "\nverified: big", d)
@@ -169,11 +162,9 @@ def _cmd_bigness(args):
 
 def _cmd_verify_paper(args):
     if args.entry and not args.all:
-        entries = [args.entry]
+        reports = [catalog.verify(args.entry, args.budget)]
     else:
-        entries = catalog.list_entries()
-    reports = [catalog.verify(catalog.get_entry(e), budget=args.budget)
-               for e in entries]
+        reports = catalog.verify_all(args.budget)
     width = max(len(r.entry_id) for r in reports)
     lines = [f"{'entry':<{width}}  {'verdict':<12}  {'bigness':<8}  result",
              f"{'-' * width}  {'-' * 12}  {'-' * 8}  ------"]
@@ -217,8 +208,6 @@ def build_parser():
                                        "or Lefschetz-pair table file")
     p.add_argument("--factorization", required=True)
     p.add_argument("--projective", action="store_true")
-    p.add_argument("--mt-table", action="store_true",
-                   help="force table parsing")
     p.set_defaults(func=_cmd_present)
 
     p = sub.add_parser("simplify", help="Tietze-simplify a presentation")
@@ -249,8 +238,6 @@ def build_parser():
     p.add_argument("--presentation", required=True)
     p.add_argument("--kill", default="",
                    help="comma-separated generators to kill first")
-    p.add_argument("--quotient", choices=("auto", "yes", "no"),
-                   default="auto")
     p.add_argument("--budget", type=int, default=20000)
     p.set_defaults(func=_cmd_bigness)
 

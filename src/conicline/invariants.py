@@ -1,7 +1,7 @@
 """Computable invariants of finite presentations.
 
-* integer Smith normal form with unimodular transforms, and the
-  abelianization derived from the relator exponent-sum matrix,
+* the integer Smith normal form diagonal, and the abelianization
+  derived from the relator exponent-sum matrix,
 * homomorphism counting into small finite groups, enumerating the images
   of the first two generators only up to simultaneous conjugation and
   computing each product of a letter pair repeated across the relators
@@ -28,11 +28,10 @@ from .tietze import simplify
 
 
 def smith_normal_form(matrix):
-    """Diagonalize an integer matrix: returns ``(diag, left, right)``.
+    """The Smith normal form diagonal of an integer matrix.
 
-    ``left`` and ``right`` are unimodular with ``left @ matrix @ right``
-    diagonal; the diagonal is nonnegative and each entry divides the
-    next.  Pure-integer row/column reduction, no floating point.
+    The diagonal is nonnegative and each entry divides the next.
+    Pure-integer row/column reduction, no floating point.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
@@ -40,30 +39,21 @@ def smith_normal_form(matrix):
     for row in a:
         if len(row) != cols:
             raise ValueError("ragged matrix")
-    left = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    right = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
     def row_op(i, j, q):  # row_i -= q * row_j
         for k in range(cols):
             a[i][k] -= q * a[j][k]
-        for k in range(rows):
-            left[i][k] -= q * left[j][k]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for k in range(rows):
             a[k][i] -= q * a[k][j]
-        for k in range(cols):
-            right[k][i] -= q * right[k][j]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
 
     def swap_cols(i, j):
         for k in range(rows):
             a[k][i], a[k][j] = a[k][j], a[k][i]
-        for k in range(cols):
-            right[k][i], right[k][j] = right[k][j], right[k][i]
 
     t = 0
     while t < min(rows, cols):
@@ -108,14 +98,7 @@ def smith_normal_form(matrix):
             row_op(t, bad, -1)  # fold the offending row in and redo
             continue
         t += 1
-    for i in range(min(rows, cols)):
-        if a[i][i] < 0:
-            for k in range(cols):
-                a[i][k] = -a[i][k]
-            for k in range(rows):
-                left[i][k] = -left[i][k]
-    diag = [a[i][i] for i in range(min(rows, cols))]
-    return diag, left, right
+    return [abs(a[i][i]) for i in range(min(rows, cols))]
 
 
 @dataclass(frozen=True)
@@ -141,7 +124,7 @@ def exponent_matrix(p):
 def abelianization(p):
     if not p.relators or p.ngen == 0:
         return Abelianization(p.ngen, ())
-    diag, _, _ = smith_normal_form(exponent_matrix(p))
+    diag = smith_normal_form(exponent_matrix(p))
     nonzero = [d for d in diag if d]
     return Abelianization(p.ngen - len(nonzero),
                           tuple(d for d in nonzero if d > 1))
@@ -372,7 +355,17 @@ class InvariantBundle:
                 "hom_counts": dict(self.hom_counts)}
 
 
-_BUNDLE_CACHE = {}
+@functools.lru_cache(maxsize=None)
+def _cached_homs(ngen, relators, table, budget):
+    """:func:`count_homs` by value of its arguments, ``None`` over budget.
+
+    ``count_homs`` is looked up as a module global on each miss, so a
+    wrapper bound in its place sees every count actually made.
+    """
+    try:
+        return count_homs(Presentation(ngen, relators), table, budget)
+    except BudgetExceeded:
+        return None
 
 
 def invariant_bundle(p, targets=("S3", "S4"), budget=10 ** 8):
@@ -384,19 +377,8 @@ def invariant_bundle(p, targets=("S3", "S4"), budget=10 ** 8):
     counts = []
     for t in targets:
         table = t if isinstance(t, GroupTable) else builtin_table(t)
-        # only built-in tables are safe cache keys by name
-        key = ((p.ngen, p.relators, table.name)
-               if table is _TABLES.get(table.name) else None)
-        try:
-            _hom_rows(p.ngen, table, budget)  # a cached count obeys it too
-            n = _BUNDLE_CACHE.get(key)
-            if n is None:
-                n = count_homs(p, table, budget)
-                if key is not None:
-                    _BUNDLE_CACHE[key] = n
-        except BudgetExceeded:
-            n = None
-        counts.append((table.name, n))
+        counts.append((table.name,
+                       _cached_homs(p.ngen, p.relators, table, budget)))
     return InvariantBundle(abelianization(p), tuple(counts))
 
 
@@ -509,7 +491,7 @@ class BignessReport:
                                    for r in self.final.relators]}
 
 
-def bigness_certificate(p, kill=(), budget=20000, quotient=None):
+def bigness_certificate(p, kill=(), budget=20000):
     """Certify a surjection onto ``<x, y | x^2, y^3>``.
 
     Kills the generators in ``kill`` (the meridians of the extra lines),
@@ -518,10 +500,12 @@ def bigness_certificate(p, kill=(), budget=20000, quotient=None):
     syntactically and recorded.  Since the image presents a group with a
     free subgroup of rank two, so does anything that surjects onto it.
 
-    ``quotient`` controls the intermediate quotient by ``(x1 x2)^2``:
-    ``None`` takes it exactly when the projection leaves the weaker
-    square-commuting relator, ``True`` always takes it (needed when the
-    projection leaves a free group), ``False`` forbids it.
+    The projection must leave two generators whose relators are
+    conjugates of ``(x1 x2)^2`` (the two-tangent-conics group) or of the
+    square-commuting relation ``(x1 x2)^2 = (x2 x1)^2``.  Unless the
+    relators are all of the first kind, the intermediate quotient by
+    ``(x1 x2)^2`` is taken; that includes a projection that leaves no
+    relators, a free group of rank two.
 
     Raises :class:`ScriptStepFailed` if any step's outcome is not the
     expected one.
@@ -538,18 +522,12 @@ def bigness_certificate(p, kill=(), budget=20000, quotient=None):
         raise ScriptStepFailed(
             "project", f"expected 2 generators after projection, got {q.ngen}")
     classes = {words.cyclic_normal_form(r) for r in q.relators}
-    if not classes <= {_CONIC_RELATOR, _BRAID_RELATOR} or (
-            not classes and quotient is not True):
+    if not classes <= {_CONIC_RELATOR, _BRAID_RELATOR}:
         raise ScriptStepFailed(
             "project", f"unexpected relators after projection: {q.relators}")
     steps.append(("project", f"killed {sorted(kill)}; relators now "
                   + ", ".join(words.format_word(r) for r in q.relators)))
-    need_quotient = _CONIC_RELATOR not in classes or _BRAID_RELATOR in classes
-    if need_quotient and quotient is False:
-        raise ScriptStepFailed(
-            "project", "projection needs the quotient step, but it is "
-            "forbidden")
-    if quotient is True or need_quotient:
+    if classes != {_CONIC_RELATOR}:
         q = q.add_relators([(1, 2, 1, 2)], "pass to the two-conic quotient")
         q = simplify(q, budget).presentation
         if {words.cyclic_normal_form(r) for r in q.relators} != {_CONIC_RELATOR}:

@@ -8,7 +8,6 @@ deterministically.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import words
 from .errors import DefinitionContainsTarget, MapsNotInverse, ParseError
@@ -19,8 +18,8 @@ class TietzeMove:
     """One invertible presentation move.
 
     ``kind`` is one of ``eliminate``, ``remove_relator``, ``add_relators``,
-    ``replace_relator``, ``add_generator``, ``rename`` or
-    ``change_generators``; ``data`` carries the move's parameters.
+    ``replace_relator``, ``add_generator`` or ``change_generators``;
+    ``data`` carries the move's parameters.
     """
 
     kind: str
@@ -33,22 +32,17 @@ class TietzeMove:
 class Presentation:
     """A finite presentation ``<ngen generators | relators>``."""
 
-    __slots__ = ("ngen", "relators", "labels", "trace")
+    __slots__ = ("ngen", "relators", "trace")
 
-    def __init__(self, ngen, relators=(), labels=None, trace=()):
+    def __init__(self, ngen, relators=(), trace=()):
         if ngen < 0:
             raise ValueError("generator count must be >= 0")
         rels = tuple(words.cyclic_reduce(words.reduce(r)) for r in relators)
         for r in rels:
             if words.max_generator(r) > ngen:
                 raise ValueError(f"relator {r} uses a generator beyond {ngen}")
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != ngen:
-                raise ValueError("one label per generator required")
         object.__setattr__(self, "ngen", ngen)
         object.__setattr__(self, "relators", rels)
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "trace", tuple(trace))
 
     def __setattr__(self, name, value):
@@ -63,11 +57,8 @@ class Presentation:
         return hash((self.ngen, self.relators))
 
     def __repr__(self):
-        rels = ", ".join(words.format_word(r, self.labels) for r in self.relators)
+        rels = ", ".join(words.format_word(r) for r in self.relators)
         return f"<{self.ngen} generators | {rels}>"
-
-    def name(self, g):
-        return self.labels[g - 1] if self.labels else f"x{g}"
 
     # -- elementary moves -------------------------------------------------
 
@@ -91,19 +82,15 @@ class Presentation:
         for r in self.relators:
             w = words.substitute_letters(r, images)
             new_relators.append(words.substitute_letters(w, shift))
-        labels = None
-        if self.labels:
-            labels = self.labels[:g - 1] + self.labels[g:]
         move = TietzeMove("eliminate", (g, definition))
-        return Presentation(self.ngen - 1, new_relators, labels,
-                            self.trace + (move,))
+        return Presentation(self.ngen - 1, new_relators, self.trace + (move,))
 
     def remove_relator(self, index, reason=""):
         if not 0 <= index < len(self.relators):
             raise IndexError(f"no relator {index}")
         rels = self.relators[:index] + self.relators[index + 1:]
         move = TietzeMove("remove_relator", (index, reason))
-        return Presentation(self.ngen, rels, self.labels, self.trace + (move,))
+        return Presentation(self.ngen, rels, self.trace + (move,))
 
     def replace_relator(self, index, new_word, derivation=""):
         if not 0 <= index < len(self.relators):
@@ -111,7 +98,7 @@ class Presentation:
         new_word = words.cyclic_reduce(words.reduce(new_word))
         rels = (self.relators[:index] + (new_word,) + self.relators[index + 1:])
         move = TietzeMove("replace_relator", (index, new_word, derivation))
-        return Presentation(self.ngen, rels, self.labels, self.trace + (move,))
+        return Presentation(self.ngen, rels, self.trace + (move,))
 
     def add_relators(self, new_relators, derivation=""):
         """Quotient by the normal closure of ``new_relators``."""
@@ -120,29 +107,20 @@ class Presentation:
             if words.max_generator(r) > self.ngen:
                 raise ValueError(f"relator {r} uses an unknown generator")
         move = TietzeMove("add_relators", (extra, derivation))
-        return Presentation(self.ngen, self.relators + extra, self.labels,
+        return Presentation(self.ngen, self.relators + extra,
                             self.trace + (move,))
 
-    def add_generator(self, definition, label=None):
+    def add_generator(self, definition):
         """Adjoin generator ``ngen+1`` together with its defining relator."""
         definition = words.reduce(definition)
         if words.max_generator(definition) > self.ngen:
             raise ValueError("definition uses an unknown generator")
         g = self.ngen + 1
         rel = words.concat((g,), words.inverse(definition))
-        labels = None
-        if self.labels is not None:
-            labels = self.labels + (label or f"x{g}",)
         move = TietzeMove("add_generator", (definition,))
-        return Presentation(g, self.relators + (rel,), labels,
-                            self.trace + (move,))
+        return Presentation(g, self.relators + (rel,), self.trace + (move,))
 
-    def rename(self, labels):
-        move = TietzeMove("rename", (tuple(labels),))
-        return Presentation(self.ngen, self.relators, tuple(labels),
-                            self.trace + (move,))
-
-    def change_generators(self, new_in_old, old_in_new, labels=None):
+    def change_generators(self, new_in_old, old_in_new):
         """Rewrite over new generators ``y_k = new_in_old[k]``.
 
         ``old_in_new`` expresses each old generator over the new ones;
@@ -163,7 +141,7 @@ class Presentation:
         rels = [words.substitute_letters(r, old_in_new) for r in self.relators]
         move = TietzeMove("change_generators",
                           (_freeze_map(new_in_old), _freeze_map(old_in_new)))
-        return Presentation(len(new_in_old), rels, labels, self.trace + (move,))
+        return Presentation(len(new_in_old), rels, self.trace + (move,))
 
 
 def _freeze_map(m):
@@ -187,8 +165,6 @@ def apply_move(p, move):
         return p.add_relators(*data)
     if kind == "add_generator":
         return p.add_generator(*data)
-    if kind == "rename":
-        return p.rename(*data)
     if kind == "change_generators":
         return p.change_generators(_thaw_map(data[0]), _thaw_map(data[1]))
     raise ValueError(f"unknown move kind {kind!r}")
@@ -206,10 +182,7 @@ def replay(p, trace):
 def format_presentation(p):
     """Serialize as ``gens: n`` plus one relator line each."""
     lines = [f"gens: {p.ngen}"]
-    if p.labels:
-        lines.append("names: " + " ".join(p.labels))
-    for r in p.relators:
-        lines.append(words.format_word(r, p.labels))
+    lines.extend(words.format_word(r) for r in p.relators)
     return "\n".join(lines) + "\n"
 
 
@@ -222,11 +195,4 @@ def parse_presentation(text):
         ngen = int(lines[0].split(":", 1)[1])
     except ValueError:
         raise ParseError("bad generator count") from None
-    labels: Optional[tuple] = None
-    body = lines[1:]
-    if body and body[0].startswith("names:"):
-        labels = tuple(body[0].split(":", 1)[1].split())
-        body = body[1:]
-    names = list(labels) if labels else None
-    relators = [words.parse_word(ln, names) for ln in body]
-    return Presentation(ngen, relators, labels)
+    return Presentation(ngen, [words.parse_word(ln) for ln in lines[1:]])

@@ -178,7 +178,7 @@ def _shorten_step(p):
 
 # -- pass 4: bounded consequence detection ---------------------------------
 
-def _trivializes(target, others, beam=_SEARCH_BEAM, depth=_SEARCH_DEPTH):
+def _trivializes(target, others):
     """Bounded search showing ``target`` is a consequence of ``others``.
 
     Breadth-limited rewriting that also admits length-preserving steps;
@@ -192,7 +192,7 @@ def _trivializes(target, others, beam=_SEARCH_BEAM, depth=_SEARCH_DEPTH):
         return True
     frontier = [start]
     seen = {start}
-    for _ in range(depth):
+    for _ in range(_SEARCH_DEPTH):
         next_frontier = []
         for w in frontier:
             for m, piece_index in rules:
@@ -206,7 +206,7 @@ def _trivializes(target, others, beam=_SEARCH_BEAM, depth=_SEARCH_DEPTH):
                         seen.add(key)
                         next_frontier.append(key)
         next_frontier.sort(key=lambda u: (len(u), u))
-        frontier = next_frontier[:beam]
+        frontier = next_frontier[:_SEARCH_BEAM]
         if not frontier:
             return False
     return False

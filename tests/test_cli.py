@@ -87,6 +87,24 @@ def test_bigness(tmp_path, capsys):
     assert "x^2, y^3" in out
 
 
+def test_bigness_of_a_free_group_takes_the_quotient(tmp_path, capsys):
+    free = tmp_path / "free.pres"
+    free.write_text("gens: 2\n")
+    code, out, _ = run(capsys, "--format", "json", "bigness",
+                       "--presentation", str(free))
+    assert code == 0
+    assert [s["step"] for s in json.loads(out)["steps"]] == \
+        ["project", "quotient", "substitute", "torus"]
+
+
+def test_generator_names_exit_2(tmp_path, capsys):
+    named = tmp_path / "named.pres"
+    named.write_text("gens: 2\nnames: a b\na b\n")
+    code, _, err = run(capsys, "simplify", "--presentation", str(named))
+    assert code == 2
+    assert "names:" in err
+
+
 def test_verify_paper_single(capsys):
     code, out, _ = run(capsys, "verify-paper", "conic-pair")
     assert code == 0
@@ -119,10 +137,6 @@ def test_present_reads_lefschetz_table_without_flag(tmp_path, capsys):
     table.write_text("strands: 3\n1 2 1 s2\n")
     code, plain, _ = run(capsys, "present", "--factorization", str(table))
     assert code == 0
-    code, forced, _ = run(capsys, "present", "--factorization", str(table),
-                          "--mt-table")
-    assert code == 0
-    assert plain == forced
     assert plain.split() == ["gens:", "3", "x2", "x1^-1", "x1", "x2^-1"]
 
 

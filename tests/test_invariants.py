@@ -23,12 +23,12 @@ F2 = Presentation(2, [])
 
 
 def test_smith_normal_form_basics():
-    diag, _, _ = smith_normal_form([[2, 4], [6, 8]])
+    diag = smith_normal_form([[2, 4], [6, 8]])
     assert diag == [2, 4]
 
 
 def test_smith_divisibility_chain():
-    diag, _, _ = smith_normal_form([[2, 0, 0], [0, 3, 0], [0, 0, 4]])
+    diag = smith_normal_form([[2, 0, 0], [0, 3, 0], [0, 0, 4]])
     nonzero = [x for x in diag if x]
     for a, b in zip(nonzero, nonzero[1:]):
         assert b % a == 0
@@ -290,6 +290,32 @@ def test_cached_bundle_still_obeys_budget():
     assert dict(invariant_bundle(CONIC).hom_counts) == full
 
 
+def test_bundle_cache_keys_tables_by_value():
+    # Z/6 under the name "S3": a name is not a safe key for a count
+    fake = GroupTable("S3", 6, tuple(tuple((a + b) % 6 for b in range(6))
+                                     for a in range(6)),
+                      tuple(-a % 6 for a in range(6)))
+    s3 = dict(invariant_bundle(CONIC).hom_counts)["S3"]
+    fake_count = dict(invariant_bundle(CONIC, (fake,)).hom_counts)["S3"]
+    assert fake_count == count_homs(CONIC, fake) == 12
+    assert fake_count != s3
+
+
+def test_bundle_cache_counts_each_miss_through_the_module(monkeypatch):
+    from conicline import invariants
+    calls = []
+
+    def counting(p, table, budget):
+        calls.append(table.name)
+        return count_homs(p, table, budget)
+
+    monkeypatch.setattr(invariants, "count_homs", counting)
+    p = Presentation(2, [(1, 1, 1, 2, 2, -1, 2, 2, 2, 2, 2)])
+    first = invariant_bundle(p)
+    assert invariant_bundle(p) == first
+    assert calls == ["S3", "S4"]
+
+
 def test_bigness_conic_reaches_torus_form():
     report = bigness_certificate(CONIC)
     names = [name for name, _ in report.steps]
@@ -302,8 +328,17 @@ def test_bigness_with_kill_and_quotient():
                                (2, 3, 2, 3), (3, 2, 3, 2)])
     report = bigness_certificate(z_conic, kill=(1,))
     assert [n for n, _ in report.steps][-1] == "torus"
-    report = bigness_certificate(F2, quotient=True)
-    assert [n for n, _ in report.steps][-1] == "torus"
+    report = bigness_certificate(F2)
+    assert [n for n, _ in report.steps] == \
+        ["project", "quotient", "substitute", "torus"]
+
+
+@pytest.mark.parametrize("p, steps", [
+    (CONIC, ["project", "substitute", "torus"]),
+    (G2, ["project", "quotient", "substitute", "torus"]),
+])
+def test_bigness_quotient_exactly_when_not_the_conic_pair(p, steps):
+    assert [n for n, _ in bigness_certificate(p).steps] == steps
 
 
 def test_bigness_fails_on_wrong_group():
@@ -314,7 +349,7 @@ def test_bigness_fails_on_wrong_group():
 def test_snf_invariant_under_unimodular(  ):
     rng = random.Random(7)
     base = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
-    want = smith_normal_form(base)[0]
+    want = smith_normal_form(base)
 
     def elementary(m):
         m = [row[:] for row in m]
@@ -332,4 +367,4 @@ def test_snf_invariant_under_unimodular(  ):
     m = base
     for _ in range(50):
         m = elementary(m)
-        assert smith_normal_form(m)[0] == want
+        assert smith_normal_form(m) == want

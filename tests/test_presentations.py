@@ -62,7 +62,7 @@ def test_parse_rejects_bad_header():
         parse_presentation("relators only\nx1 x2\n")
 
 
-def test_rename_permutes_labels():
-    p = Presentation(2, [(1, 2)], labels=("a", "b"))
-    q = p.rename({1: 2, 2: 1})
-    assert set(q.relators) == {(2, 1)} or set(q.relators) == {(1, 2)}
+def test_parse_refuses_generator_names():
+    with pytest.raises(ParseError, match="names:"):
+        parse_presentation("gens: 2\nnames: a b\na b\n")
+
