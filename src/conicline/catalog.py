@@ -176,6 +176,7 @@ _PUB_TWO_LINES_TANGENT_PAIR = Presentation(6, [
 class ArrangementEntry:
     """One arrangement with its verification data.
 
+    ``description`` names the arrangement in the ``verify-paper`` report.
     ``source`` is ``("table", text)`` for a Lefschetz-pair table,
     ``("presentation", p)`` for a presentation read off the braid
     monodromy, or ``None`` when the arrangement carries only its
@@ -188,9 +189,7 @@ class ArrangementEntry:
     description: str
     source: Optional[tuple]
     expected: Presentation
-    figure: str = ""
     bigness_kill: tuple = ()
-    notes: str = ""
 
 
 _ENTRIES = [
@@ -198,76 +197,64 @@ _ENTRIES = [
         "conic-pair",
         "two conics tangent to each other at two points",
         ("table", CONIC_PAIR_TABLE),
-        _GROUPS["conic-pair"],
-        figure="two tangent conics"),
+        _GROUPS["conic-pair"]),
     # one additional line
+    # no derivation data: a transverse line adds a central free factor
     ArrangementEntry(
         "one-line-transverse",
         "a line meeting both conics transversally",
         None,
         _GROUPS["z-plus-conic-pair"],
-        figure="generic line",
-        bigness_kill=(1,),
-        notes="a transverse line adds a central free factor; no "
-              "derivation data beyond the expected group"),
+        bigness_kill=(1,)),
     ArrangementEntry(
         "one-line-simple-tangent",
         "a line tangent to one conic at a smooth point, crossing the other",
         ("presentation", _PUB_ONE_LINE_SIMPLE_TANGENT),
         _GROUPS["square-commuting"],
-        figure="line tangent at a simple point",
         bigness_kill=(1,)),
+    # no derivation data: known to agree with the tangent-at-tangency case
     ArrangementEntry(
         "one-line-through-tangency",
         "a line through one tangency point, transverse to both conics",
         None,
-        _GROUPS["square-commuting"],
-        figure="line through a tangency point",
-        notes="known to agree with the tangent-at-tangency case; no "
-              "derivation data beyond the expected group"),
+        _GROUPS["square-commuting"]),
     ArrangementEntry(
         "one-line-tangent-at-tangency",
         "a line through one tangency point, tangent to both conics there",
         ("presentation", _PUB_ONE_LINE_TANGENT_AT_TANGENCY),
         _GROUPS["square-commuting"],
-        figure="common tangent line at a tangency point",
         bigness_kill=(3,)),
     ArrangementEntry(
         "one-line-both-tangencies",
         "the line through the two tangency points",
         ("presentation", _PUB_ONE_LINE_BOTH_TANGENCIES),
         _GROUPS["free-2"],
-        figure="line through both tangency points",
         bigness_kill=(2,)),
     # two additional lines
+    # no derivation data: two transverse lines add two central free factors
     ArrangementEntry(
         "two-lines-transverse",
         "two lines meeting the conics and each other transversally",
         None,
         _GROUPS["z2-plus-conic-pair"],
-        figure="two generic lines",
-        bigness_kill=(1, 2),
-        notes="two transverse lines add two central free factors"),
+        bigness_kill=(1, 2)),
     ArrangementEntry(
         "two-lines-each-tangent",
         "two lines, each tangent to a different conic at a smooth point",
         None,
         _GROUPS["z-plus-square-commuting"],
-        figure="tangent lines on different conics",
         bigness_kill=(1,)),
     ArrangementEntry(
         "two-lines-same-conic",
         "two lines tangent to the same conic at smooth points",
         None,
         _GROUPS["commuting-squares-3"],
-        figure="tangent lines on one conic",
         bigness_kill=(1,)),
     ArrangementEntry(
         "two-lines-both-tangencies",
         "two lines, each through one of the two tangency points",
         ("presentation", _PUB_TWO_LINES_BOTH_TANGENCIES),
         _GROUPS["triple-square"],
-        figure="one line per tangency point",
         bigness_kill=(3, 6)),
     ArrangementEntry(
         "two-lines-one-at-tangency",
@@ -275,14 +262,12 @@ _ENTRIES = [
         "point",
         ("presentation", _PUB_TWO_LINES_ONE_AT_TANGENCY),
         _GROUPS["z-plus-square-commuting"],
-        figure="tangent line and tangency-point line",
         bigness_kill=(1, 6)),
     ArrangementEntry(
         "two-lines-tangent-pair",
         "a line pair crossing at a tangency point of the conics",
         ("presentation", _PUB_TWO_LINES_TANGENT_PAIR),
         _GROUPS["z-plus-free-2"],
-        figure="line pair at a tangency point",
         bigness_kill=(2, 6)),
     # the four groups repeated in the two-line case listing
     ArrangementEntry(
@@ -330,6 +315,7 @@ def get_entry(id):
 @dataclass
 class VerificationReport:
     entry_id: str
+    description: str
     stages: tuple            # names of the pipeline stages that ran
     verdict: str             # "equivalent" | "distinct" | "inconclusive"
     computed_bundle: Optional[dict]
@@ -343,6 +329,7 @@ class VerificationReport:
 
     def as_dict(self):
         return {"entry": self.entry_id,
+                "description": self.description,
                 "stages": list(self.stages),
                 "verdict": self.verdict,
                 "passed": self.passed,
@@ -388,7 +375,8 @@ def verify(entry, budget=20000):
     except ConiclineError as exc:
         detail = (detail + "; " if detail else "") + f"bigness failed: {exc}"
     computed = None if derived is None else verdict.bundle1.as_dict()
-    return VerificationReport(entry.id, stages, verdict.kind, computed,
+    return VerificationReport(entry.id, entry.description, stages,
+                              verdict.kind, computed,
                               verdict.bundle2.as_dict(), bigness, detail)
 
 

@@ -166,12 +166,13 @@ def _cmd_verify_paper(args):
     else:
         reports = catalog.verify_all(args.budget)
     width = max(len(r.entry_id) for r in reports)
-    lines = [f"{'entry':<{width}}  {'verdict':<12}  {'bigness':<8}  result",
-             f"{'-' * width}  {'-' * 12}  {'-' * 8}  ------"]
+    lines = [f"{'entry':<{width}}  {'verdict':<12}  {'bigness':<8}  result"
+             "  arrangement",
+             f"{'-' * width}  {'-' * 12}  {'-' * 8}  ------  -----------"]
     for r in reports:
-        big = "ok" if r.bigness else "failed"
-        res = "PASS" if r.passed else "FAIL"
-        lines.append(f"{r.entry_id:<{width}}  {r.verdict:<12}  {big:<8}  {res}")
+        lines.append(f"{r.entry_id:<{width}}  {r.verdict:<12}  "
+                     f"{'ok' if r.bigness else 'failed':<8}  "
+                     f"{'PASS' if r.passed else 'FAIL':<6}  {r.description}")
     npass = sum(r.passed for r in reports)
     lines.append(f"{npass}/{len(reports)} passed")
     _emit(args, "\n".join(lines),

@@ -383,8 +383,7 @@ def invariant_bundle(p, targets=("S3", "S4"), budget=10 ** 8):
 
 
 def _canonical_multiset(relators):
-    return tuple(sorted(words.cyclic_normal_form(r) for r in relators if
-                        words.cyclic_normal_form(r)))
+    return tuple(sorted(filter(None, map(words.cyclic_normal_form, relators))))
 
 
 @dataclass

@@ -37,13 +37,18 @@ class Presentation:
     def __init__(self, ngen, relators=(), trace=()):
         if ngen < 0:
             raise ValueError("generator count must be >= 0")
-        rels = tuple(words.cyclic_reduce(words.reduce(r)) for r in relators)
-        for r in rels:
-            if words.max_generator(r) > ngen:
-                raise ValueError(f"relator {r} uses a generator beyond {ngen}")
+        rels = tuple(_relator(r, ngen) for r in relators)
         object.__setattr__(self, "ngen", ngen)
         object.__setattr__(self, "relators", rels)
         object.__setattr__(self, "trace", tuple(trace))
+
+    def _moved(self, rels, move):
+        """``self`` after ``move``; ``rels`` are made by :func:`_relator`."""
+        p = object.__new__(Presentation)
+        for name, value in zip(Presentation.__slots__,
+                               (self.ngen, rels, self.trace + (move,))):
+            object.__setattr__(p, name, value)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Presentation is immutable")
@@ -89,23 +94,19 @@ class Presentation:
         if not 0 <= index < len(self.relators):
             raise IndexError(f"no relator {index}")
         rels = self.relators[:index] + self.relators[index + 1:]
-        move = TietzeMove("remove_relator", (index, reason))
-        return Presentation(self.ngen, rels, self.trace + (move,))
+        return self._moved(rels, TietzeMove("remove_relator", (index, reason)))
 
     def replace_relator(self, index, new_word, derivation=""):
         if not 0 <= index < len(self.relators):
             raise IndexError(f"no relator {index}")
-        new_word = words.cyclic_reduce(words.reduce(new_word))
+        new_word = _relator(new_word, self.ngen)
         rels = (self.relators[:index] + (new_word,) + self.relators[index + 1:])
         move = TietzeMove("replace_relator", (index, new_word, derivation))
-        return Presentation(self.ngen, rels, self.trace + (move,))
+        return self._moved(rels, move)
 
     def add_relators(self, new_relators, derivation=""):
         """Quotient by the normal closure of ``new_relators``."""
-        extra = tuple(words.cyclic_reduce(words.reduce(r)) for r in new_relators)
-        for r in extra:
-            if words.max_generator(r) > self.ngen:
-                raise ValueError(f"relator {r} uses an unknown generator")
+        extra = tuple(_relator(r, self.ngen) for r in new_relators)
         move = TietzeMove("add_relators", (extra, derivation))
         return Presentation(self.ngen, self.relators + extra,
                             self.trace + (move,))
@@ -142,6 +143,14 @@ class Presentation:
         move = TietzeMove("change_generators",
                           (_freeze_map(new_in_old), _freeze_map(old_in_new)))
         return Presentation(len(new_in_old), rels, self.trace + (move,))
+
+
+def _relator(r, ngen):
+    """``r`` freely and cyclically reduced, if it uses only ``x1..x<ngen>``."""
+    r = words.cyclic_reduce(r)
+    if words.max_generator(r) > ngen:
+        raise ValueError(f"relator {r} uses a generator beyond {ngen}")
+    return r
 
 
 def _freeze_map(m):

@@ -18,16 +18,21 @@ or of ``s^-1``; rewriting replaces it by the inverse of the rest of that
 rotation.  The rotations of ``s`` and ``s^-1`` are indexed by their
 prefix of length ``(len(s) + 1) // 2``, the shortest admissible piece,
 so each start in ``r r`` costs one dict lookup plus a letter-by-letter
-extension of its hits.  The index is built once per relator for each
-pass-3 step and each pass-4 search.  Pass 3 takes the first rewrite, in
-scan order, whose piece is longer than half of ``s``; pass 4 takes them
-all.
+extension of its hits.  Pass 3 takes the first rewrite, in scan order,
+whose piece is longer than half of ``s``; pass 4 takes them all.
+
+Work is memoised by value, never by identity.  Each relator's index and
+its cyclic normal form (the pass-1 key) are computed once per process;
+the pass-4 search states are not kept.  :func:`simplify` itself is
+memoised on ``(ngen, relators, budget)``: the moves never depend on the
+input's trace, so each call appends the stored moves to its own.
 
 Every move is recorded in the presentation trace, so the output replays
 bit-for-bit from the input.  The engine never claims non-equivalence:
 running out of budget only means failure-to-match within budget.
 """
 
+import functools
 from dataclasses import dataclass
 
 from . import words
@@ -56,14 +61,22 @@ def simplify(p, budget=10000):
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    start_len = len(p.trace)
+    ngen, relators, moves, exhausted = _simplified(p.ngen, p.relators, budget)
+    return SimplifyResult(Presentation(ngen, relators, p.trace + moves),
+                          moves, exhausted)
+
+
+@functools.lru_cache(maxsize=None)
+def _simplified(ngen, relators, budget):
+    """:func:`simplify` by value: ``(ngen, relators, moves, exhausted)``."""
+    p = Presentation(ngen, relators)
     q = _one_step(p)
     for _ in range(budget):
         if q is None:
             break
         p, q = q, _one_step(q)
     # a move still applicable means the budget, not a fixpoint, stopped it
-    return SimplifyResult(p, p.trace[start_len:], q is not None)
+    return p.ngen, p.relators, p.trace, q is not None
 
 
 def _one_step(p):
@@ -82,12 +95,15 @@ def _one_step(p):
 
 # -- pass 1: trivial and duplicate relators --------------------------------
 
+_relator_class = functools.lru_cache(maxsize=None)(words.cyclic_normal_form)
+
+
 def _dedup_step(p):
     seen = set()
     for i, r in enumerate(p.relators):
         if not r:
             return p.remove_relator(i, "trivial")
-        key = words.cyclic_normal_form(r)
+        key = _relator_class(r)
         if key in seen:
             return p.remove_relator(i, "duplicate")
         seen.add(key)
@@ -122,6 +138,7 @@ def _elimination_step(p):
 
 # -- passes 3 and 4: the piece finder ---------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _piece_index(s):
     """The rotations of ``s`` and of ``s^-1``, indexed by prefix.
 
@@ -187,7 +204,7 @@ def _trivializes(target, others):
     rules = [(len(s), _piece_index(s)) for s in others if s]
     if not rules:
         return False
-    start = words.cyclic_normal_form(target)
+    start = _relator_class(target)
     if not start:
         return True
     frontier = [start]

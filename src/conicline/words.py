@@ -63,16 +63,32 @@ def cyclic_normal_form(w):
     """Least rotation of the cyclic reduction of ``w`` or its inverse.
 
     Used as a canonical representative of a relator up to cyclic
-    permutation, inversion and free reduction.
+    permutation, inversion and free reduction; linear in ``len(w)``.
     """
     w = cyclic_reduce(w)
-    if not w:
-        return w
-    candidates = []
-    for u in (w, inverse(w)):
-        for r in range(len(u)):
-            candidates.append(u[r:] + u[:r])
-    return min(candidates)
+    return min(_least_rotation(w), _least_rotation(inverse(w)))
+
+
+def _least_rotation(w):
+    """The least rotation of ``w``, by Booth's algorithm: ``fail`` is the
+    failure function of ``w w`` read from ``k``, the least start so far."""
+    s = w + w
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        c = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if i == -1 and c != s[k]:
+            if c < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return s[k:k + len(w)]
 
 
 def generators_of(w):

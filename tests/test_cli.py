@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conicline import catalog
 from conicline.cli import main
 
 
@@ -109,6 +110,7 @@ def test_verify_paper_single(capsys):
     code, out, _ = run(capsys, "verify-paper", "conic-pair")
     assert code == 0
     assert "PASS" in out
+    assert "two conics tangent to each other at two points" in out
 
 
 def test_verify_paper_all_json(capsys):
@@ -118,6 +120,8 @@ def test_verify_paper_all_json(capsys):
     assert data["passed"] == data["total"]
     ids = [r["entry"] for r in data["reports"]]
     assert ids == sorted(ids)
+    for r in data["reports"]:
+        assert r["description"] == catalog.get_entry(r["entry"]).description
 
 
 def test_usage_error_exit_2(capsys):

@@ -1,8 +1,9 @@
 import pytest
 
 from conicline.errors import DefinitionContainsTarget, ParseError
-from conicline.presentations import (Presentation, format_presentation,
-                                     parse_presentation, replay)
+from conicline.presentations import (Presentation, TietzeMove,
+                                     format_presentation, parse_presentation,
+                                     replay)
 
 CONIC = Presentation(2, [(1, 2, 1, 2), (2, 1, 2, 1)])
 
@@ -66,3 +67,22 @@ def test_parse_refuses_generator_names():
     with pytest.raises(ParseError, match="names:"):
         parse_presentation("gens: 2\nnames: a b\na b\n")
 
+
+
+def test_replace_relator_reduces_and_range_checks_the_new_word():
+    q = CONIC.replace_relator(0, (2, 1, 1, -1, -1, 1, -2))
+    assert q.relators == ((1,), CONIC.relators[1])
+    with pytest.raises(ValueError, match="beyond 2"):
+        CONIC.replace_relator(0, (3,))
+    with pytest.raises(ValueError):
+        CONIC.replace_relator(0, (1, 0))
+
+
+def test_remove_and_replace_keep_the_other_relators():
+    p = Presentation(2, [(1, 2, 1, 2), (2, 2), (1, -2)])
+    q = p.remove_relator(1).replace_relator(0, (1,), "why")
+    assert q.relators == ((1,), (1, -2))
+    assert q.trace == p.trace + (TietzeMove("remove_relator", (1, "")),
+                                 TietzeMove("replace_relator",
+                                            (0, (1,), "why")))
+    assert replay(p, q.trace) == q

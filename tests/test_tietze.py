@@ -85,6 +85,33 @@ def test_budget_boundary_on_rewrite_moves():
     assert simplify(p, budget=0).exhausted
 
 
+# -- simplify is memoised by value of (ngen, relators, budget) -------------
+
+def test_memo_keys_on_budget():
+    p = _padded_conic()
+    assert simplify(p).trace
+    zero = simplify(p, 0)
+    assert zero.exhausted and zero.trace == ()
+    assert zero.presentation == p and zero.presentation.trace == p.trace
+
+
+def test_memo_keys_on_generator_count():
+    assert simplify(CONIC).presentation.ngen == 2
+    wider = simplify(Presentation(3, CONIC.relators)).presentation
+    assert wider.ngen == 3
+
+
+def test_memo_appends_its_moves_to_the_callers_trace():
+    p = _padded_conic().add_relators([(1, 2, 2, 1)], "extra")
+    bare = simplify(Presentation(p.ngen, p.relators))
+    res = simplify(p)
+    assert res.trace == bare.trace and res.trace
+    assert res.presentation.trace == p.trace + res.trace
+    replayed = replay(p, res.trace)
+    assert replayed == res.presentation
+    assert replayed.trace == res.presentation.trace
+
+
 # -- the piece finder against the nested scan it replaced -------------------
 
 def _rotations(w):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conicline import words
@@ -52,6 +54,31 @@ def test_cyclic_normal_form_inversion_invariant():
     w = (1, 2, -1, 3)
     assert words.cyclic_normal_form(w) == words.cyclic_normal_form(
         words.inverse(w))
+
+
+def _normal_form_by_all_rotations(w):
+    """Reference: the least of all rotations of ``w`` and its inverse."""
+    w = words.cyclic_reduce(w)
+    if not w:
+        return w
+    return min(u[r:] + u[:r] for u in (w, words.inverse(w))
+               for r in range(len(u)))
+
+
+def test_cyclic_normal_form_matches_all_rotations():
+    rng = random.Random(20261018)
+    cases = [(), (1,), (-1,), (3,), (1, -1), (1, 2, -1)]
+    cases += [words.power((1, 2), k) for k in range(1, 8)]
+    cases += [words.power((1, -2, 1), k) for k in range(1, 5)]
+    cases += [(1,) * k for k in range(1, 6)] + [(-2,) * k for k in range(1, 6)]
+    for _ in range(3000):
+        ngen = rng.randint(1, 3)
+        unit = tuple(rng.choice((1, -1)) * rng.randint(1, ngen)
+                     for _ in range(rng.randint(0, 8)))
+        cases.append(unit * rng.choice((1, 1, 2, 3)))
+    for w in cases:
+        assert words.cyclic_normal_form(w) == \
+            _normal_form_by_all_rotations(w), w
 
 
 def test_generators_and_max_generator():
