@@ -14,6 +14,7 @@
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,74 +32,45 @@ def smith_normal_form(matrix):
     """The Smith normal form diagonal of an integer matrix.
 
     The diagonal is nonnegative and each entry divides the next.
-    Pure-integer row/column reduction, no floating point.
+    Pure-integer row/column reduction, no floating point: each round
+    pivots on a least nonzero entry of the whole matrix and reduces its
+    column, then its row, modulo the pivot.  A nonzero remainder is
+    smaller than the pivot and is the next round's pivot; a pivot whose
+    row and column are cleared is split off.  The pivots are then put in
+    divisibility order by ``(a, b) -> (gcd(a, b), lcm(a, b))``.
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
     a = [[int(v) for v in row] for row in matrix]
-    for row in a:
-        if len(row) != cols:
-            raise ValueError("ragged matrix")
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        for k in range(cols):
-            a[i][k] -= q * a[j][k]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for k in range(rows):
-            a[k][i] -= q * a[k][j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def swap_cols(i, j):
-        for k in range(rows):
-            a[k][i], a[k][j] = a[k][j], a[k][i]
-
-    t = 0
-    while t < min(rows, cols):
-        piv = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] and (piv is None
-                                or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
+    if any(len(row) != len(a[0]) for row in a):
+        raise ValueError("ragged matrix")
+    size = min(len(a), len(a[0]) if a else 0)
+    diag = []
+    while True:
+        nonzero = [(abs(v), i, j) for i, row in enumerate(a)
+                   for j, v in enumerate(row) if v]
+        if not nonzero:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        # enforce the divisibility chain before moving on
-        bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t]:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            row_op(t, bad, -1)  # fold the offending row in and redo
-            continue
-        t += 1
-    return [abs(a[i][i]) for i in range(min(rows, cols))]
+        _, i, j = min(nonzero)
+        pivot, cleared = a[i][j], True
+        for k, row in enumerate(a):
+            if k != i and row[j]:
+                q = row[j] // pivot
+                a[k] = [x - q * y for x, y in zip(row, a[i])]
+                cleared = cleared and not a[k][j]
+        if cleared:  # column j is zero off row i: column moves touch row i
+            for l, v in enumerate(a[i]):
+                if l != j and v:
+                    a[i][l] = v % pivot
+                    cleared = cleared and not a[i][l]
+        if cleared:
+            del a[i]
+            for row in a:
+                del row[j]
+            diag.append(abs(pivot))
+    for s in range(len(diag)):
+        for t in range(s + 1, len(diag)):
+            g = math.gcd(diag[s], diag[t])
+            diag[s], diag[t] = g, diag[s] // g * diag[t]
+    return diag + [0] * (size - len(diag))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 from . import words
 from .braids import (BraidWord, block_around, full_twist, half_block_around,
-                     half_twist, standard_gbase, artin_apply)
+                     half_twist)
 from .errors import UnknownModel
-from .presentations import Presentation
 from .tracker import CurvePoly
 
 
@@ -135,18 +134,6 @@ def get_model(id):
         return _CATALOG[id]
     except KeyError:
         raise UnknownModel(f"no local model {id!r}") from None
-
-
-def induced_relations(m):
-    """Relators read off the braid's action on the standard g-base."""
-    base = artin_apply(m.braid, standard_gbase(m.strands))
-    relators = [words.concat(e, ((-k),))
-                for k, e in enumerate(base.entries, 1)]
-    return Presentation(m.strands, relators)
-
-
-def paper_presentation(m):
-    return Presentation(m.strands, m.paper_relations)
 
 
 def generalized_tangency(n):

@@ -2,9 +2,9 @@
 
 A relation ``u = v`` is stored as the single relator ``u v^-1``.  Every
 relator kept in a :class:`Presentation` is freely and cyclically reduced.
-Presentations are immutable; each operation returns a new presentation
-whose ``trace`` records the move, and :func:`replay` reapplies a trace
-deterministically.
+Presentations are immutable; each move returns a new presentation whose
+``trace`` records it (see :class:`TietzeMove` for the kinds), and
+:func:`replay` reapplies a trace deterministically.
 """
 
 from dataclasses import dataclass
@@ -17,9 +17,10 @@ from .errors import DefinitionContainsTarget, MapsNotInverse, ParseError
 class TietzeMove:
     """One invertible presentation move.
 
-    ``kind`` is one of ``eliminate``, ``remove_relator``, ``add_relators``,
-    ``replace_relator``, ``add_generator`` or ``change_generators``;
-    ``data`` carries the move's parameters.
+    ``kind`` is one of ``eliminate``, ``remove_relator``,
+    ``replace_relator``, ``add_relators`` or ``change_generators``, the
+    keys of :data:`_MOVES`; ``data`` carries the move's parameters, the
+    arguments of the method that replays it.
     """
 
     kind: str
@@ -34,21 +35,13 @@ class Presentation:
 
     __slots__ = ("ngen", "relators", "trace")
 
-    def __init__(self, ngen, relators=(), trace=()):
+    def __init__(self, ngen, relators=()):
         if ngen < 0:
             raise ValueError("generator count must be >= 0")
         rels = tuple(_relator(r, ngen) for r in relators)
         object.__setattr__(self, "ngen", ngen)
         object.__setattr__(self, "relators", rels)
-        object.__setattr__(self, "trace", tuple(trace))
-
-    def _moved(self, rels, move):
-        """``self`` after ``move``; ``rels`` are made by :func:`_relator`."""
-        p = object.__new__(Presentation)
-        for name, value in zip(Presentation.__slots__,
-                               (self.ngen, rels, self.trace + (move,))):
-            object.__setattr__(p, name, value)
-        return p
+        object.__setattr__(self, "trace", ())
 
     def __setattr__(self, name, value):
         raise AttributeError("Presentation is immutable")
@@ -72,29 +65,29 @@ class Presentation:
 
         Every occurrence of ``g`` is replaced by the definition, the
         relators are re-reduced and generator indices above ``g`` are
-        compacted down by one.
+        compacted down by one, all in one pass per relator.
         """
         definition = words.reduce(definition)
         if not 1 <= g <= self.ngen:
             raise ValueError(f"no generator {g}")
         if g in words.generators_of(definition):
             raise DefinitionContainsTarget(f"definition of x{g} mentions x{g}")
-        images = {h: (h,) for h in range(1, self.ngen + 1)}
-        images[g] = definition
-        shift = {h: (h,) if h < g else (h - 1,) for h in range(1, self.ngen + 1)}
-        del shift[g]
-        new_relators = []
-        for r in self.relators:
-            w = words.substitute_letters(r, images)
-            new_relators.append(words.substitute_letters(w, shift))
+        if words.max_generator(definition) > self.ngen:
+            raise ValueError(f"definition uses a generator beyond {self.ngen}")
+        images = {h: (h,) if h < g else (h - 1,)
+                  for h in range(1, self.ngen + 1) if h != g}
+        images[g] = words.substitute_letters(definition, images)
+        rels = tuple(_relator(words.substitute_letters(r, images),
+                              self.ngen - 1) for r in self.relators)
         move = TietzeMove("eliminate", (g, definition))
-        return Presentation(self.ngen - 1, new_relators, self.trace + (move,))
+        return _build(self.ngen - 1, rels, self.trace + (move,))
 
     def remove_relator(self, index, reason=""):
         if not 0 <= index < len(self.relators):
             raise IndexError(f"no relator {index}")
         rels = self.relators[:index] + self.relators[index + 1:]
-        return self._moved(rels, TietzeMove("remove_relator", (index, reason)))
+        move = TietzeMove("remove_relator", (index, reason))
+        return _build(self.ngen, rels, self.trace + (move,))
 
     def replace_relator(self, index, new_word, derivation=""):
         if not 0 <= index < len(self.relators):
@@ -102,31 +95,22 @@ class Presentation:
         new_word = _relator(new_word, self.ngen)
         rels = (self.relators[:index] + (new_word,) + self.relators[index + 1:])
         move = TietzeMove("replace_relator", (index, new_word, derivation))
-        return self._moved(rels, move)
+        return _build(self.ngen, rels, self.trace + (move,))
 
     def add_relators(self, new_relators, derivation=""):
         """Quotient by the normal closure of ``new_relators``."""
         extra = tuple(_relator(r, self.ngen) for r in new_relators)
         move = TietzeMove("add_relators", (extra, derivation))
-        return Presentation(self.ngen, self.relators + extra,
-                            self.trace + (move,))
-
-    def add_generator(self, definition):
-        """Adjoin generator ``ngen+1`` together with its defining relator."""
-        definition = words.reduce(definition)
-        if words.max_generator(definition) > self.ngen:
-            raise ValueError("definition uses an unknown generator")
-        g = self.ngen + 1
-        rel = words.concat((g,), words.inverse(definition))
-        move = TietzeMove("add_generator", (definition,))
-        return Presentation(g, self.relators + (rel,), self.trace + (move,))
+        return _build(self.ngen, self.relators + extra, self.trace + (move,))
 
     def change_generators(self, new_in_old, old_in_new):
         """Rewrite over new generators ``y_k = new_in_old[k]``.
 
         ``old_in_new`` expresses each old generator over the new ones;
-        the two maps must invert each other under free reduction.
+        the two maps must invert each other under free reduction.  Each
+        map is a dict or, as recorded in the move, its sorted items.
         """
+        new_in_old, old_in_new = dict(new_in_old), dict(old_in_new)
         if len(new_in_old) != len(old_in_new) or len(old_in_new) != self.ngen:
             raise MapsNotInverse("generator maps must both cover every generator")
         for g in range(1, self.ngen + 1):
@@ -139,10 +123,20 @@ class Presentation:
             if round_trip != (h,):
                 raise MapsNotInverse(
                     f"new generator {h} does not round-trip")
-        rels = [words.substitute_letters(r, old_in_new) for r in self.relators]
+        rels = tuple(_relator(words.substitute_letters(r, old_in_new),
+                              self.ngen) for r in self.relators)
         move = TietzeMove("change_generators",
                           (_freeze_map(new_in_old), _freeze_map(old_in_new)))
-        return Presentation(len(new_in_old), rels, self.trace + (move,))
+        return _build(self.ngen, rels, self.trace + (move,))
+
+
+def _build(ngen, relators, trace):
+    """The presentation with these fields, checking nothing: ``relators``
+    is a tuple of words already made by :func:`_relator`."""
+    p = object.__new__(Presentation)
+    for name, value in zip(Presentation.__slots__, (ngen, relators, trace)):
+        object.__setattr__(p, name, value)
+    return p
 
 
 def _relator(r, ngen):
@@ -157,26 +151,22 @@ def _freeze_map(m):
     return tuple(sorted((k, tuple(v)) for k, v in m.items()))
 
 
-def _thaw_map(t):
-    return {k: v for k, v in t}
+_MOVES = {
+    "eliminate": Presentation.substitute,
+    "remove_relator": Presentation.remove_relator,
+    "replace_relator": Presentation.replace_relator,
+    "add_relators": Presentation.add_relators,
+    "change_generators": Presentation.change_generators,
+}
 
 
 def apply_move(p, move):
     """Apply a recorded Tietze move; used to replay traces."""
-    kind, data = move.kind, move.data
-    if kind == "eliminate":
-        return p.substitute(*data)
-    if kind == "remove_relator":
-        return p.remove_relator(*data)
-    if kind == "replace_relator":
-        return p.replace_relator(*data)
-    if kind == "add_relators":
-        return p.add_relators(*data)
-    if kind == "add_generator":
-        return p.add_generator(*data)
-    if kind == "change_generators":
-        return p.change_generators(_thaw_map(data[0]), _thaw_map(data[1]))
-    raise ValueError(f"unknown move kind {kind!r}")
+    try:
+        method = _MOVES[move.kind]
+    except KeyError:
+        raise ValueError(f"unknown move kind {move.kind!r}") from None
+    return method(p, *move.data)
 
 
 def replay(p, trace):
@@ -188,6 +178,24 @@ def replay(p, trace):
 
 # -- plain-text serialization ---------------------------------------------
 
+def read_header(text, key, what):
+    """The count ``n`` of a ``key: n`` header, and the lines after it.
+
+    Shared by every text format: lines are stripped, and blank lines and
+    ``#`` comments dropped.  A missing header or a count that is not an
+    integer is a :class:`ParseError` naming ``what``, the format read.
+    """
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines or not lines[0].startswith(f"{key}:"):
+        raise ParseError(f"{what} must start with a '{key}: n' line")
+    try:
+        n = int(lines[0].split(":", 1)[1])
+    except ValueError:
+        raise ParseError(f"bad '{key}:' count in {what}") from None
+    return n, lines[1:]
+
+
 def format_presentation(p):
     """Serialize as ``gens: n`` plus one relator line each."""
     lines = [f"gens: {p.ngen}"]
@@ -196,12 +204,5 @@ def format_presentation(p):
 
 
 def parse_presentation(text):
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("gens:"):
-        raise ParseError("presentation must start with a 'gens: n' line")
-    try:
-        ngen = int(lines[0].split(":", 1)[1])
-    except ValueError:
-        raise ParseError("bad generator count") from None
-    return Presentation(ngen, [words.parse_word(ln) for ln in lines[1:]])
+    ngen, lines = read_header(text, "gens", "presentation")
+    return Presentation(ngen, [words.parse_word(ln) for ln in lines])

@@ -36,7 +36,7 @@ import functools
 from dataclasses import dataclass
 
 from . import words
-from .presentations import Presentation
+from .presentations import Presentation, _build
 
 # Bounds of the pass-4 consequence search; fixed so traces reproduce.
 _SEARCH_BEAM = 600
@@ -62,14 +62,14 @@ def simplify(p, budget=10000):
     if budget < 0:
         raise ValueError("budget must be >= 0")
     ngen, relators, moves, exhausted = _simplified(p.ngen, p.relators, budget)
-    return SimplifyResult(Presentation(ngen, relators, p.trace + moves),
+    return SimplifyResult(_build(ngen, relators, p.trace + moves),
                           moves, exhausted)
 
 
 @functools.lru_cache(maxsize=None)
 def _simplified(ngen, relators, budget):
     """:func:`simplify` by value: ``(ngen, relators, moves, exhausted)``."""
-    p = Presentation(ngen, relators)
+    p = _build(ngen, relators, ())
     q = _one_step(p)
     for _ in range(budget):
         if q is None:
@@ -188,7 +188,7 @@ def _shorten_step(p):
                 continue
             # a piece longer than half of s strictly shortens r
             new = next(_rewrites(r, indexes[j], len(s) // 2 + 1), None)
-            if new is not None and len(words.cyclic_reduce(new)) < len(r):
+            if new is not None:
                 return p.replace_relator(i, new, f"rewritten with relator {j}")
     return None
 

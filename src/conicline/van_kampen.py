@@ -17,7 +17,7 @@ from . import words
 from .braids import (BraidWord, artin_apply, half_twist, identity_braid,
                      parse_braid, format_braid, standard_gbase)
 from .errors import BadPair, ParseError, StrandMismatch
-from .presentations import Presentation
+from .presentations import Presentation, read_header
 
 
 @dataclass(frozen=True)
@@ -96,15 +96,8 @@ def format_factorization(f):
 
 
 def parse_factorization(text):
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
-    if not lines or not lines[0].startswith("strands:"):
-        raise ParseError("factorization must start with 'strands: n'")
-    try:
-        n = int(lines[0].split(":", 1)[1])
-    except ValueError:
-        raise ParseError("bad strand count") from None
-    return Factorization(n, tuple(parse_braid(ln, n) for ln in lines[1:]))
+    n, lines = read_header(text, "strands", "factorization")
+    return Factorization(n, tuple(parse_braid(ln, n) for ln in lines))
 
 
 def format_mt_table(rows, n):
@@ -117,16 +110,9 @@ def format_mt_table(rows, n):
 
 def parse_mt_table(text):
     """Rows of ``a b epsilon delta-braid``, after a ``strands: n`` line."""
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
-    if not lines or not lines[0].startswith("strands:"):
-        raise ParseError("table must start with 'strands: n'")
-    try:
-        n = int(lines[0].split(":", 1)[1])
-    except ValueError:
-        raise ParseError("bad strand count") from None
+    n, lines = read_header(text, "strands", "table")
     rows = []
-    for j, ln in enumerate(lines[1:], 1):
+    for j, ln in enumerate(lines, 1):
         parts = ln.split(None, 3)
         if len(parts) < 3:
             raise ParseError(f"bad table row {ln!r}")

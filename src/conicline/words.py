@@ -38,17 +38,6 @@ def relator(u, v=()):
     return concat(tuple(u), inverse(tuple(v)))
 
 
-def conjugate(w, c):
-    """Return the reduced form of ``c w c^-1``."""
-    return concat(c, w, inverse(c))
-
-
-def power(w, n):
-    if n < 0:
-        return power(inverse(w), -n)
-    return reduce(list(w) * n)
-
-
 def cyclic_reduce(w):
     """Strip matching first/last letters; the result is cyclically reduced."""
     w = reduce(w)

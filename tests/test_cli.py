@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +82,37 @@ def test_invariants_reports_skipped_hom_count(tmp_path, capsys):
                        "--presentation", str(free7))
     assert code == 0
     assert json.loads(out)["hom_counts"] == {"S3": 6 ** 7, "S4": None}
+
+
+# a random presentation whose unsimplified 10 x 8 exponent matrix once
+# kept the Smith normal form busy for minutes
+TEN_RELATORS = """gens: 8
+x1^-2 x2^-1 x3^-2 x4 x5^-1 x6^-1 x7^-2 x8^-2
+x2 x4^-2 x5^-2 x6^-1 x7^2 x8^-2
+x1^2 x2 x3^-1 x4^-1 x5 x6^-2 x7^-1 x8^-1
+x1^2 x2^-2 x7^2
+x2^-1 x3^-2 x4 x5 x6^2 x7 x8^-1
+x2^2 x3^-1 x4 x6^-1 x7^2 x8^-2
+x1^2 x2^-2 x4 x5^-1 x6 x7^-2 x8
+x1^-2 x2 x4 x5^-1 x6^-2 x7^-1 x8^-2
+x1^-1 x2 x3^-1 x5^-2 x6 x8^-2
+x1 x2^-1 x3 x4^2 x5^2 x6^-2 x7
+"""
+
+
+def test_invariants_of_ten_random_relators_finish(tmp_path):
+    pres = tmp_path / "ten.pres"
+    pres.write_text(TEN_RELATORS)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "conicline.cli",
+                           "invariants", "--presentation", str(pres)],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "abelianization rank: 0" in proc.stdout
+    assert "abelianization torsion: []" in proc.stdout
 
 
 def test_bigness(tmp_path, capsys):

@@ -34,6 +34,61 @@ def test_smith_divisibility_chain():
         assert b % a == 0
 
 
+def _determinant(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * v * _determinant([row[:j] + row[j + 1:]
+                                             for row in m[1:]])
+               for j, v in enumerate(m[0]) if v)
+
+
+def _snf_by_determinantal_divisors(m):
+    """Reference: ``d_k / d_(k-1)``, ``d_k`` the gcd of the k x k minors."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    divisors = [1]
+    for k in range(1, min(rows, cols) + 1):
+        divisors.append(math.gcd(*(
+            _determinant([[m[i][j] for j in cs] for i in rs])
+            for rs in itertools.combinations(range(rows), k)
+            for cs in itertools.combinations(range(cols), k))))
+    return [b // a if a else 0 for a, b in zip(divisors, divisors[1:])]
+
+
+def test_smith_normal_form_matches_determinantal_divisors():
+    rng = random.Random(20261018)
+    cases = [[], [[]], [[0, 0, 0]], [[0], [0]], [[4, -6, 10]],
+             [[4], [-6], [10]], [[0, 0], [0, 6], [0, 4]],
+             [[2, 0, 3], [0, 0, 0]]]
+    for _ in range(1500):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        m = [[rng.randint(-9, 9) if rng.random() < 0.7 else 0
+              for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.2:
+            m[rng.randrange(rows)] = [0] * cols
+        if rng.random() < 0.2:
+            j = rng.randrange(cols)
+            for row in m:
+                row[j] = 0
+        cases.append(m)
+    for m in cases:
+        assert smith_normal_form(m) == _snf_by_determinantal_divisors(m), m
+
+
+# the exponent matrix of a random 8-generator presentation on which a
+# reduction that swaps each remainder into a fixed pivot column ran for
+# minutes, its entries growing past 400 bits
+RANDOM_10X8 = [
+    [-2, -1, -2, 1, -1, -1, -2, -2], [0, 1, 0, -2, -2, -1, 2, -2],
+    [2, 1, -1, -1, 1, -2, -1, -1], [2, -2, 0, 0, 0, 0, 2, 0],
+    [0, -1, -2, 1, 1, 2, 1, -1], [0, 2, -1, 1, 0, -1, 2, -2],
+    [2, -2, 0, 1, -1, 1, -2, 1], [-2, 1, 0, 1, -1, -2, -1, -2],
+    [-1, 1, -1, 0, -2, 1, 0, -2], [1, -1, 1, 2, 2, -2, 1, 0]]
+
+
+def test_smith_normal_form_of_a_random_10x8_matrix():
+    assert smith_normal_form(RANDOM_10X8) == [1] * 8
+
+
 def test_exponent_matrix():
     m = exponent_matrix(CONIC)
     assert m == [[2, 2], [2, 2]]

@@ -3,11 +3,11 @@ import pytest
 from conicline import words
 from conicline.braids import action_equal
 from conicline.errors import UnknownModel
-from conicline.local_models import (get_model, induced_relations, list_models,
-                                    paper_presentation)
+from conicline.local_models import get_model, list_models
 from conicline.invariants import invariant_bundle
 from conicline.presentations import Presentation
 from conicline.tietze import simplify
+from conicline.van_kampen import Factorization, present
 
 
 def test_catalog_is_stable_and_sorted():
@@ -48,8 +48,8 @@ def test_induced_relations_match_paper_relations():
     # as the printed relation set, for every model
     for mid in list_models():
         m = get_model(mid)
-        induced = induced_relations(m)
-        printed = paper_presentation(m)
+        induced = present(Factorization(m.strands, (m.braid,)))
+        printed = Presentation(m.strands, m.paper_relations)
         a = simplify(induced, 10000).presentation
         b = simplify(printed, 10000).presentation
         assert invariant_bundle(a) == invariant_bundle(b), mid

@@ -1,9 +1,11 @@
 import pytest
 
+from conicline import presentations, words
 from conicline.errors import DefinitionContainsTarget, ParseError
-from conicline.presentations import (Presentation, TietzeMove,
+from conicline.presentations import (Presentation, TietzeMove, apply_move,
                                      format_presentation, parse_presentation,
                                      replay)
+from conicline.van_kampen import parse_factorization, parse_mt_table
 
 CONIC = Presentation(2, [(1, 2, 1, 2), (2, 1, 2, 1)])
 
@@ -34,16 +36,6 @@ def test_substitute_rejects_self_reference():
         p.substitute(2, (2, 1))
 
 
-def test_add_generator_then_remove_is_tietze_trivial():
-    p = CONIC.add_generator((1, 2))
-    assert p.ngen == 3
-    # the defining relator pins the new generator to x1 x2
-    q = p.substitute(3, (1, 2))
-    assert q.ngen == 2
-    nonempty = {r for r in q.relators if r}
-    assert nonempty <= set(CONIC.relators)
-
-
 def test_trace_replays():
     p = CONIC.add_relators([(1, 2, 1, 2)]).remove_relator(0)
     replayed = replay(CONIC, p.trace[len(CONIC.trace):])
@@ -68,7 +60,6 @@ def test_parse_refuses_generator_names():
         parse_presentation("gens: 2\nnames: a b\na b\n")
 
 
-
 def test_replace_relator_reduces_and_range_checks_the_new_word():
     q = CONIC.replace_relator(0, (2, 1, 1, -1, -1, 1, -2))
     assert q.relators == ((1,), CONIC.relators[1])
@@ -86,3 +77,55 @@ def test_remove_and_replace_keep_the_other_relators():
                                  TietzeMove("replace_relator",
                                             (0, (1,), "why")))
     assert replay(p, q.trace) == q
+
+
+def test_every_move_kind_replays_to_an_equal_presentation():
+    p = Presentation(4, [(1, 2, 1, 2), (2, 1, 2, 1), (4, -3, -1), (3, 3)])
+    swap = {1: (2,), 2: (1,), 3: (3,)}
+    q = (p.add_relators([(3, 1, -3, -1)], "extra")
+         .remove_relator(3, "why")
+         .replace_relator(0, (1, 2, 1, 2, 3, -3), "same word")
+         .substitute(4, (1, 3))
+         .change_generators(swap, swap))
+    assert {m.kind for m in q.trace} == set(presentations._MOVES)
+    r = replay(p, q.trace)
+    assert r == q and r.trace == q.trace
+
+
+def _substitute_in_two_passes(p, g, definition):
+    """Reference: substitute the definition, then shift generators above g."""
+    images = {h: (h,) for h in range(1, p.ngen + 1)}
+    images[g] = definition
+    shift = {h: (h,) if h < g else (h - 1,)
+             for h in range(1, p.ngen + 1) if h != g}
+    return Presentation(p.ngen - 1, [
+        words.substitute_letters(words.substitute_letters(r, images), shift)
+        for r in p.relators])
+
+
+def test_substitute_matches_the_two_pass_reference():
+    # x2 := x3^-1 x4 x1: a middle generator defined over higher ones; the
+    # first relator only reduces cyclically after the substitution
+    p = Presentation(4, [(2, 1, 3), (1, 2, 4, 2), (4, -3, 2, 2), (3, 4)])
+    definition = (-3, 4, 1)
+    q = p.substitute(2, definition)
+    assert q == _substitute_in_two_passes(p, 2, definition)
+    assert q.relators[0] == (3, 1, 1)
+    assert q.trace == (TietzeMove("eliminate", (2, definition)),)
+
+
+def test_apply_move_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="add_generator"):
+        apply_move(CONIC, TietzeMove("add_generator", ((1, 2),)))
+
+
+@pytest.mark.parametrize("parse, key, what", [
+    (parse_presentation, "gens", "presentation"),
+    (parse_factorization, "strands", "factorization"),
+    (parse_mt_table, "strands", "table"),
+])
+@pytest.mark.parametrize("text", ["x1 x2\n", "{key}: two\n", "{key} 2\n",
+                                  "# {key}: 2\n"])
+def test_text_formats_refuse_a_bad_header(parse, key, what, text):
+    with pytest.raises(ParseError, match=what):
+        parse(text.format(key=key))

@@ -49,10 +49,9 @@ def test_preserves_invariant_bundle():
 
 
 def _padded_conic():
-    p = CONIC
-    for d in [(1,), (2,), (1, 2), (2, -1)]:
-        p = p.add_generator(d)
-    return p
+    """The conic pair with x3..x6 defined as x1, x2, x1 x2 and x2 x1^-1."""
+    return Presentation(6, CONIC.relators + ((3, -1), (4, -2), (5, -2, -1),
+                                             (6, 1, -2)))
 
 
 def test_big_presentation_reaches_small_form():
