@@ -5,7 +5,12 @@
 * homomorphism counting into small finite groups, enumerating the images
   of the first two generators only up to simultaneous conjugation and
   computing each product of a letter pair repeated across the relators
-  once per block of rows,
+  once per block of rows.  A block is several whole orbits, or one
+  orbit with its higher digits fixed; its digit columns are tiled once
+  per call, an image constant on the block is a Python scalar that
+  folds into a table row or lookup, an inverse folds into a table of
+  signed products, and index arithmetic runs in the least unsigned
+  dtype holding ``size * size - 1``,
 * a comparison verdict (equivalent / distinct / inconclusive) built from
   simplification, invariant bundles and relabelling,
 * the step-by-step certificate that a group surjects onto the quotient
@@ -256,61 +261,120 @@ def count_homs(p, table, budget=10 ** 8):
     simultaneously conjugate extend in equally many ways.  Hence only
     one representative per conjugation orbit of those ``k`` images is
     enumerated, weighted by the orbit's size, together with every image
-    of the other ``ngen - k`` generators: ``#orbits * |target| **
-    (ngen - k)`` rows (S4 x S4 has 43 orbits, S3 x S3 has 11).  Rows are
-    evaluated in fixed-size blocks, so memory stays bounded.
+    of the other ``ngen - k`` generators, the dense digits: ``#orbits *
+    |target| ** (ngen - k)`` rows (S4 x S4 has 43 orbits, S3 x S3 has
+    11).
+
+    Rows are evaluated in blocks of at most ``_CHUNK_ROWS``, whose shape
+    is fixed once per call.  When the ``dense = |target| ** (ngen - k)``
+    rows of one orbit fit, a block is ``_CHUNK_ROWS // dense`` whole
+    orbits; otherwise it is one orbit times ``|target| ** m`` rows, the
+    largest power that fits, with the higher dense digits fixed.  The
+    varying digit columns are tiled once per call, so no block computes
+    its rows' digits: an orbit image is ``np.repeat`` of the block's
+    representatives, and an image that is constant on the block (the
+    orbit's, when the block holds one orbit, or a fixed high digit) is a
+    Python scalar.
 
     The relators are evaluated as a straight-line program (see
     :func:`_straight_line`): a product of a letter pair that repeats
     across the relators, or of two such products, is computed once per
-    block, one table gather for all rows of the block, and each relator
-    is then a short word over generators and these products.  The
-    derived groups repeat the same subwords, so the 80 relator letters
-    of the simplified n = 5 tangency group take 18 products per block.
+    block, and each relator is then a short word over generators and
+    these products.  The derived groups repeat the same subwords, so the
+    80 relator letters of the simplified n = 5 tangency group take 18
+    products per block.
+
+    Scalars fold: a product of two scalars is a table lookup in Python,
+    a scalar times a column one gather from a ``|target|``-entry row or
+    column of the table, and only a product of two columns gathers from
+    the whole table at ``a * size + b``.  Inverses fold as well: a
+    scalar's inverse is looked up, and the signs of two columns pick one
+    of four tables of ``a^+-1 b^+-1``, so no block gathers an inverse
+    column.  Index arithmetic runs in the least unsigned dtype that
+    holds ``size * size - 1``, named on every operation so that no numpy
+    casting rule can narrow an index and wrap it.  Each block's count is
+    its per-orbit hit counts weighted by the orbit sizes.
 
     Raises :class:`BudgetExceeded` when that number of rows exceeds
     ``budget``: the budget counts rows, however few products each takes.
     """
     size, n = table.size, p.ngen
     k, reps, weights, dense = _hom_rows(n, table, budget)
-    rows = len(weights) * dense
     products, words = _straight_line(p.relators, n)
-    # mult[a * size + b] = a b and scaled[a * size + b] = (a b) * size:
-    # a product is one gather once its left factor is scaled by size
-    mult = np.asarray(table.mult, dtype=reps.dtype).ravel()
-    scaled = (mult.astype(np.intp) * size).astype(
-        np.min_scalar_type(size * size - 1))
-    step = scaled.dtype.type(size)
-    inv = np.asarray(table.inverse, dtype=reps.dtype)
-    place = size ** np.arange(n - k)
-    e = table.identity * step
-    index = np.empty(_CHUNK_ROWS, dtype=np.intp)
+    small, index = reps.dtype, np.min_scalar_type(size * size - 1)
+    # prod[sa, sb][a, b] = a^sa b^sb, scaled[sa, sb] the same times size:
+    # a product of columns is one gather at a * size + b, whatever signs
+    mult = np.asarray(table.mult, dtype=small)
+    elems = {1: np.arange(size), -1: np.asarray(table.inverse)}
+    prod = {(sa, sb): mult[elems[sa]][:, elems[sb]]
+            for sa in (1, -1) for sb in (1, -1)}
+    scaled = {key: np.multiply(t, size, dtype=index)
+              for key, t in prod.items()}
+    by_right = {key: t.T.copy() for key, t in prod.items()}
+    tmult, tinv, e = table.mult, table.inverse, table.identity
 
-    def value(s):  # the block's column of symbol s
-        if s not in column:  # an inverse, made on first use
-            column[s] = inv.take(column[-s])
-        return column[s]
+    free = n - k
+    if dense <= _CHUNK_ROWS:
+        group, vary = min(_CHUNK_ROWS // dense, len(weights)), free
+    else:
+        group, vary = 1, 0
+        while size ** (vary + 1) <= _CHUNK_ROWS:
+            vary += 1
+    per = size ** vary  # rows of one orbit in a block
+    # dense digit j of row r is r // size**j % size, for every orbit alike
+    digits = [np.tile(np.repeat(np.arange(size, dtype=small), size ** j),
+                      size ** (vary - 1 - j) * group) for j in range(vary)]
+    at = np.empty(group * per, dtype=index)
+
+    def value(s):  # a scalar with its sign folded in, or a column and sign
+        v = column[abs(s)]
+        if type(v) is int:
+            return (v if s > 0 else tinv[v]), 1
+        return v, (1 if s > 0 else -1)
 
     total = 0
-    for lo in range(0, rows, _CHUNK_ROWS):
-        orbit, rest = np.divmod(np.arange(lo, min(lo + _CHUNK_ROWS, rows)),
-                                dense)
-        images = [reps[orbit, j] for j in range(k)]
-        images += [(rest // place[j] % size).astype(reps.dtype)
-                   for j in range(n - k)]
-        column = dict(enumerate(images, 1))
-        at = index[:orbit.size]
-        for s, (a, b) in enumerate(products, n + 1):
-            np.add(value(a) * step, value(b), out=at)
-            column[s] = mult.take(at)
-        ok = np.ones(orbit.size, dtype=bool)
-        for w in words:
-            acc = value(w[0]) * step
-            for s in w[1:]:
-                np.add(acc, value(s), out=at)
-                scaled.take(at, out=acc)
-            ok &= acc == e
-        total += int(weights[orbit[ok]].sum())
+    for o0 in range(0, len(weights), group):
+        o1 = min(o0 + group, len(weights))
+        rows = (o1 - o0) * per
+        if o1 - o0 == 1:
+            orbit = [int(a) for a in reps[o0]]
+        else:
+            orbit = [np.repeat(reps[o0:o1, j], per) for j in range(k)]
+        low = [d[:rows] for d in digits]
+        buf = at[:rows]
+        for high in itertools.product(range(size), repeat=free - vary):
+            column = dict(enumerate(orbit + low + list(high), 1))
+            for s, (a, b) in enumerate(products, n + 1):
+                (a, sa), (b, sb) = value(a), value(b)
+                if type(a) is int:
+                    column[s] = (tmult[a][b] if type(b) is int
+                                 else prod[1, sb][a].take(b))
+                elif type(b) is int:
+                    column[s] = by_right[sa, 1][b].take(a)
+                else:
+                    np.multiply(a, size, out=buf, dtype=index)
+                    np.add(buf, b, out=buf, dtype=index)
+                    column[s] = prod[sa, sb].ravel().take(buf)
+            ok = np.ones(rows, dtype=bool)
+            for w in words:
+                # a scalar, or a column times size whose sign is sa
+                acc, sa = value(w[0])
+                if type(acc) is not int:
+                    acc = np.multiply(acc, size, dtype=index)
+                for s in w[1:]:
+                    b, sb = value(s)
+                    if type(acc) is int:
+                        acc = (tmult[acc][b] if type(b) is int
+                               else scaled[1, sb][acc].take(b))
+                    elif type(b) is int:
+                        acc = scaled[sa, 1].ravel()[b:].take(acc)
+                    else:
+                        np.add(acc, b, out=buf, dtype=index)
+                        acc = scaled[sa, sb].ravel().take(buf)
+                    sa = 1
+                # x^-1 is the identity exactly when x is
+                ok &= acc == (e if type(acc) is int else e * size)
+            total += int(ok.reshape(o1 - o0, per).sum(1) @ weights[o0:o1])
     return total
 
 

@@ -109,16 +109,24 @@ class Presentation:
         ``old_in_new`` expresses each old generator over the new ones;
         the two maps must invert each other under free reduction.  Each
         map is a dict or, as recorded in the move, its sorted items.
+        Maps that are not both keyed by exactly ``1 .. ngen`` over words
+        in those generators raise :class:`MapsNotInverse`.
         """
         new_in_old, old_in_new = dict(new_in_old), dict(old_in_new)
-        if len(new_in_old) != len(old_in_new) or len(old_in_new) != self.ngen:
+        gens = set(range(1, self.ngen + 1))
+        if new_in_old.keys() != gens or old_in_new.keys() != gens:
             raise MapsNotInverse("generator maps must both cover every generator")
+        if any(not 1 <= abs(a) <= self.ngen
+               for m in (new_in_old, old_in_new)
+               for w in m.values() for a in w):
+            raise MapsNotInverse(
+                "a generator map uses a generator the other does not cover")
         for g in range(1, self.ngen + 1):
             round_trip = words.substitute_letters(old_in_new[g], new_in_old)
             if round_trip != (g,):
                 raise MapsNotInverse(
                     f"x{g} -> {old_in_new[g]} -> {round_trip} is not the identity")
-        for h in range(1, len(new_in_old) + 1):
+        for h in range(1, self.ngen + 1):
             round_trip = words.substitute_letters(new_in_old[h], old_in_new)
             if round_trip != (h,):
                 raise MapsNotInverse(

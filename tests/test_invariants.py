@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from conicline import invariants
 from conicline.errors import BudgetExceeded, ScriptStepFailed
 from conicline.invariants import (GroupTable, _hom_rows, _straight_line,
                                   abelianization, bigness_certificate,
@@ -227,6 +228,44 @@ def test_count_homs_highest_generator_unused(relators, homs):
     assert count_homs(p, s3) == _brute_force_homs(p, s3) == homs
 
 
+@pytest.mark.parametrize("chunk, name, ngen", [
+    (1 << 15, "S4", 0),
+    (1 << 15, "S4", 1),
+    (1 << 15, "S4", 2),   # 43 orbits of one row in one block
+    (4, "S3", 2),         # four orbits a block, the last holding three
+    (1, "S3", 1),         # one row a block: every image a scalar
+    (96, "S4", 3),        # four orbits of 24 rows, the last block three
+    (16, "D4", 3),        # two orbits of 8 rows, identity not 0
+    (20, "S3", 4),        # one orbit times 6 rows, one high digit fixed
+    (20, "S3", 5),        # one orbit times 6 rows, two high digits fixed
+    (30, "S4", 4),        # one orbit times 24 rows, one high digit fixed
+    (12, "D4", 4),        # one orbit times 8 rows, identity not 0
+    (5, "S3", 3),         # fewer rows than elements: all scalars
+    (6, "D4", 3),         # all scalars, identity not 0
+    (1 << 15, "S4", 5),   # two orbits a block, the last holding one
+])
+def test_count_homs_every_block_shape(monkeypatch, chunk, name, ngen):
+    monkeypatch.setattr(invariants, "_CHUNK_ROWS", chunk)
+    table = (_relabelled_dihedral_table() if name == "D4"
+             else builtin_table(name))
+    rng = random.Random(chunk * 10 + ngen)
+    for _ in range(2 if ngen == 5 else 6):
+        p = _seeded_presentation(rng, ngen)
+        assert count_homs(p, table) == _per_letter_homs(p, table), p
+
+
+def test_count_homs_needs_32_bit_indices():
+    # a * 257 + b reaches 66048, past uint16: x1^m has gcd(m, 257) images
+    c257 = GroupTable("C257", 257,
+                      tuple(tuple((a + b) % 257 for b in range(257))
+                            for a in range(257)),
+                      tuple(-a % 257 for a in range(257)))
+    for relators, homs in [([(1,) * 257], 257), ([(1,) * 5], 1),
+                           ([(1,) * 514, (1, 1, 1, -1)], 1), ([], 257)]:
+        p = Presentation(1, relators)
+        assert count_homs(p, c257) == _per_letter_homs(p, c257) == homs
+
+
 def _expand(products, words, ngen):
     """The relators a straight-line program stands for, as letters."""
     letters = {}
@@ -270,7 +309,8 @@ def test_straight_line_shares_tangency_subwords():
 
 
 @pytest.mark.parametrize("n, s3, s4", [(3, 162, 6216), (4, 918, 141528),
-                                       (5, 5346, 3342984)])
+                                       (5, 5346, 3342984),
+                                       (6, 31590, 79824792)])
 def test_count_homs_tangency_published(n, s3, s4):
     braid, _ = generalized_tangency(n)
     q = simplify(present(Factorization(n, (braid,)))).presentation
@@ -357,7 +397,6 @@ def test_bundle_cache_keys_tables_by_value():
 
 
 def test_bundle_cache_counts_each_miss_through_the_module(monkeypatch):
-    from conicline import invariants
     calls = []
 
     def counting(p, table, budget):

@@ -1,7 +1,8 @@
 import pytest
 
 from conicline import presentations, words
-from conicline.errors import DefinitionContainsTarget, ParseError
+from conicline.errors import (DefinitionContainsTarget, MapsNotInverse,
+                              ParseError)
 from conicline.presentations import (Presentation, TietzeMove, apply_move,
                                      format_presentation, parse_presentation,
                                      replay)
@@ -90,6 +91,17 @@ def test_every_move_kind_replays_to_an_equal_presentation():
     assert {m.kind for m in q.trace} == set(presentations._MOVES)
     r = replay(p, q.trace)
     assert r == q and r.trace == q.trace
+
+
+@pytest.mark.parametrize("new_in_old, old_in_new", [
+    ({1: (1,), 2: (2,)}, {1: (1,), 2: (3,)}),   # a word over uncovered x3
+    ({1: (1,), 5: (2,)}, {1: (1,), 2: (2,)}),   # keys not 1..ngen
+    ({1: (1,), 2: (2,)}, {1: (1,), 3: (2,)}),   # keys not 1..ngen
+])
+def test_change_generators_refuses_maps_that_do_not_cover(new_in_old,
+                                                          old_in_new):
+    with pytest.raises(MapsNotInverse):
+        Presentation(2, [(1, 2)]).change_generators(new_in_old, old_in_new)
 
 
 def _substitute_in_two_passes(p, g, definition):
