@@ -69,6 +69,14 @@ def _parse_complex(s):
         raise ConiclineError(f"bad complex number {s!r}") from None
 
 
+def _parse_radius(s):
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise ConiclineError(f"bad radius {s!r}, expected a rational "
+                             f"number") from None
+
+
 def _parse_range(s):
     try:
         a, b = s.split(":")
@@ -80,7 +88,7 @@ def _parse_range(s):
 def _cmd_track(args):
     p = CurvePoly.parse(args.poly)
     loop = LoopSpec(center=_parse_complex(args.center),
-                    radius=Fraction(args.radius),
+                    radius=_parse_radius(args.radius),
                     samples=args.samples)
     t0, t1 = _parse_range(args.range)
     tb = track(p, loop, t0, t1)

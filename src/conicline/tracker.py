@@ -4,15 +4,10 @@ A curve ``p(x, y) = 0`` is tracked by sampling the fiber roots in ``y``
 along ``x(t) = center + radius * exp(2 pi i t)``, matching consecutive
 fibers, and emitting an Artin letter whenever two strands adjacent in
 the real-part order exchange places.  The fibers over all sample points
-are solved in one batch (``CurvePoly.fibers``), with roots identical to
-``np.roots`` and checked by their residuals.  Each old root is matched
-to its nearest new root; a step is accepted only when that map is
-one-to-one and every root moves at most 1/``MATCH_SAFETY`` of the gap
-between the new roots, which makes it the unique minimum-cost
-assignment.  All steps of the grid are matched at once in numpy; steps
-whose matching is ambiguous, or which hold several overlapping
-exchanges, are bisected level by level, each level's midpoints solved
-in one batch and its half-steps matched at once.
+are solved in one batch into an array (``CurvePoly.fiber_rows``), and
+all steps of the grid are matched at once (``_match_rows``); steps that
+fail are bisected level by level, each level's midpoints solved in one
+batch and its half-steps matched at once.
 
 Strand order is by ``Re(y)`` with ties broken by ``Im(y)``; this is
 implemented as the order of ``Re(exp(-i*delta) * y)`` for a tiny fixed
@@ -21,6 +16,7 @@ real part.
 """
 
 import cmath
+import functools
 import re
 import sys
 from dataclasses import dataclass
@@ -36,6 +32,8 @@ from .errors import (AmbiguousMatching, CollisionOnLoop, ConiclineError,
 _TIE_DELTA = 1e-3
 _COS_D = cmath.cos(_TIE_DELTA).real
 _SIN_D = cmath.sin(_TIE_DELTA).real
+_TWO_PI_I = 2j * cmath.pi
+_pairs = functools.cache(lambda n: np.triu_indices(n, 1))   # k < j of n
 
 RESIDUAL_TOL = 1e-10
 MATCH_SAFETY = 5.0
@@ -62,41 +60,41 @@ class CurvePoly:
 
     def y_coefficients(self, xs):
         """The fiber polynomials over ``xs``, one row per x, constant term
-        first; summed term by term over Python's own complex powers."""
-        rows = []
-        for x in xs:
-            try:
-                rows.append([x ** i for i in range(self.degx + 1)])
-            except OverflowError:
-                raise ConiclineError(
-                    f"x^{self.degx} overflows a float at x={x}") from None
-        powers = np.array(rows, dtype=complex).reshape(len(xs), self.degx + 1)
-        out = np.zeros((len(xs), self.degy + 1), dtype=complex)
+        first, summed over ``np.power(x, i)``: Python's ``x ** i`` for ``i <
+        100`` but for the sign of a zero part, which the sum washes out.
+        An infinite power is refused, as Python overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = np.power(np.asarray(xs, dtype=complex)[:, None],
+                              np.arange(self.degx + 1))
+            powers[:, 2:3] *= 1   # Python's x ** 2 is 1 * (x * x)
+        if np.isinf(powers).any():
+            x = xs[np.isinf(powers).any(axis=1).argmax()]
+            raise ConiclineError(f"x^{self.degx} overflows a float at x={x}")
+        out = np.zeros((len(powers), self.degy + 1), dtype=complex)
         for i, j, c in self.terms:
             out[:, j] += c * powers[:, i]
         return out
 
-    def fibers(self, xs, tol=RESIDUAL_TOL):
-        """Per x in ``xs``, its ``degy`` fiber roots in strand order, or the
-        error refusing the fiber, returned for a tracker to raise on
-        reaching it.  Roots equal ``np.roots`` bit for bit: zero low-order
-        coefficients give zero roots, the rest are companion-matrix
-        eigenvalues, one stacked ``eigvals`` call per zero-root count.
-        Refused: ``|a_n| <= tol max |a_j|`` (``LeadingCoefficientVanishes``)
-        or ``|sum a_j r^j| > 1e4 tol max(sum |a_j| max(1, |r|)^j, 1)`` for
-        a root ``r`` (``NoConvergence``)."""
+    def fiber_rows(self, xs, tol=RESIDUAL_TOL):
+        """The fiber roots over each x in ``xs`` in strand order, one row
+        per x, and ``{row: error}`` of the refused rows (NaN), to raise on
+        reaching them.  Roots equal ``np.roots``: eigenvalues of companion
+        matrices stacked per count of zero roots.  Refused: ``|a_n| <= tol
+        max |a_j|`` (``LeadingCoefficientVanishes``) or ``|sum a_j r^j| >
+        1e4 tol max(sum |a_j| max(1, |r|)^j, 1)`` for a root ``r``
+        (``NoConvergence``)."""
         coeffs = self.y_coefficients(xs)
         n = self.degy
         mags = np.abs(coeffs)
         solvable = mags[:, -1] > tol * mags.max(axis=1)
-        zeros = (coeffs == 0).cumprod(axis=1).sum(axis=1)
-        roots = np.zeros((len(xs), n), dtype=complex)
+        zeros = (coeffs == 0).argmin(axis=1)   # a solvable row's a_n != 0
+        roots = np.zeros((len(coeffs), n), dtype=complex)
         for z in set(zeros[solvable].tolist()) - {n}:   # n: all roots 0
             rows = np.flatnonzero(solvable & (zeros == z))
             top = coeffs[rows, z:][:, ::-1]   # highest degree first
             comp = np.zeros((len(rows), n - z, n - z), dtype=complex)
             comp[:, 0, :] = -top[:, 1:] / top[:, :1]
-            comp[:, 1:, :-1] = np.eye(n - z - 1)
+            comp.reshape(len(rows), -1)[:, n - z::n - z + 1] = 1
             roots[rows, :n - z] = np.linalg.eigvals(comp)
         a, m, r = coeffs[solvable], mags[solvable], roots[solvable]
         residual, res_scale, grow = a[:, -1:], m[:, -1:], np.maximum(abs(r), 1)
@@ -106,13 +104,19 @@ class CurvePoly:
         bad = (abs(residual) > 1e4 * tol * np.maximum(res_scale, 1)).any(1)
         order = np.argsort(roots.real * _COS_D + roots.imag * _SIN_D,
                            axis=1, kind="stable")
-        out = np.take_along_axis(roots, order, axis=1).tolist()
-        for k in np.flatnonzero(~solvable):
-            out[k] = LeadingCoefficientVanishes(
-                f"leading y-coefficient vanishes at x={xs[k]}")
-        for k in np.flatnonzero(solvable)[bad]:
-            out[k] = NoConvergence(f"root residual too large at x={xs[k]}")
-        return out
+        roots = roots[np.arange(len(roots))[:, None], order]
+        refused = ~solvable
+        refused[solvable] = bad
+        roots[refused] = np.nan
+        return roots, {k: NoConvergence(f"root residual too large at x={xs[k]}")
+                       if solvable[k] else LeadingCoefficientVanishes(
+                           f"leading y-coefficient vanishes at x={xs[k]}")
+                       for k in np.flatnonzero(refused).tolist()}
+
+    def fibers(self, xs, tol=RESIDUAL_TOL):
+        """``fiber_rows`` as a list: per x its roots, or its error."""
+        roots, refused = self.fiber_rows(xs, tol)
+        return [refused.get(k, row) for k, row in enumerate(roots.tolist())]
 
     def roots_at(self, x, tol=RESIDUAL_TOL):
         """``fibers`` on a batch of one, raising a refused fiber's error."""
@@ -167,11 +171,12 @@ class LoopSpec:
             raise ValueError("need a finite center and a finite radius > 0")
         if self.samples < 8:
             raise ValueError("need at least 8 samples")
-        # point() runs once per sample: convert the exact radius once
+        # point() runs once per sample: convert center and radius once
+        object.__setattr__(self, "_center", complex(self.center))
         object.__setattr__(self, "_radius", float(self.radius))
 
     def point(self, t):
-        return complex(self.center) + self._radius * cmath.exp(2j * cmath.pi * t)
+        return self._center + self._radius * cmath.exp(_TWO_PI_I * t)
 
 
 @dataclass
@@ -204,37 +209,35 @@ def track_path(p, xfun, t0=0.0, t1=1.0, samples=256):
     is accepted at once.  Any other step is bisected, up to
     ``MAX_REFINE`` times; a step still unresolved at that depth is
     accepted only as an exactly simultaneous symmetric crossing (see
-    ``_reversed_blocks``).  Steps are matched in batches: the whole grid
-    first, then the pending steps of least path key (grid index, then 0
-    or 1 per bisection), at most as many as the grid has, with one
-    ``fibers`` call for each batch's midpoints; that is one batch per
-    level of bisection unless steps keep failing at every level.  Letters
-    and the error raised follow the path in key order, and steps past the
-    first error are dropped, so a region that keeps failing costs at most
-    ``MAX_REFINE + 1`` batches more than a walk along the path.
+    ``_reversed_blocks``).  Steps are matched in batches: the whole grid,
+    then per level of bisection the pending steps of least path key (grid
+    index, then 0 or 1 per bisection), at most as many as the grid has,
+    with one solve of their midpoints.  Letters and the error raised
+    follow the path in key order, and steps past the first error are
+    dropped, so a region that keeps failing costs at most ``MAX_REFINE +
+    1`` batches more than a walk along the path.
     """
     if t1 <= t0:
         raise ValueError("need t1 > t0")
     if p.degy == 0:
         raise ConiclineError("the curve has no strands: it has no y term")
     ts = [t0 + (t1 - t0) * k / samples for k in range(samples + 1)]
-    fibers = p.fibers([xfun(t) for t in ts])
+    grid, refused = p.fiber_rows([xfun(t) for t in ts])
     # no step goes past the first refused fiber
-    stop = next((k for k, f in enumerate(fibers) if not isinstance(f, list)),
-                samples + 1)
+    stop = min(refused, default=samples + 1)
     if stop == 0:
-        raise fibers[0]
-    events = [((stop - 1,), fibers[stop])] if stop <= samples else []
-    limit = (stop - 1,)   # the least key of an error so far, or past all
-    # pending steps as (key, start t, end t) in key order, with their fibers
+        raise refused[0]
+    # the first error on the path so far and its key (or a key past all
+    # steps), and the letters of each resolved step by its key
+    limit, error, words = (stop - 1,), refused.get(stop), []
+    # pending steps (key, start t, end t) in key order; ends: their fibers
     steps = [((k,), ts[k], ts[k + 1]) for k in range(stop - 1)]
-    grid = np.array(fibers[:stop], dtype=complex)
-    a, b = grid[:-1], grid[1:]
+    ends = np.stack([grid[:stop - 1], grid[1:stop]], axis=1)
     batch = max(stop - 1, 1)
     min_gap, refinements = _gaps(grid[:1])[0], 0
     while steps:
-        now, a_now, b_now = steps[:batch], a[:batch], b[:batch]
-        steps, a, b = steps[batch:], a[batch:], b[batch:]
+        now, (a_now, b_now) = steps[:batch], ends[:batch].swapaxes(0, 1)
+        steps, ends = steps[batch:], ends[batch:]
         gaps = _gaps(b_now)
         min_gap = gaps.min(initial=min_gap)
         perms, accepted = _match_rows(a_now, b_now, gaps)
@@ -255,36 +258,31 @@ def track_path(p, xfun, t0=0.0, t1=1.0, samples=256):
                             > a_now[i, k].imag + b_now[i, j].imag else -1)
                     for top in range(j - 1, k - 1, -1):
                         word.extend(sign * s for s in range(k + 1, top + 2))
-                events.append((key, word))
-            else:
-                events.append((key, CollisionOnLoop(
+                words.append((key, word))
+            elif key < limit:
+                limit, error = key, (CollisionOnLoop(
                     f"unresolvable crossing cluster near t={ta}")
                     if accepted[i] else AmbiguousMatching(
-                    f"matching stayed ambiguous near t={ta}")))
-                limit = min(limit, key)
-        refinements += len(halve)
-        tm = [(now[i][1] + now[i][2]) / 2 for i in halve]
-        mids = p.fibers([xfun(t) for t in tm])
-        for i, m in zip(halve, mids):
-            if not isinstance(m, list):   # its halves lie past the limit
-                events.append((now[i][0], m))
-                limit = min(limit, now[i][0])
-        mid = np.array([m if isinstance(m, list) else [np.nan] * p.degy
-                        for m in mids], complex).reshape(-1, p.degy)
-        steps += ([(now[i][0] + (0,), now[i][1], t) for i, t in zip(halve, tm)]
-                  + [(now[i][0] + (1,), t, now[i][2])
-                     for i, t in zip(halve, tm)])
-        a = np.concatenate([a, a_now[halve], mid])
-        b = np.concatenate([b, mid, b_now[halve]])
-        order = sorted((i for i, step in enumerate(steps) if step[0] < limit),
-                       key=lambda i: steps[i][0])
-        steps, a, b = [steps[i] for i in order], a[order], b[order]
-    letters = []
-    for _, event in sorted(events, key=lambda e: e[0]):
-        if isinstance(event, ConiclineError):
-            raise event
-        letters += event
-    braid = BraidWord(p.degy, letters)
+                    f"matching stayed ambiguous near t={ta}"))
+        if halve:
+            refinements += len(halve)
+            tm = [(now[i][1] + now[i][2]) / 2 for i in halve]
+            mid, refused = p.fiber_rows([xfun(t) for t in tm])
+            for r, exc in refused.items():   # its halves lie past the limit
+                if now[halve[r]][0] < limit:
+                    limit, error = now[halve[r]][0], exc
+            # a step's halves precede every later pending step in key order
+            steps = [half for i, t in zip(halve, tm) for half in (
+                (now[i][0] + (0,), now[i][1], t),
+                (now[i][0] + (1,), t, now[i][2]))] + steps
+            amb = np.stack([a_now[halve], mid, b_now[halve]], axis=1)
+            ends = np.concatenate([amb[:, [[0, 1], [1, 2]]].reshape(
+                -1, 2, p.degy), ends])   # a to mid, mid to b
+        steps = [step for step in steps if step[0] < limit]   # a prefix
+        ends = ends[:len(steps)]
+    if error is not None:
+        raise error
+    braid = BraidWord(p.degy, [s for _, word in sorted(words) for s in word])
     return TrackedBraid(braid, braid_permutation(braid), float(min_gap),
                         refinements)
 
@@ -298,9 +296,9 @@ def _distances(roots, new_roots):
 
 def _gaps(fibers):
     """The least distance between two roots of each row (inf for fewer)."""
-    upper = np.triu_indices(fibers.shape[1], 1)
-    return _distances(fibers, fibers)[:, upper[0], upper[1]].min(
-        axis=1, initial=np.inf)
+    k, j = _pairs(fibers.shape[1])
+    d = fibers[:, k] - fibers[:, j]
+    return np.hypot(d.real, d.imag).min(axis=1, initial=np.inf)
 
 
 def _match_rows(roots, new_roots, gaps):
@@ -310,9 +308,11 @@ def _match_rows(roots, new_roots, gaps):
     ``perms[i, k]`` is the new position of strand ``k``."""
     dist = _distances(roots, new_roots)
     perms = dist.argmin(axis=2)   # the first nearest, as ``min`` picks
-    moves = np.take_along_axis(dist, perms[:, :, None], axis=2).max(axis=(1, 2))
+    # each strand's move by a gather: ``min`` over the short axis is slower
+    moves = dist.reshape(perms.size, -1)[np.arange(perms.size), perms.ravel()]
     one_to_one = (np.sort(perms, axis=1) == np.arange(perms.shape[1])).all(1)
-    return perms, one_to_one & ~(moves * MATCH_SAFETY > gaps)
+    return perms, one_to_one & ~(moves.reshape(perms.shape).max(axis=1)
+                                 * MATCH_SAFETY > gaps)
 
 
 def _match(roots, new_roots):

@@ -185,6 +185,8 @@ def test_present_reads_lefschetz_table_without_flag(tmp_path, capsys):
     (["--poly", "1"], "no strands"),
     (["--poly", "y^2-x", "--radius", "1e400"], "finite"),
     (["--poly", "y^2-x", "--center", "1e400"], "finite"),
+    (["--poly", "y^2-x", "--radius", "1/0"], "bad radius"),
+    (["--poly", "y^2-x", "--radius", "one"], "bad radius"),
 ])
 def test_track_refuses_untrackable_input(capsys, argv, message):
     code, _, err = run(capsys, "track", *argv)

@@ -323,14 +323,52 @@ def test_zero_constant_coefficient_at_one_grid_point():
                 tb.min_gap) == ((1,), (2, 1), 0, 1.0)
 
 
-def test_tracked_braid_unchanged_at_1024_samples():
-    equation = CONIC_PAIR + "*(10*y-20*x-1)*(10*y+30*x-7)"
+# The same digests at 1024 samples, recorded before the fibers were solved
+# into arrays: every curve of ``GOLDEN_TRACKS`` on the same loop.
+GOLDEN_TRACKS_1024 = {
+    '3comp-common-tangent':
+        '035335baf0e3c0e5428d3cc2bac927c0f224770127d91730e769b70bc4675d23',
+    '3comp-rotation':
+        '7aa598e4759360620e5f6590866ee09a0fe01394ccbbf3bdf29eeacc453eb290',
+    '3comp-type1':
+        '3a3143c82374e640abcd56a1372d0d682729136bef6c53a3e8f3ac8a683468cf',
+    '3comp-type2':
+        '86de3e455f1e5bb0f364cb6c4dbea4b7a980d7b4d2b824bb563441ede6df25a2',
+    '4comp-tangentline-type1':
+        '345c0dce14f32580d5b358a2f03a88c26a729ffa93c987ff8358073020169a40',
+    '4comp-tangentline-type2':
+        '9e67e4ff240f43a622f91857b4b5e4f7f6b156cb61216a26ded1f315bce44897',
+    '4comp-twolines-type1':
+        'eaa37cd5578e33d071f55d0c5b9066168b0ce6813cfafc71d5820873410ba08c',
+    '4comp-twolines-type2':
+        '95b77c38568f7535e72166d3fbdcc2eed63d6f0f53db4de9388b8b36d3b3d8d1',
+    'branch-point':
+        '01413787fb809d6c3dfa4cf55f8aacd559a2114277b9cd66c037307735294ca1',
+    'conic-conic-tangency':
+        '780668946daace23f5424d54e2eeea9db07f1b5b629d04426c7f58477acb46df',
+    'node':
+        'c0d163c77f01861ec0c79c7689bd5f766084eb0e5d29788ac3465a2d1f6d14e9',
+    'simple-tangency':
+        '50e1aac1c2efd9508652dee1ae258be3a691046cdac44daf5c7f9c3f4b87da59',
+    'conic-pair':
+        'd611e7506c68791435d83aa98e1448f6cf004f128dfb544c65ff1afdc027e4d8',
+    'conic-pair+line':
+        '71b5ea9e6919f1f6534702da764801b6adbe9f69dba77946b44393facfd214ed',
+    'conic-pair+2lines':
+        '26b6e4c9d9866475f9e88138440050f42e938d3a54bf32723fdb9a30266e3c3d',
+}
+
+
+@pytest.mark.parametrize("equation, radius, digest",
+                         [(eq, r, GOLDEN_TRACKS_1024[name])
+                          for name, eq, r, _ in GOLDEN_TRACKS],
+                         ids=[case[0] for case in GOLDEN_TRACKS])
+def test_tracked_braid_unchanged_at_1024_samples(equation, radius, digest):
     tb = track(CurvePoly.parse(equation),
-               LoopSpec(0j, Fraction(3), samples=1024))
+               LoopSpec(0j, Fraction(radius), samples=1024))
     key = repr((tb.braid.letters, tb.permutation, tb.refinements,
                 tb.min_gap))
-    assert hashlib.sha256(key.encode()).hexdigest() == \
-        '26b6e4c9d9866475f9e88138440050f42e938d3a54bf32723fdb9a30266e3c3d'
+    assert hashlib.sha256(key.encode()).hexdigest() == digest
 
 
 def test_refused_grid_fiber_raises_only_when_reached():
@@ -375,6 +413,63 @@ def test_overflowing_power_of_x_is_a_typed_error():
         p.fibers([1 + 0j, 1e200 + 0j])
     with pytest.raises(ConiclineError, match="overflows"):
         track(p, LoopSpec(0j, Fraction(10) ** 200, samples=8))
+    # a NaN power is no overflow: the fiber is refused by its coefficients
+    for x in (complex("nan"), complex(1.5e154, 1.5e154)):
+        fiber, = p.fibers([x])
+        assert isinstance(fiber, LeadingCoefficientVanishes), (x, fiber)
+
+
+def _python_y_coefficients(p, xs):
+    """``y_coefficients`` as it was before ``np.power``: summed over
+    Python's own complex powers, one x at a time."""
+    rows = []
+    for x in xs:
+        try:
+            rows.append([x ** i for i in range(p.degx + 1)])
+        except OverflowError:
+            raise ConiclineError(
+                f"x^{p.degx} overflows a float at x={x}") from None
+    powers = np.array(rows, dtype=complex).reshape(len(xs), p.degx + 1)
+    out = np.zeros((len(xs), p.degy + 1), dtype=complex)
+    for i, j, c in p.terms:
+        out[:, j] += c * powers[:, i]
+    return out
+
+
+def _rows_or_error(fn, p, xs):
+    try:
+        return [repr(row) for row in fn(p, xs).tolist()]
+    except ConiclineError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("equation", [
+    "y^2 - x", "y^2 - x^2", "y^3 - 3/7*x^3*y + x^4 - 1",
+    "2*y^6 + x*y^5 - 2*x^2*y^2 - x^3*y", "x^8*y^2 - y + 5/3*x^7",
+    "y^2 - x^99 + x^2*y"])
+def test_y_coefficients_equal_python_powers(equation):
+    p = CurvePoly.parse(equation)
+    rng = random.Random(equation)
+    signs = (0.0, -0.0)
+    xs = [complex(rng.gauss(0, 1.5), rng.gauss(0, 1.5)) for _ in range(200)]
+    xs += [complex(rng.gauss(0, 2), z) for z in signs for _ in range(20)]
+    xs += [complex(z, rng.gauss(0, 2)) for z in signs for _ in range(20)]
+    xs += [complex(a, b) for a in signs + (1.5, -2.0) for b in signs]
+    xs += [complex(10.0 ** rng.uniform(-150, 0), rng.choice(signs))
+           for _ in range(20)]
+    assert (_rows_or_error(CurvePoly.y_coefficients, p, xs)
+            == _rows_or_error(_python_y_coefficients, p, xs))
+    # finite |x| just under and just over the overflow edge of x^degx,
+    # and in the range where x * x overflows to NaN + inf j
+    edge = sys.float_info.max ** (1 / p.degx)
+    for _ in range(40):
+        r = min(edge * (1 + rng.choice((-1, 1)) * 10 ** rng.uniform(-15, -1)),
+                sys.float_info.max)
+        for x in (cmath.rect(r, rng.uniform(-cmath.pi, cmath.pi)),
+                  complex(r, rng.choice(signs)), complex(0.0, -r),
+                  complex(1.5e154, 1.5e154) * rng.uniform(1, 2)):
+            assert (_rows_or_error(CurvePoly.y_coefficients, p, [x])
+                    == _rows_or_error(_python_y_coefficients, p, [x])), x
 
 
 # -- the depth-first stepping that ``track_path`` replaced, as a reference --
@@ -526,15 +621,17 @@ def test_coincident_roots_fail_without_bisecting_the_whole_loop():
                     loop.point, 0.0, 1.0, samples)
     assert "AmbiguousMatching" in want
     p = CurvePoly.parse("(y - x)^2*(y + 2)")
-    solve, solved = p.fibers, []
+    solve, solved = p.fiber_rows, []
 
     def counted(xs, *args):
         solved.append(len(xs))
         assert sum(solved) <= samples + 1 + (MAX_REFINE + 1) * samples
         return solve(xs, *args)
 
-    p.fibers = counted
+    p.fiber_rows = counted
     assert _outcome(track_path, p, loop.point, 0.0, 1.0, samples) == want
+    # a level with nothing to halve solves nothing
+    assert len(solved) > MAX_REFINE and all(solved), solved
 
 def _seeded_steps(rng, rows, n):
     """Old and new fibers of ``rows`` steps, moved from far inside to far
