@@ -5,9 +5,11 @@ A braid on ``n`` strands is a word in the Artin generators
 Positive ``s_i`` is the counterclockwise half-twist of strands ``i`` and
 ``i+1``.
 
-The action on a geometric base is arranged so that the descending
-product ``e_n ... e_1`` of base entries is preserved; this is the
-product that appears as the projective relator ``x_n ... x_1``.
+A geometric base of the free group on ``n`` generators is a plain
+tuple of ``n`` reduced words; entry ``k`` is the image of the standard
+generator ``x_k``.  The action on a base is arranged so that the
+descending product ``e_n ... e_1`` of its entries is preserved; this is
+the product that appears as the projective relator ``x_n ... x_1``.
 """
 
 from . import words
@@ -60,10 +62,6 @@ class BraidWord:
         return f"BraidWord({self.strands}, {format_braid(self)!r})"
 
 
-def identity_braid(strands):
-    return BraidWord(strands)
-
-
 def braid_permutation(b):
     """Image in the symmetric group: position -> final position, 1-based."""
     perm = list(range(b.strands + 1))  # perm[start] = end, slot 0 unused
@@ -76,57 +74,21 @@ def braid_permutation(b):
     return tuple(perm[1:])
 
 
-class GBase:
-    """An ordered free basis acted on by braids.
-
-    Entry ``k`` is the image of the ``k``-th standard geometric
-    generator; every braid action fixes the descending ordered product
-    of the entries.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        object.__setattr__(self, "entries",
-                           tuple(words.reduce(w) for w in entries))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GBase is immutable")
-
-    @property
-    def n(self):
-        return len(self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, GBase) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        body = ", ".join(words.format_word(w) for w in self.entries)
-        return f"GBase({body})"
-
-    def ordered_product(self):
-        """The fixed product ``e_n ... e_1`` (descending)."""
-        return words.concat(*reversed(self.entries))
-
-
 def standard_gbase(n):
-    return GBase([(k,) for k in range(1, n + 1)])
+    return tuple((k,) for k in range(1, n + 1))
 
 
 def artin_apply(b, g):
-    """Apply braid ``b`` to g-base ``g``, letters left to right.
+    """Apply braid ``b`` to the base ``g``, letters left to right.
 
     ``s_i`` sends entry ``i+1`` to ``e_{i+1} e_i e_{i+1}^-1`` and entry
     ``i`` to ``e_{i+1}``; the inverse letter undoes this.  Both fix the
     descending ordered product.
     """
-    if b.strands != g.n:
+    if b.strands != len(g):
         raise StrandMismatch(f"braid on {b.strands} strands applied to a "
-                             f"base of {g.n}")
-    entries = list(g.entries)
+                             f"base of {len(g)}")
+    entries = list(g)
     for a in b.letters:
         i = abs(a) - 1  # 0-based position
         ei, ej = entries[i], entries[i + 1]
@@ -136,7 +98,7 @@ def artin_apply(b, g):
         else:
             entries[i] = words.concat(words.inverse(ei), ej, ei)
             entries[i + 1] = ei
-    return GBase(entries)
+    return tuple(entries)
 
 
 def action_equal(b1, b2):
@@ -171,8 +133,8 @@ def full_twist(n, i, j):
     return BraidWord(n, tuple(run * (j - i + 1)))
 
 
-def block_around(n, mover, i, j, turns=1):
-    """Strand ``mover`` travels ``turns`` full loops around block ``[i..j]``.
+def block_around(n, mover, i, j):
+    """Strand ``mover`` travels one full loop around block ``[i..j]``.
 
     The block's internal order is unchanged: the word is the merged
     block's full twist with the inner block's full twist cancelled.
@@ -186,13 +148,9 @@ def block_around(n, mover, i, j, turns=1):
     else:
         raise NonAdjacentMover(f"strand {mover} is not adjacent to "
                                f"[{i}..{j}]")
-    if turns == 0:
-        return identity_braid(n)
     if i == j:
-        merged = full_twist(n, lo, hi)
-        return merged ** turns
-    one_turn = full_twist(n, lo, hi) * full_twist(n, i, j).inverse()
-    return one_turn ** turns
+        return full_twist(n, lo, hi)
+    return full_twist(n, lo, hi) * full_twist(n, i, j).inverse()
 
 
 def half_block_around(n, mover, i, j):

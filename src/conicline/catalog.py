@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConiclineError, UnknownModel
-from .invariants import bigness_certificate, compare
+from .invariants import VERIFY_BUDGET, bigness_certificate, compare
 from .presentations import Presentation
 from .van_kampen import assemble, parse_mt_table, present
 from .words import relator
@@ -354,7 +354,7 @@ def _derivation(entry):
     raise ValueError(f"unknown source kind {kind!r}")
 
 
-def verify(entry, budget=20000):
+def verify(entry, budget=VERIFY_BUDGET):
     """Check the entry's pipeline output against its expected group.
 
     The derived presentation, or the expected group itself when there is
@@ -380,5 +380,5 @@ def verify(entry, budget=20000):
                               verdict.bundle2.as_dict(), bigness, detail)
 
 
-def verify_all(budget=20000):
+def verify_all(budget=VERIFY_BUDGET):
     return [verify(_CATALOG[i], budget) for i in list_entries()]

@@ -17,12 +17,13 @@ from fractions import Fraction
 from . import catalog, words
 from .braids import format_braid
 from .errors import ConiclineError
-from .invariants import bigness_certificate, compare, invariant_bundle
+from .invariants import (VERIFY_BUDGET, bigness_certificate, compare,
+                         invariant_bundle)
 from .local_models import get_model, list_models
 from .presentations import format_presentation, parse_presentation
 from .tietze import simplify
 from .tracker import CurvePoly, LoopSpec, format_poly, track
-from .van_kampen import parse_factorization, parse_mt_table, assemble, present
+from .van_kampen import parse_sweep, present
 
 
 def _emit(args, text, payload):
@@ -106,12 +107,8 @@ def _cmd_track(args):
 
 
 def _cmd_present(args):
-    text = _read(args.factorization)
-    try:
-        f = parse_factorization(text)
-    except ConiclineError:
-        f = assemble(*parse_mt_table(text))
-    p = present(f, projective=args.projective)
+    p = present(parse_sweep(_read(args.factorization)),
+                projective=args.projective)
     _emit(args, format_presentation(p),
           {"presentation": format_presentation(p),
            "ngen": p.ngen,
@@ -232,7 +229,7 @@ def build_parser():
     p = sub.add_parser("compare", help="compare two presentation files")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--budget", type=int, default=20000)
+    p.add_argument("--budget", type=int, default=VERIFY_BUDGET)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("verify-paper", help="run the catalog verification "
@@ -240,14 +237,14 @@ def build_parser():
     p.add_argument("entry", nargs="?",
                    help="single entry id (default: all)")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--budget", type=int, default=20000)
+    p.add_argument("--budget", type=int, default=VERIFY_BUDGET)
     p.set_defaults(func=_cmd_verify_paper)
 
     p = sub.add_parser("bigness", help="run the bigness certificate")
     p.add_argument("--presentation", required=True)
     p.add_argument("--kill", default="",
                    help="comma-separated generators to kill first")
-    p.add_argument("--budget", type=int, default=20000)
+    p.add_argument("--budget", type=int, default=VERIFY_BUDGET)
     p.set_defaults(func=_cmd_bigness)
 
     return ap

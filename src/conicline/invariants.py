@@ -30,6 +30,10 @@ from .errors import BudgetExceeded, ScriptStepFailed
 from .presentations import Presentation, replay
 from .tietze import simplify
 
+# Tietze steps per ``simplify`` call of a verification: ``compare``, the
+# bigness certificate, the catalog and their CLI commands.
+VERIFY_BUDGET = 20000
+
 # -- Smith normal form -----------------------------------------------------
 
 
@@ -128,7 +132,7 @@ class GroupTable:
                 raise ValueError("inverse table is wrong")
 
 
-def symmetric_group_table(k, name=None):
+def symmetric_group_table(k):
     """Multiplication table of the symmetric group on ``k`` points."""
     elements = sorted(itertools.permutations(range(k)))
     index = {e: i for i, e in enumerate(elements)}
@@ -140,7 +144,7 @@ def symmetric_group_table(k, name=None):
         for i, v in enumerate(a):
             ia[v] = i
         inv.append(index[tuple(ia)])
-    return GroupTable(name or f"S{k}", len(elements), mult, tuple(inv))
+    return GroupTable(f"S{k}", len(elements), mult, tuple(inv))
 
 
 _TABLES = {}
@@ -466,7 +470,7 @@ def _relabel_moves(q1, q2):
     return None
 
 
-def compare(p1, p2, budget=20000, targets=("S3", "S4"), hom_budget=10 ** 8):
+def compare(p1, p2, budget=VERIFY_BUDGET, hom_budget=10 ** 8):
     """Decide whether two presentations present the same group, when possible.
 
     ``distinct`` comes with an invariant witness, ``equivalent`` with
@@ -477,8 +481,8 @@ def compare(p1, p2, budget=20000, targets=("S3", "S4"), hom_budget=10 ** 8):
     r1 = simplify(p1, budget)
     r2 = simplify(p2, budget)
     q1, q2 = r1.presentation, r2.presentation
-    b1 = invariant_bundle(q1, targets, hom_budget)
-    b2 = invariant_bundle(q2, targets, hom_budget)
+    b1 = invariant_bundle(q1, budget=hom_budget)
+    b2 = invariant_bundle(q2, budget=hom_budget)
     if b1.abelianization != b2.abelianization:
         return ComparisonVerdict("distinct",
                                  ("abelianization",
@@ -526,7 +530,7 @@ class BignessReport:
                                    for r in self.final.relators]}
 
 
-def bigness_certificate(p, kill=(), budget=20000):
+def bigness_certificate(p, kill=(), budget=VERIFY_BUDGET):
     """Certify a surjection onto ``<x, y | x^2, y^3>``.
 
     Kills the generators in ``kill`` (the meridians of the extra lines),
@@ -542,13 +546,19 @@ def bigness_certificate(p, kill=(), budget=20000):
     ``(x1 x2)^2`` is taken; that includes a projection that leaves no
     relators, a free group of rank two.
 
-    Raises :class:`ScriptStepFailed` if any step's outcome is not the
-    expected one.
+    Raises :class:`ScriptStepFailed` if ``kill`` names a generator twice
+    or any step's outcome is not the expected one.
     """
     steps = []
     start_len = len(p.trace)
     q = p
-    for g in sorted(kill, reverse=True):
+    # killing x_g renumbers the generators above it, so a second kill of
+    # g would kill the old x_{g+1}
+    killed = sorted(kill, reverse=True)
+    for g, h in zip(killed, killed[1:]):
+        if g == h:
+            raise ScriptStepFailed("project", f"x{g} is killed twice")
+    for g in killed:
         if not 1 <= g <= q.ngen:
             raise ScriptStepFailed("project", f"no generator x{g} to kill")
         q = q.substitute(g, ())

@@ -75,14 +75,16 @@ class CurvePoly:
             out[:, j] += c * powers[:, i]
         return out
 
-    def fiber_rows(self, xs, tol=RESIDUAL_TOL):
+    def fiber_rows(self, xs):
         """The fiber roots over each x in ``xs`` in strand order, one row
         per x, and ``{row: error}`` of the refused rows (NaN), to raise on
         reaching them.  Roots equal ``np.roots``: eigenvalues of companion
-        matrices stacked per count of zero roots.  Refused: ``|a_n| <= tol
-        max |a_j|`` (``LeadingCoefficientVanishes``) or ``|sum a_j r^j| >
-        1e4 tol max(sum |a_j| max(1, |r|)^j, 1)`` for a root ``r``
+        matrices stacked per count of zero roots.  Refused, with ``tol``
+        the ``RESIDUAL_TOL`` read at the call: ``|a_n| <= tol max |a_j|``
+        (``LeadingCoefficientVanishes``) or ``|sum a_j r^j| > 1e4 tol
+        max(sum |a_j| max(1, |r|)^j, 1)`` for a root ``r``
         (``NoConvergence``)."""
+        tol = RESIDUAL_TOL
         coeffs = self.y_coefficients(xs)
         n = self.degy
         mags = np.abs(coeffs)
@@ -113,14 +115,14 @@ class CurvePoly:
                            f"leading y-coefficient vanishes at x={xs[k]}")
                        for k in np.flatnonzero(refused).tolist()}
 
-    def fibers(self, xs, tol=RESIDUAL_TOL):
+    def fibers(self, xs):
         """``fiber_rows`` as a list: per x its roots, or its error."""
-        roots, refused = self.fiber_rows(xs, tol)
+        roots, refused = self.fiber_rows(xs)
         return [refused.get(k, row) for k, row in enumerate(roots.tolist())]
 
-    def roots_at(self, x, tol=RESIDUAL_TOL):
+    def roots_at(self, x):
         """``fibers`` on a batch of one, raising a refused fiber's error."""
-        fiber = self.fibers([x], tol)[0]
+        fiber = self.fibers([x])[0]
         if isinstance(fiber, ConiclineError):
             raise fiber
         return fiber

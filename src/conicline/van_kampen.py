@@ -8,14 +8,15 @@ the relators ``b(x_k) = x_k``; the projective closure adds
 Factorizations can be assembled from a table of Lefschetz pairs: row
 ``j`` contributes the half-twist of its pair transported through the
 composition of the previous rows' diffeomorphisms, raised to the row's
-degree.
+degree.  Both text forms start with a ``strands: n`` header; a table row
+starts with an integer, a factorization row with a braid generator.
 """
 
 from dataclasses import dataclass
 
 from . import words
-from .braids import (BraidWord, artin_apply, half_twist, identity_braid,
-                     parse_braid, format_braid, standard_gbase)
+from .braids import (BraidWord, artin_apply, half_twist, parse_braid,
+                     format_braid, standard_gbase)
 from .errors import BadPair, ParseError, StrandMismatch
 from .presentations import Presentation, read_header
 
@@ -56,7 +57,7 @@ def assemble(rows, n):
     diffeomorphism ``delta_1 ... delta_{j-1}`` (applied first), so each
     skeleton is expressed in the base fiber.
     """
-    history = identity_braid(n)
+    history = BraidWord(n)
     factors = []
     for row in rows:
         a, b = row.pair
@@ -77,8 +78,7 @@ def present(f, projective=False):
     relators = []
     base = standard_gbase(n)
     for factor in f.factors:
-        image = artin_apply(factor, base)
-        for k, e in enumerate(image.entries, 1):
+        for k, e in enumerate(artin_apply(factor, base), 1):
             r = words.concat(e, (-k,))
             if r:
                 relators.append(r)
@@ -97,20 +97,33 @@ def format_factorization(f):
 
 def parse_factorization(text):
     n, lines = read_header(text, "strands", "factorization")
-    return Factorization(n, tuple(parse_braid(ln, n) for ln in lines))
-
-
-def format_mt_table(rows, n):
-    lines = [f"strands: {n}"]
-    for r in rows:
-        lines.append(f"{r.pair[0]} {r.pair[1]} {r.epsilon} "
-                     + format_braid(r.delta))
-    return "\n".join(lines) + "\n"
+    return _factorization(n, lines)
 
 
 def parse_mt_table(text):
     """Rows of ``a b epsilon delta-braid``, after a ``strands: n`` line."""
     n, lines = read_header(text, "strands", "table")
+    return _table_rows(n, lines), n
+
+
+def parse_sweep(text):
+    """The factorization in a factorization file or a Lefschetz-pair table.
+
+    The ``strands: n`` header is read once.  A table row starts with an
+    integer, the first strand of its pair, and a braid row never does,
+    so the first row picks the one reader whose errors name the format.
+    """
+    n, lines = read_header(text, "strands", "factorization or table")
+    if lines and lines[0].split()[0].lstrip("+-").isdigit():
+        return assemble(_table_rows(n, lines), n)
+    return _factorization(n, lines)
+
+
+def _factorization(n, lines):
+    return Factorization(n, tuple(parse_braid(ln, n) for ln in lines))
+
+
+def _table_rows(n, lines):
     rows = []
     for j, ln in enumerate(lines, 1):
         parts = ln.split(None, 3)
@@ -121,6 +134,6 @@ def parse_mt_table(text):
         except ValueError:
             raise ParseError(f"bad table row {ln!r}") from None
         delta = (parse_braid(parts[3], n) if len(parts) == 4
-                 else identity_braid(n))
+                 else BraidWord(n))
         rows.append(MTRow(j, (a, b), eps, delta))
-    return rows, n
+    return rows

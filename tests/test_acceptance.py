@@ -28,9 +28,8 @@ UNIT = LoopSpec(center=0j, radius=Fraction(1), samples=64)
 def braid_relations(b):
     """Relators induced by the braid's action on the standard g-base."""
     n = b.strands
-    out = artin_apply(b, standard_gbase(n))
     rels = []
-    for k, e in enumerate(out.entries, 1):
+    for k, e in enumerate(artin_apply(b, standard_gbase(n)), 1):
         r = words.reduce(words.concat(e, (-k,)))
         if r:
             rels.append(r)
@@ -174,8 +173,7 @@ def test_artin_action_preserves_ordered_product():
         b = BraidWord(n, letters)
         g = standard_gbase(n)
         out = artin_apply(b, g)
-        assert words.reduce(out.ordered_product()) == \
-            words.reduce(g.ordered_product())
+        assert words.concat(*reversed(out)) == words.concat(*reversed(g))
 
 
 def test_tietze_moves_preserve_invariant_bundle():

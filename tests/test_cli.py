@@ -8,6 +8,7 @@ import pytest
 
 from conicline import catalog
 from conicline.cli import main
+from conicline.presentations import format_presentation
 
 
 def run(capsys, *argv):
@@ -177,6 +178,28 @@ def test_present_reads_lefschetz_table_without_flag(tmp_path, capsys):
     code, plain, _ = run(capsys, "present", "--factorization", str(table))
     assert code == 0
     assert plain.split() == ["gens:", "3", "x2", "x1^-1", "x1", "x2^-1"]
+
+
+def test_present_reports_a_factorization_error_as_one(tmp_path, capsys):
+    # the first row is a braid, so the file is read as a factorization
+    # only, and the error names its generator, not a table row
+    bad = tmp_path / "f.txt"
+    bad.write_text("strands: 3\ns1 s5\n")
+    code, _, err = run(capsys, "present", "--factorization", str(bad))
+    assert code == 2
+    assert "'s5'" in err
+    assert "table" not in err
+
+
+def test_bigness_refuses_a_generator_killed_twice(tmp_path, capsys):
+    pres = tmp_path / "z2.pres"
+    pres.write_text(format_presentation(
+        catalog.expected_groups()["z2-plus-conic-pair"]))
+    code, out, err = run(capsys, "bigness", "--presentation", str(pres),
+                         "--kill", "1,1")
+    assert code == 2
+    assert "verified" not in out
+    assert "'project'" in err and "x1 is killed twice" in err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from conicline import invariants
+from conicline import catalog, invariants
 from conicline.errors import BudgetExceeded, ScriptStepFailed
 from conicline.invariants import (GroupTable, _hom_rows, _straight_line,
                                   abelianization, bigness_certificate,
@@ -433,6 +433,15 @@ def test_bigness_with_kill_and_quotient():
 ])
 def test_bigness_quotient_exactly_when_not_the_conic_pair(p, steps):
     assert [n for n, _ in bigness_certificate(p).steps] == steps
+
+
+def test_bigness_refuses_a_generator_killed_twice():
+    # killing x1 twice would kill x1 and then the old x2
+    z2_conic = catalog.expected_groups()["z2-plus-conic-pair"]
+    with pytest.raises(ScriptStepFailed) as exc:
+        bigness_certificate(z2_conic, kill=(1, 1))
+    assert exc.value.step == "project"
+    assert "x1 is killed twice" in str(exc.value)
 
 
 def test_bigness_fails_on_wrong_group():

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conicline.braids import (BraidWord, action_equal, braid_permutation,
-                              identity_braid)
+from conicline import tracker
+from conicline.braids import BraidWord, action_equal, braid_permutation
 from conicline.errors import (AmbiguousMatching, CollisionOnLoop,
                               ConiclineError, LeadingCoefficientVanishes,
                               NoConvergence, ParseError)
@@ -387,14 +387,15 @@ def test_refused_grid_fiber_raises_only_when_reached():
         CurvePoly.parse("x*y^2 - 1").roots_at(0j)
 
 
-def test_residual_check_matches_scalar_reference():
+def test_residual_check_matches_scalar_reference(monkeypatch):
     p = CurvePoly.parse("(y - 1/3)*(y - 2/7)*(y + 5/11)*(y - x)")
     xs = [0.3 + 0.1j, -1.2 + 0.7j, 2j, 1.5 - 0.25j]
     rows = p.y_coefficients(xs).tolist()
     roots = p.fibers(xs)
     refusals = 0
     for tol in [10.0 ** -e for e in range(10, 31)]:
-        for a, fiber, got in zip(rows, roots, p.fibers(xs, tol)):
+        monkeypatch.setattr(tracker, "RESIDUAL_TOL", tol)
+        for a, fiber, got in zip(rows, roots, p.fibers(xs)):
             want = any(
                 abs(sum(c * r ** j for j, c in enumerate(a)))
                 > 1e4 * tol * max(sum(abs(c) * max(1.0, abs(r)) ** j
@@ -403,8 +404,9 @@ def test_residual_check_matches_scalar_reference():
             assert isinstance(got, NoConvergence) == want, (tol, a)
             refusals += want
     assert 0 < refusals < 21 * len(xs)
+    monkeypatch.setattr(tracker, "RESIDUAL_TOL", 1e-300)
     with pytest.raises(NoConvergence):
-        p.roots_at(xs[0], tol=1e-300)
+        p.roots_at(xs[0])
 
 
 def test_overflowing_power_of_x_is_a_typed_error():

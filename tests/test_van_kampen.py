@@ -1,16 +1,14 @@
 import pytest
 
 from conicline import words
-from conicline.braids import (BraidWord, action_equal, full_twist, half_twist,
-                              identity_braid)
+from conicline.braids import BraidWord, action_equal, full_twist, half_twist
 from conicline.errors import BadPair, ParseError, StrandMismatch
 from conicline.invariants import invariant_bundle
 from conicline.presentations import Presentation
 from conicline.tietze import simplify
 from conicline.van_kampen import (Factorization, MTRow, assemble,
-                                  format_factorization, format_mt_table,
-                                  parse_factorization, parse_mt_table,
-                                  present)
+                                  format_factorization, parse_factorization,
+                                  parse_mt_table, present)
 
 
 def test_factorization_strand_check():
@@ -19,8 +17,8 @@ def test_factorization_strand_check():
 
 
 def test_assemble_identity_deltas():
-    rows = [MTRow(1, (1, 2), 1, identity_braid(3)),
-            MTRow(2, (2, 3), 1, identity_braid(3))]
+    rows = [MTRow(1, (1, 2), 1, BraidWord(3)),
+            MTRow(2, (2, 3), 1, BraidWord(3))]
     f = assemble(rows, 3)
     assert action_equal(f.factors[0], half_twist(3, 1, 2))
     assert action_equal(f.factors[1], half_twist(3, 2, 3))
@@ -29,7 +27,7 @@ def test_assemble_identity_deltas():
 def test_assemble_conjugates_by_delta_history():
     d = BraidWord(3, (1,))
     rows = [MTRow(1, (1, 2), 1, d),
-            MTRow(2, (2, 3), 1, identity_braid(3))]
+            MTRow(2, (2, 3), 1, BraidWord(3))]
     f = assemble(rows, 3)
     expected = d.inverse() * half_twist(3, 2, 3) * d
     assert action_equal(f.factors[1], expected)
@@ -37,7 +35,7 @@ def test_assemble_conjugates_by_delta_history():
 
 def test_assemble_bad_pair():
     with pytest.raises(BadPair):
-        assemble([MTRow(1, (2, 1), 1, identity_braid(3))], 3)
+        assemble([MTRow(1, (2, 1), 1, BraidWord(3))], 3)
 
 
 def test_present_branch_point():
@@ -73,8 +71,8 @@ def test_factorization_text_round_trip():
 
 def test_mt_table_text_round_trip():
     rows = [MTRow(1, (1, 2), 1, BraidWord(3, (2, -1))),
-            MTRow(2, (2, 3), 4, identity_braid(3))]
-    parsed, n = parse_mt_table(format_mt_table(rows, 3))
+            MTRow(2, (2, 3), 4, BraidWord(3))]
+    parsed, n = parse_mt_table("strands: 3\n1 2 1 s2 s1^-1\n2 3 4 e\n")
     assert n == 3
     assert [(r.pair, r.epsilon, r.delta) for r in parsed] == \
         [(r.pair, r.epsilon, r.delta) for r in rows]
@@ -89,7 +87,7 @@ def test_product_of_assembled_factors_for_conic_pair_is_full_twist():
     from conicline.catalog import CONIC_PAIR_TABLE
     rows, n = parse_mt_table(CONIC_PAIR_TABLE)
     f = assemble(rows, n)
-    prod = identity_braid(n)
+    prod = BraidWord(n)
     for factor in f.factors:
         prod = prod * factor
     assert action_equal(prod, full_twist(n, 1, n))
