@@ -139,32 +139,27 @@ def block_around(n, mover, i, j):
     The block's internal order is unchanged: the word is the merged
     block's full twist with the inner block's full twist cancelled.
     """
-    if not 1 <= i <= j <= n:
-        raise BadBlock(f"bad block [{i}..{j}] on {n} strands")
-    if mover == i - 1:
-        lo, hi = mover, j
-    elif mover == j + 1:
-        lo, hi = i, mover
-    else:
-        raise NonAdjacentMover(f"strand {mover} is not adjacent to "
-                               f"[{i}..{j}]")
-    if i == j:
-        return full_twist(n, lo, hi)
-    return full_twist(n, lo, hi) * full_twist(n, i, j).inverse()
+    return _around(full_twist, n, mover, i, j)
 
 
 def half_block_around(n, mover, i, j):
     """Strand ``mover`` passes over the block to its far side (half loop)."""
+    return _around(half_twist, n, mover, i, j)
+
+
+def _around(twist, n, mover, i, j):
+    """``twist`` of the block merged with ``mover``, the inner block's
+    ``twist`` cancelled; a one-strand block has nothing to cancel."""
     if not 1 <= i <= j <= n:
         raise BadBlock(f"bad block [{i}..{j}] on {n} strands")
     if mover not in (i - 1, j + 1):
         raise NonAdjacentMover(f"strand {mover} is not adjacent to "
                                f"[{i}..{j}]")
     lo, hi = (mover, j) if mover == i - 1 else (i, mover)
-    merged = half_twist(n, lo, hi)
+    merged = twist(n, lo, hi)
     if i == j:
         return merged
-    return merged * half_twist(n, i, j).inverse()
+    return merged * twist(n, i, j).inverse()
 
 
 # -- text form -------------------------------------------------------------

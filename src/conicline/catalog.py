@@ -18,7 +18,7 @@ from typing import Optional
 from .errors import ConiclineError, UnknownModel
 from .invariants import VERIFY_BUDGET, bigness_certificate, compare
 from .presentations import Presentation
-from .van_kampen import assemble, parse_mt_table, present
+from .van_kampen import parse_sweep, present
 from .words import relator
 
 
@@ -346,8 +346,7 @@ def _derivation(entry):
         return None, ("encode",)
     kind, data = entry.source
     if kind == "table":
-        rows, n = parse_mt_table(data)
-        return (present(assemble(rows, n), projective=True),
+        return (present(parse_sweep(data), projective=True),
                 ("assemble", "present", "simplify", "compare"))
     if kind == "presentation":
         return data, ("presentation", "simplify", "compare")

@@ -21,7 +21,7 @@ from .invariants import (VERIFY_BUDGET, bigness_certificate, compare,
                          invariant_bundle)
 from .local_models import get_model, list_models
 from .presentations import format_presentation, parse_presentation
-from .tietze import simplify
+from .tietze import SIMPLIFY_BUDGET, simplify
 from .tracker import CurvePoly, LoopSpec, format_poly, track
 from .van_kampen import parse_sweep, present
 
@@ -76,6 +76,14 @@ def _parse_radius(s):
     except (ValueError, ZeroDivisionError):
         raise ConiclineError(f"bad radius {s!r}, expected a rational "
                              f"number") from None
+
+
+def _parse_kill(s):
+    try:
+        return tuple(int(k) for k in s.split(",")) if s else ()
+    except ValueError:
+        raise ConiclineError(f"bad --kill {s!r}, expected comma-separated "
+                             f"generator numbers such as 1,3") from None
 
 
 def _parse_range(s):
@@ -157,8 +165,7 @@ def _cmd_compare(args):
 
 def _cmd_bigness(args):
     p = _load_presentation(args.presentation)
-    kill = tuple(int(k) for k in args.kill.split(",")) if args.kill else ()
-    report = bigness_certificate(p, kill, args.budget)
+    report = bigness_certificate(p, _parse_kill(args.kill), args.budget)
     d = report.as_dict()
     text = "\n".join(f"step {name}: {desc}" for name, desc in report.steps)
     _emit(args, text + "\nverified: big", d)
@@ -218,7 +225,7 @@ def build_parser():
 
     p = sub.add_parser("simplify", help="Tietze-simplify a presentation")
     p.add_argument("--presentation", required=True)
-    p.add_argument("--budget", type=int, default=10000)
+    p.add_argument("--budget", type=int, default=SIMPLIFY_BUDGET)
     p.set_defaults(func=_cmd_simplify)
 
     p = sub.add_parser("invariants", help="invariant bundle of a "

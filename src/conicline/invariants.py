@@ -34,6 +34,10 @@ from .tietze import simplify
 # bigness certificate, the catalog and their CLI commands.
 VERIFY_BUDGET = 20000
 
+# Rows a hom count may enumerate before its target is skipped:
+# ``count_homs``, ``invariant_bundle`` and ``compare``'s ``hom_budget``.
+HOM_BUDGET = 10 ** 8
+
 # -- Smith normal form -----------------------------------------------------
 
 
@@ -255,7 +259,7 @@ def _straight_line(relators, ngen):
             words[w] = tuple(out)
 
 
-def count_homs(p, table, budget=10 ** 8):
+def count_homs(p, table, budget=HOM_BUDGET):
     """Count the homomorphisms from the group of ``p`` into ``table``.
 
     A homomorphism is an image for each generator that sends every
@@ -408,7 +412,7 @@ def _cached_homs(ngen, relators, table, budget):
         return None
 
 
-def invariant_bundle(p, targets=("S3", "S4"), budget=10 ** 8):
+def invariant_bundle(p, targets=("S3", "S4"), budget=HOM_BUDGET):
     """Abelianization and the hom count into each target.
 
     A target whose count would exceed ``budget`` rows (see
@@ -470,7 +474,7 @@ def _relabel_moves(q1, q2):
     return None
 
 
-def compare(p1, p2, budget=VERIFY_BUDGET, hom_budget=10 ** 8):
+def compare(p1, p2, budget=VERIFY_BUDGET, hom_budget=HOM_BUDGET):
     """Decide whether two presentations present the same group, when possible.
 
     ``distinct`` comes with an invariant witness, ``equivalent`` with

@@ -38,6 +38,9 @@ from dataclasses import dataclass
 from . import words
 from .presentations import Presentation, _build
 
+# Steps per ``simplify`` call by default, also for ``conicline simplify``.
+SIMPLIFY_BUDGET = 10000
+
 # Bounds of the pass-4 consequence search; fixed so traces reproduce.
 _SEARCH_BEAM = 600
 _SEARCH_DEPTH = 24
@@ -50,7 +53,7 @@ class SimplifyResult:
     exhausted: bool
 
 
-def simplify(p, budget=10000):
+def simplify(p, budget=SIMPLIFY_BUDGET):
     """Greedy Tietze simplification within ``budget`` steps.
 
     Each step applies the first applicable move in the fixed pass order.

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .braids import BraidWord, braid_permutation
+from .braids import BraidWord, braid_permutation, half_twist
 from .errors import (AmbiguousMatching, CollisionOnLoop, ConiclineError,
                      LeadingCoefficientVanishes, NoConvergence, ParseError)
 
@@ -254,12 +254,12 @@ def track_path(p, xfun, t0=0.0, t1=1.0, samples=256):
             elif blocks is not None:
                 word = []
                 for k, j in blocks:
-                    # the strands at k and j trade places; the upper one of
-                    # them moves right-to-left exactly when it starts right
+                    # block k..j turns over and its end strands trade places;
+                    # and the upper one moves right-to-left iff it starts right
                     sign = (1 if a_now[i, j].imag + b_now[i, k].imag
                             > a_now[i, k].imag + b_now[i, j].imag else -1)
-                    for top in range(j - 1, k - 1, -1):
-                        word.extend(sign * s for s in range(k + 1, top + 2))
+                    word.extend(sign * s for s in
+                                half_twist(p.degy, k + 1, j + 1).letters)
                 words.append((key, word))
             elif key < limit:
                 limit, error = key, (CollisionOnLoop(

@@ -8,8 +8,10 @@ the relators ``b(x_k) = x_k``; the projective closure adds
 Factorizations can be assembled from a table of Lefschetz pairs: row
 ``j`` contributes the half-twist of its pair transported through the
 composition of the previous rows' diffeomorphisms, raised to the row's
-degree.  Both text forms start with a ``strands: n`` header; a table row
-starts with an integer, a factorization row with a braid generator.
+degree.  Both text forms describe a factorization and start with a
+``strands: n`` header; a table row starts with an integer, a
+factorization row with a braid generator.  :func:`parse_sweep` reads
+either, and :func:`format_factorization` writes the factorization form.
 """
 
 from dataclasses import dataclass
@@ -95,31 +97,20 @@ def format_factorization(f):
     return "\n".join(lines) + "\n"
 
 
-def parse_factorization(text):
-    n, lines = read_header(text, "strands", "factorization")
-    return _factorization(n, lines)
-
-
-def parse_mt_table(text):
-    """Rows of ``a b epsilon delta-braid``, after a ``strands: n`` line."""
-    n, lines = read_header(text, "strands", "table")
-    return _table_rows(n, lines), n
-
-
 def parse_sweep(text):
     """The factorization in a factorization file or a Lefschetz-pair table.
 
-    The ``strands: n`` header is read once.  A table row starts with an
-    integer, the first strand of its pair, and a braid row never does,
-    so the first row picks the one reader whose errors name the format.
+    The ``strands: n`` header is read once and needs ``n >= 1``, as
+    :class:`BraidWord` does.  A table row starts with an integer, the
+    first strand of its pair, and a braid row never does, so the first
+    row picks the form the rows are read in, and errors name that form.
     """
     n, lines = read_header(text, "strands", "factorization or table")
+    if n < 1:
+        raise ParseError(f"bad 'strands:' count {n} in factorization or "
+                         f"table: need at least one strand")
     if lines and lines[0].split()[0].lstrip("+-").isdigit():
         return assemble(_table_rows(n, lines), n)
-    return _factorization(n, lines)
-
-
-def _factorization(n, lines):
     return Factorization(n, tuple(parse_braid(ln, n) for ln in lines))
 
 

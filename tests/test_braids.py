@@ -65,10 +65,24 @@ def test_block_around_leaves_positions_fixed():
 
 
 def test_block_around_rejects_bad_input():
-    with pytest.raises(BadBlock):
-        block_around(4, 1, 3, 2)
-    with pytest.raises(NonAdjacentMover):
-        half_block_around(5, 5, 1, 3)
+    # both constructors share one check
+    for around in (block_around, half_block_around):
+        for args, error in [((4, 1, 3, 2), BadBlock),
+                            ((4, 1, 2, 5), BadBlock),
+                            ((5, 5, 1, 3), NonAdjacentMover),
+                            ((5, 1, 3, 4), NonAdjacentMover)]:
+            with pytest.raises(error):
+                around(*args)
+
+
+@pytest.mark.parametrize("around, twist", [(block_around, full_twist),
+                                           (half_block_around, half_twist)])
+@pytest.mark.parametrize("mover, i, lo, hi", [(1, 2, 1, 2), (3, 2, 2, 3),
+                                              (4, 3, 3, 4)])
+def test_one_strand_block_gives_the_merged_twist(around, twist, mover, i,
+                                                 lo, hi):
+    # a one-strand block has no inner twist to cancel
+    assert around(4, mover, i, i) == twist(4, lo, hi)
 
 
 def test_action_equal_ignores_word_spelling():

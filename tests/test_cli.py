@@ -202,6 +202,27 @@ def test_bigness_refuses_a_generator_killed_twice(tmp_path, capsys):
     assert "'project'" in err and "x1 is killed twice" in err
 
 
+@pytest.mark.parametrize("kill", ["1,x", "1,,2"])
+def test_bigness_refuses_a_malformed_kill_list(tmp_path, capsys, kill):
+    pres = tmp_path / "conic.pres"
+    pres.write_text("gens: 2\nx1 x2 x1 x2\nx2 x1 x2 x1\n")
+    code, out, err = run(capsys, "bigness", "--presentation", str(pres),
+                         "--kill", kill)
+    assert code == 2
+    assert "verified" not in out
+    assert "--kill" in err and "comma-separated" in err
+
+
+def test_present_refuses_a_file_with_no_strands(tmp_path, capsys):
+    empty = tmp_path / "f.txt"
+    empty.write_text("strands: 0\n")
+    code, out, err = run(capsys, "present", "--factorization", str(empty),
+                         "--projective")
+    assert code == 2
+    assert out == ""
+    assert "'strands:' count 0" in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--poly", "x/0+y"], "division"),
     (["--poly", "x"], "no strands"),

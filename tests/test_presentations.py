@@ -6,7 +6,7 @@ from conicline.errors import (DefinitionContainsTarget, MapsNotInverse,
 from conicline.presentations import (Presentation, TietzeMove, apply_move,
                                      format_presentation, parse_presentation,
                                      replay)
-from conicline.van_kampen import parse_factorization, parse_mt_table
+from conicline.van_kampen import parse_sweep
 
 CONIC = Presentation(2, [(1, 2, 1, 2), (2, 1, 2, 1)])
 
@@ -133,8 +133,7 @@ def test_apply_move_refuses_an_unknown_kind():
 
 @pytest.mark.parametrize("parse, key, what", [
     (parse_presentation, "gens", "presentation"),
-    (parse_factorization, "strands", "factorization"),
-    (parse_mt_table, "strands", "table"),
+    (parse_sweep, "strands", "factorization or table"),
 ])
 @pytest.mark.parametrize("text", ["x1 x2\n", "{key}: two\n", "{key} 2\n",
                                   "# {key}: 2\n"])

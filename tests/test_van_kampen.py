@@ -2,13 +2,13 @@ import pytest
 
 from conicline import words
 from conicline.braids import BraidWord, action_equal, full_twist, half_twist
+from conicline.catalog import CONIC_PAIR_TABLE
 from conicline.errors import BadPair, ParseError, StrandMismatch
 from conicline.invariants import invariant_bundle
 from conicline.presentations import Presentation
 from conicline.tietze import simplify
 from conicline.van_kampen import (Factorization, MTRow, assemble,
-                                  format_factorization, parse_factorization,
-                                  parse_mt_table, present)
+                                  format_factorization, parse_sweep, present)
 
 
 def test_factorization_strand_check():
@@ -64,7 +64,7 @@ def test_full_twist_factorization_gives_torus_relations():
 
 def test_factorization_text_round_trip():
     f = Factorization(3, (BraidWord(3, (1, -2)), BraidWord(3, (2, 2))))
-    g = parse_factorization(format_factorization(f))
+    g = parse_sweep(format_factorization(f))
     assert g.strands == f.strands
     assert g.factors == f.factors
 
@@ -72,22 +72,34 @@ def test_factorization_text_round_trip():
 def test_mt_table_text_round_trip():
     rows = [MTRow(1, (1, 2), 1, BraidWord(3, (2, -1))),
             MTRow(2, (2, 3), 4, BraidWord(3))]
-    parsed, n = parse_mt_table("strands: 3\n1 2 1 s2 s1^-1\n2 3 4 e\n")
-    assert n == 3
-    assert [(r.pair, r.epsilon, r.delta) for r in parsed] == \
-        [(r.pair, r.epsilon, r.delta) for r in rows]
+    f = parse_sweep("strands: 3\n1 2 1 s2 s1^-1\n2 3 4 e\n")
+    assert f == assemble(rows, 3)
 
 
 def test_mt_table_parse_rejects_garbage():
-    with pytest.raises(ParseError):
-        parse_mt_table("strands: 3\n1 two 1 e\n")
+    with pytest.raises(ParseError, match="bad table row"):
+        parse_sweep("strands: 3\n1 two 1 e\n")
+
+
+def test_table_and_its_written_factorization_read_alike():
+    # assemble keeps the cancelling letters of its conjugations, which the
+    # braid reader frees; the braids and the presentation are the same
+    f = parse_sweep(CONIC_PAIR_TABLE)
+    g = parse_sweep(format_factorization(f))
+    assert g.factors == tuple(BraidWord(f.strands, words.reduce(b.letters))
+                              for b in f.factors)
+    assert present(g, projective=True) == present(f, projective=True)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_parse_sweep_refuses_fewer_than_one_strand(n):
+    with pytest.raises(ParseError, match="'strands:' count"):
+        parse_sweep(f"strands: {n}\n")
 
 
 def test_product_of_assembled_factors_for_conic_pair_is_full_twist():
-    from conicline.catalog import CONIC_PAIR_TABLE
-    rows, n = parse_mt_table(CONIC_PAIR_TABLE)
-    f = assemble(rows, n)
-    prod = BraidWord(n)
+    f = parse_sweep(CONIC_PAIR_TABLE)
+    prod = BraidWord(f.strands)
     for factor in f.factors:
         prod = prod * factor
-    assert action_equal(prod, full_twist(n, 1, n))
+    assert action_equal(prod, full_twist(f.strands, 1, f.strands))
