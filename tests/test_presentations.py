@@ -131,9 +131,23 @@ def test_apply_move_refuses_an_unknown_kind():
         apply_move(CONIC, TietzeMove("add_generator", ((1, 2),)))
 
 
+def _sweep_before_braid_rows(text):
+    return parse_sweep(text + "s1\ns1^-1\n")
+
+
+def _sweep_before_table_rows(text):
+    return parse_sweep(text + "1 2 1\n1 2 2 s1\n")
+
+
+# The two body-form rows keep the ids of the factorization and table
+# readers that parse_sweep replaced, so their test names stay stable.
 @pytest.mark.parametrize("parse, key, what", [
     (parse_presentation, "gens", "presentation"),
     (parse_sweep, "strands", "factorization or table"),
+    pytest.param(_sweep_before_braid_rows, "strands", "factorization",
+                 id="parse_factorization-strands-factorization"),
+    pytest.param(_sweep_before_table_rows, "strands", "table",
+                 id="parse_mt_table-strands-table"),
 ])
 @pytest.mark.parametrize("text", ["x1 x2\n", "{key}: two\n", "{key} 2\n",
                                   "# {key}: 2\n"])
