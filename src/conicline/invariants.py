@@ -3,14 +3,8 @@
 * the integer Smith normal form diagonal, and the abelianization
   derived from the relator exponent-sum matrix,
 * homomorphism counting into small finite groups, enumerating the images
-  of the first two generators only up to simultaneous conjugation and
-  computing each product of a letter pair repeated across the relators
-  once per block of rows.  A block is several whole orbits, or one
-  orbit with its higher digits fixed; its digit columns are tiled once
-  per call, an image constant on the block is a Python scalar that
-  folds into a table row or lookup, an inverse folds into a table of
-  signed products, and index arithmetic runs in the least unsigned
-  dtype holding ``size * size - 1``,
+  of the first three generators only up to simultaneous conjugation, in
+  blocks of rows evaluated as a straight-line program,
 * a comparison verdict (equivalent / distinct / inconclusive) built from
   simplification, invariant bundles and relabelling,
 * the step-by-step certificate that a group surjects onto the quotient
@@ -163,8 +157,8 @@ def builtin_table(name):
     return _TABLES[name]
 
 
-# Rows evaluated per block: bounds the working arrays of count_homs to a
-# few hundred kB whatever the size of the search.
+# Rows per block, and entries per level of orbit refinement: bounds the
+# working arrays of count_homs to a few hundred kB whatever the search.
 _CHUNK_ROWS = 1 << 15
 
 
@@ -172,27 +166,33 @@ _CHUNK_ROWS = 1 << 15
 def _conjugation_orbits(table, k):
     """Orbits of ``G^k`` under simultaneous conjugation by ``G``.
 
-    Returns ``(reps, sizes)``: a ``(#orbits, k)`` array with one
-    representative ``k``-tuple per orbit, and the size of each orbit.
-    ``k = 0`` gives the single empty tuple, ``k = 1`` the conjugacy
-    classes with their sizes.
+    Returns ``(reps, sizes)``: each orbit's least ``k``-tuple, the first
+    image most significant, as a ``(#orbits, k)`` array, and each orbit's
+    size ``|G| / |stabilizer|``.  The orbits of ``G^(k-1)`` are refined
+    by one image: a prefix's stabilizer splits the next image into
+    orbits, each represented by its least element.  A loop over the
+    conjugator keeps a running minimum of ``#prefixes x |G|`` entries,
+    the largest array of a level.
     """
     size = table.size
+    if k == 0:
+        return (np.zeros((1, 0), dtype=np.min_scalar_type(size - 1)),
+                np.ones(1, dtype=np.int64))
+    prefixes, weights = _conjugation_orbits(table, k - 1)
     mult = np.asarray(table.mult, dtype=np.intp)
     conj = mult[mult, np.asarray(table.inverse)[:, None]]  # h x h^-1
-    place = size ** np.arange(k)
-    seen = np.zeros(size ** k, dtype=bool)
-    reps, sizes = [], []
-    for t in range(size ** k):
-        if not seen[t]:
-            rep = t // place % size
-            orbit = conj[:, rep] @ place
-            seen[orbit] = True
-            reps.append(rep)
-            # a set, not np.unique, which imports numpy.ma on first use
-            sizes.append(len(set(orbit.tolist())))
-    return (np.array(reps, dtype=np.min_scalar_type(size - 1))
-            .reshape(len(reps), k), np.array(sizes, dtype=np.int64))
+    fixes = np.ones((size, len(weights)), dtype=bool)  # h fixes prefix
+    for image in prefixes.T:
+        fixes &= conj[:, image] == image
+    least = np.tile(np.arange(size), (len(weights), 1))
+    for h in range(size):
+        np.minimum(least, conj[h], out=least, where=fixes[h, :, None])
+    p, x = np.nonzero(least == np.arange(size))
+    # x's orbit under its prefix's stabilizer: the x' whose least is x
+    split = np.bincount((least + size * np.arange(len(weights))[:, None])
+                        .ravel(), minlength=least.size)
+    return (np.column_stack((prefixes[p], x)).astype(prefixes.dtype),
+            weights[p] * split[p * size + x])
 
 
 def _hom_rows(ngen, table, budget):
@@ -200,10 +200,15 @@ def _hom_rows(ngen, table, budget):
 
     Returns ``(k, reps, weights, dense)``: the orbit representatives of
     the first ``k`` images with their weights, and ``dense`` rows for
-    each of them.  Raises :class:`BudgetExceeded` when the
+    each of them.  ``k`` is ``min(ngen, 3)``, less when refining one
+    more image would take an array of ``#orbits * |G|`` entries past
+    ``_CHUNK_ROWS``.  Raises :class:`BudgetExceeded` when the
     ``#orbits * dense`` rows exceed ``budget``.
     """
-    k = min(ngen, 2)
+    k = 0
+    while (k < min(ngen, 3) and len(_conjugation_orbits(table, k)[1])
+           * table.size <= _CHUNK_ROWS):
+        k += 1
     reps, weights = _conjugation_orbits(table, k)
     dense = table.size ** (ngen - k)
     if len(weights) * dense > budget:
@@ -265,24 +270,20 @@ def count_homs(p, table, budget=HOM_BUDGET):
     A homomorphism is an image for each generator that sends every
     relator to the identity.  Conjugating all images by one element of
     the target is a bijection on homomorphisms, so assignments whose
-    images of the first ``k = min(ngen, 2)`` generators are
-    simultaneously conjugate extend in equally many ways.  Hence only
-    one representative per conjugation orbit of those ``k`` images is
-    enumerated, weighted by the orbit's size, together with every image
-    of the other ``ngen - k`` generators, the dense digits: ``#orbits *
-    |target| ** (ngen - k)`` rows (S4 x S4 has 43 orbits, S3 x S3 has
-    11).
+    first ``k`` images are simultaneously conjugate extend in equally
+    many ways.  Hence one representative per conjugation orbit of those
+    images is enumerated (see :func:`_hom_rows`; ``k = 3`` for S3 and
+    S4, with 49 and 681 orbits), weighted by the orbit's size, together
+    with every image of the other generators, the dense digits:
+    ``#orbits * |target| ** (ngen - k)`` rows.
 
     Rows are evaluated in blocks of at most ``_CHUNK_ROWS``, whose shape
-    is fixed once per call.  When the ``dense = |target| ** (ngen - k)``
-    rows of one orbit fit, a block is ``_CHUNK_ROWS // dense`` whole
-    orbits; otherwise it is one orbit times ``|target| ** m`` rows, the
-    largest power that fits, with the higher dense digits fixed.  The
-    varying digit columns are tiled once per call, so no block computes
-    its rows' digits: an orbit image is ``np.repeat`` of the block's
-    representatives, and an image that is constant on the block (the
-    orbit's, when the block holds one orbit, or a fixed high digit) is a
-    Python scalar.
+    is fixed once per call: ``_CHUNK_ROWS // dense`` whole orbits when
+    one orbit's ``dense`` rows fit, otherwise one orbit times the largest
+    power of ``|target|`` that fits, with the higher dense digits fixed.
+    The varying digit columns are tiled once per call.  An image that is
+    constant on the block (the orbit's, when the block holds one orbit,
+    or a fixed high digit) is a Python scalar.
 
     The relators are evaluated as a straight-line program (see
     :func:`_straight_line`): a product of a letter pair that repeats
@@ -300,8 +301,7 @@ def count_homs(p, table, budget=HOM_BUDGET):
     of four tables of ``a^+-1 b^+-1``, so no block gathers an inverse
     column.  Index arithmetic runs in the least unsigned dtype that
     holds ``size * size - 1``, named on every operation so that no numpy
-    casting rule can narrow an index and wrap it.  Each block's count is
-    its per-orbit hit counts weighted by the orbit sizes.
+    casting rule can narrow an index and wrap it.
 
     Raises :class:`BudgetExceeded` when that number of rows exceeds
     ``budget``: the budget counts rows, however few products each takes.

@@ -7,8 +7,10 @@ import pytest
 
 from conicline import catalog, invariants
 from conicline.errors import BudgetExceeded, ScriptStepFailed
-from conicline.invariants import (GroupTable, _hom_rows, _straight_line,
-                                  abelianization, bigness_certificate,
+from conicline.invariants import (HOM_BUDGET, GroupTable,
+                                  _conjugation_orbits, _hom_rows,
+                                  _straight_line, abelianization,
+                                  bigness_certificate,
                                   builtin_table, compare, count_homs,
                                   exponent_matrix, invariant_bundle,
                                   smith_normal_form, symmetric_group_table,
@@ -179,6 +181,45 @@ def _relabelled_dihedral_table():
     return GroupTable("D4", len(elements), mult, inverse, identity)
 
 
+def _cyclic_table(n):
+    return GroupTable(f"C{n}", n,
+                      tuple(tuple((a + b) % n for b in range(n))
+                            for a in range(n)),
+                      tuple(-a % n for a in range(n)))
+
+
+def _table(name):
+    if name == "D4":
+        return _relabelled_dihedral_table()
+    if name.startswith("C"):
+        return _cyclic_table(int(name[1:]))
+    return builtin_table(name)
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "D4", "C5"])
+@pytest.mark.parametrize("k", range(4))
+def test_conjugation_orbits_match_brute_force(name, k):
+    table = _table(name)
+    size = table.size
+    reps, sizes = _conjugation_orbits(table, k)
+    mult = np.asarray(table.mult)
+    conj = mult[mult, np.asarray(table.inverse)[:, None]]  # h x h^-1
+    # every k-tuple in code order, the first image most significant, and
+    # the least code of its orbit
+    tuples = np.array(list(itertools.product(range(size), repeat=k)),
+                      dtype=int).reshape(size ** k, k)
+    place = size ** np.arange(k)[::-1]
+    least = (conj[:, tuples] @ place).min(0)
+    codes = reps.astype(int) @ place
+    # each representative is its orbit's least tuple, no two are
+    # conjugate, and every tuple is conjugate to one of them
+    assert (least[codes] == codes).all()
+    assert len(set(codes.tolist())) == len(codes)
+    assert set(least.tolist()) == set(codes.tolist())
+    assert (np.bincount(least, minlength=size ** k)[codes] == sizes).all()
+    assert sizes.sum() == size ** k
+
+
 def _seeded_presentation(rng, ngen):
     """Relators sharing subwords as derived groups do: a planted word
     repeated across and within relators, next to its inverse, runs such
@@ -228,42 +269,64 @@ def test_count_homs_highest_generator_unused(relators, homs):
     assert count_homs(p, s3) == _brute_force_homs(p, s3) == homs
 
 
-@pytest.mark.parametrize("chunk, name, ngen", [
-    (1 << 15, "S4", 0),
-    (1 << 15, "S4", 1),
-    (1 << 15, "S4", 2),   # 43 orbits of one row in one block
-    (4, "S3", 2),         # four orbits a block, the last holding three
-    (1, "S3", 1),         # one row a block: every image a scalar
-    (96, "S4", 3),        # four orbits of 24 rows, the last block three
-    (16, "D4", 3),        # two orbits of 8 rows, identity not 0
-    (20, "S3", 4),        # one orbit times 6 rows, one high digit fixed
-    (20, "S3", 5),        # one orbit times 6 rows, two high digits fixed
-    (30, "S4", 4),        # one orbit times 24 rows, one high digit fixed
-    (12, "D4", 4),        # one orbit times 8 rows, identity not 0
-    (5, "S3", 3),         # fewer rows than elements: all scalars
-    (6, "D4", 3),         # all scalars, identity not 0
-    (1 << 15, "S4", 5),   # two orbits a block, the last holding one
-])
-def test_count_homs_every_block_shape(monkeypatch, chunk, name, ngen):
+# (chunk, target, ngen, k): refinement stops where #orbits * |G| would
+# pass the chunk, so a small chunk also checks fewer orbit images
+BLOCK_SHAPES = [
+    (1 << 15, "S4", 0, 0),
+    (1 << 15, "S4", 1, 1),
+    (1 << 15, "S4", 2, 2),   # 43 orbits of one row in one block
+    (1 << 15, "S4", 3, 3),   # 681 orbits of one row in one block
+    (66, "S3", 4, 3),        # 11 orbits of 6 rows a block, the last five
+    (1032, "S4", 4, 3),      # 43 orbits of 24 rows a block, the last 36
+    (224, "D4", 4, 3),       # 28 orbits of 8 rows a block, identity not 0
+    (1031, "S4", 3, 2),      # 42 orbits of 24 rows, then one
+    (1 << 15, "S4", 5, 3),   # 56 orbits of 576 rows a block, the last nine
+    (66, "S3", 5, 3),        # one orbit of 36 rows a block
+    (66, "S3", 6, 3),        # one orbit times 36 rows, one high digit fixed
+    (66, "S3", 7, 3),        # one orbit times 36 rows, two high digits fixed
+    (224, "D4", 6, 3),       # one orbit times 64 rows, identity not 0
+    (20, "S3", 4, 2),        # one orbit times 6 rows, one high digit fixed
+    (20, "S3", 5, 2),        # one orbit times 6 rows, two high digits fixed
+    (96, "S4", 3, 1),        # one class times 24 rows, one high digit fixed
+    (30, "S4", 4, 1),        # one class times 24 rows, two high digits fixed
+    (16, "D4", 3, 1),        # one class times 8 rows, identity not 0
+    (12, "D4", 4, 1),        # the same, two high digits fixed
+    # a chunk below |G| refines nothing: one row a block, all scalars
+    (4, "S3", 2, 0),
+    (1, "S3", 1, 0),
+    (5, "S3", 3, 0),
+    (6, "D4", 3, 0),         # identity not 0
+]
+
+
+@pytest.mark.parametrize("chunk, name, ngen, k", BLOCK_SHAPES,
+                         ids=[f"{c}-{n}-{g}" for c, n, g, _ in BLOCK_SHAPES])
+def test_count_homs_every_block_shape(monkeypatch, chunk, name, ngen, k):
     monkeypatch.setattr(invariants, "_CHUNK_ROWS", chunk)
-    table = (_relabelled_dihedral_table() if name == "D4"
-             else builtin_table(name))
+    table = _table(name)
+    assert _hom_rows(ngen, table, HOM_BUDGET)[0] == k
     rng = random.Random(chunk * 10 + ngen)
-    for _ in range(2 if ngen == 5 else 6):
+    for _ in range(2 if ngen >= 5 else 6):
         p = _seeded_presentation(rng, ngen)
         assert count_homs(p, table) == _per_letter_homs(p, table), p
 
 
 def test_count_homs_needs_32_bit_indices():
     # a * 257 + b reaches 66048, past uint16: x1^m has gcd(m, 257) images
-    c257 = GroupTable("C257", 257,
-                      tuple(tuple((a + b) % 257 for b in range(257))
-                            for a in range(257)),
-                      tuple(-a % 257 for a in range(257)))
+    c257 = _cyclic_table(257)
     for relators, homs in [([(1,) * 257], 257), ([(1,) * 5], 1),
                            ([(1,) * 514, (1, 1, 1, -1)], 1), ([], 257)]:
         p = Presentation(1, relators)
         assert count_homs(p, c257) == _per_letter_homs(p, c257) == homs
+
+
+def test_large_cyclic_group_refines_one_image():
+    # 257 classes times 257 elements pass _CHUNK_ROWS, so the pairs are
+    # not refined: 257 orbits of x1 each take 257 dense images of x2
+    c257 = _cyclic_table(257)
+    k, reps, weights, dense = _hom_rows(2, c257, HOM_BUDGET)
+    assert (k, reps.shape, weights.sum(), dense) == (1, (257, 1), 257, 257)
+    assert count_homs(Presentation(2, [(1, 1, 1, -2)]), c257) == 257
 
 
 def _expand(products, words, ngen):
@@ -324,6 +387,15 @@ def test_count_homs_budget_counts_rows():
     assert count_homs(CONIC, s3, budget=11) == 24
     with pytest.raises(BudgetExceeded):
         count_homs(CONIC, s3, budget=10)
+
+
+def test_count_homs_budget_counts_rows_of_three_images():
+    # S3^3 has 49 conjugation orbits, so three generators need 49 rows
+    s3 = builtin_table("S3")
+    p = Presentation(3, CONIC.relators)
+    assert count_homs(p, s3, budget=49) == 24 * 6
+    with pytest.raises(BudgetExceeded):
+        count_homs(p, s3, budget=48)
 
 
 def test_symmetric_group_tables_are_groups():

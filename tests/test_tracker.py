@@ -635,6 +635,33 @@ def test_coincident_roots_fail_without_bisecting_the_whole_loop():
     # a level with nothing to halve solves nothing
     assert len(solved) > MAX_REFINE and all(solved), solved
 
+
+# The braids that 256 samples give on the unit loop; at 8 samples a step
+# can skip whole turns of a strand and still pass the MATCH_SAFETY test,
+# because the roots land next to other roots.
+COARSE_CURVES = [("y^2 - x^9", BraidWord(2, (1,) * 9)),
+                 ("y^2 - x^99", BraidWord(2, (1,) * 99)),
+                 ("y^3 - x^200", BraidWord(3, (1, 2) * 200))]
+
+
+@pytest.mark.parametrize("equation, braid", COARSE_CURVES)
+def test_fine_sampling_gives_the_pinned_braid(equation, braid):
+    loop = LoopSpec(0j, Fraction(1), 256)
+    assert action_equal(track(CurvePoly.parse(equation), loop).braid, braid)
+
+
+@pytest.mark.xfail(strict=True, reason="a coarse step that skips a turn "
+                   "is accepted: today (1,), (1, 1, 1) and the identity")
+@pytest.mark.parametrize("equation, braid", COARSE_CURVES)
+def test_coarse_sampling_gives_the_braid_or_refuses(equation, braid):
+    loop = LoopSpec(0j, Fraction(1), 8)
+    try:
+        got = track(CurvePoly.parse(equation), loop).braid
+    except ConiclineError:
+        return
+    assert action_equal(got, braid)
+
+
 def _seeded_steps(rng, rows, n):
     """Old and new fibers of ``rows`` steps, moved from far inside to far
     outside the accepted range."""
