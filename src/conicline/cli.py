@@ -11,6 +11,7 @@ input error.
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -28,7 +29,8 @@ from .van_kampen import parse_sweep, present
 
 def _emit(args, text, payload):
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        # NaN and Infinity are not JSON; a payload holding one is a bug
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     else:
         print(text)
 
@@ -109,7 +111,9 @@ def _cmd_track(args):
                        "letters": list(tb.braid.letters),
                        "strands": tb.braid.strands,
                        "permutation": list(tb.permutation),
-                       "min_gap": tb.min_gap,
+                       # a one-strand fiber has no gap between roots
+                       "min_gap": (tb.min_gap if math.isfinite(tb.min_gap)
+                                   else None),
                        "refinements": tb.refinements})
     return 0
 

@@ -16,16 +16,23 @@ Passes 3 and 4 share one piece finder.  A piece of relator ``r`` is a
 prefix, at least half as long as ``s``, of a rotation of relator ``s``
 or of ``s^-1``; rewriting replaces it by the inverse of the rest of that
 rotation.  The rotations of ``s`` and ``s^-1`` are indexed by their
-prefix of length ``(len(s) + 1) // 2``, the shortest admissible piece,
-so each start in ``r r`` costs one dict lookup plus a letter-by-letter
-extension of its hits.  Pass 3 takes the first rewrite, in scan order,
-whose piece is longer than half of ``s``; pass 4 takes them all.
+prefix of length ``h = (len(s) + 1) // 2``, the shortest admissible
+piece, and the word ``r`` by its windows: each length-``h`` window of
+``r r`` maps to its starts.  One intersection of the two key sets finds
+every start where a piece can begin, and each hit is extended letter by
+letter.  Pass 3 takes the first rewrite, in scan order, whose piece is
+longer than half of ``s``; pass 4 takes them all.
 
-Work is memoised by value, never by identity.  Each relator's index and
-its cyclic normal form (the pass-1 key) are computed once per process;
-the pass-4 search states are not kept.  :func:`simplify` itself is
-memoised on ``(ngen, relators, budget)``: the moves never depend on the
-input's trace, so each call appends the stored moves to its own.
+Work is memoised by value, never by identity.  Each relator's piece
+index and its cyclic normal form (the pass-1 key) are computed once per
+process.  A word's window index lives for one pass-3 step, shared by
+every relator that rewrites it, or for one pass-4 search state, shared
+by every rule.  It is not cached process-wide: building one is a pass
+over the word per piece length, and a cache of the search states'
+indexes keyed by value only adds to peak memory (0.55 MB on the
+``tangency`` benchmark).  :func:`simplify` itself is memoised on
+``(ngen, relators, budget)``: the moves never depend on the input's
+trace, so each call appends the stored moves to its own.
 
 Every move is recorded in the presentation trace, so the output replays
 bit-for-bit from the input.  The engine never claims non-equivalence:
@@ -116,13 +123,21 @@ def _dedup_step(p):
 # -- pass 2: generator elimination -----------------------------------------
 
 def _elimination_candidate(p):
-    """Smallest generator with a single occurrence in some relator."""
-    for g in range(1, p.ngen + 1):
-        for i, r in enumerate(p.relators):
-            occurrences = [k for k, a in enumerate(r) if abs(a) == g]
-            if len(occurrences) == 1:
-                return g, i, occurrences[0]
-    return None
+    """Smallest generator with a single occurrence in some relator.
+
+    Returns ``(g, i, k)``: the generator, the first relator in which it
+    occurs once, and its position there; ``None`` if there is none.
+    """
+    best = None
+    for i, r in enumerate(p.relators):
+        once = {}                 # generator -> its position, None if repeated
+        for k, a in enumerate(r):
+            g = abs(a)
+            once[g] = None if g in once else k
+        for g, k in once.items():
+            if k is not None and (best is None or g < best[0]):
+                best = g, i, k
+    return best
 
 
 def _elimination_step(p):
@@ -157,8 +172,30 @@ def _piece_index(s):
     return rotations, index
 
 
-def _rewrites(r, piece_index, shortest):
-    """Rewrites of cyclic relator ``r`` by the indexed relator ``s``.
+class _Windows(dict):
+    """The window index of cyclic word ``r``, scoped to one step or state.
+
+    Maps each length ``h`` asked for to a dict from each length-``h``
+    window of ``r r`` to its starts in ``range(len(r))``, ascending; each
+    length is indexed on first use.
+    """
+
+    def __init__(self, r):
+        self.word = r
+        self.doubled = r + r
+
+    def __missing__(self, h):
+        starts = {}
+        doubled = self.doubled
+        for k in range(len(self.word)):
+            starts.setdefault(doubled[k:k + h], []).append(k)
+        self[h] = starts
+        return starts
+
+
+def _rewrites(windows, piece_index, shortest):
+    """Rewrites of cyclic word ``r = windows.word`` by the indexed
+    relator ``s``.
 
     Each replaces a piece of ``r`` that is a prefix of length ``L`` of a
     rotation ``z`` of ``s^±1``, ``shortest <= L < len(s)``, by the
@@ -167,16 +204,22 @@ def _rewrites(r, piece_index, shortest):
     first, then by start in ``r``.
     """
     rotations, index = piece_index
+    r, doubled = windows.word, windows.doubled
     m = len(rotations) // 2
     h, cap = (m + 1) // 2, min(m - 1, len(r))
-    doubled = r + r
+    if h > cap:
+        return
+    starts = windows[h]
     hits = []
-    for k in range(len(r) if h <= cap else 0):
-        for zi in index.get(doubled[k:k + h], ()):
-            z, top = rotations[zi], h
-            while top < cap and z[top] == doubled[k + top]:
-                top += 1
-            hits.extend((zi, piece, k) for piece in range(shortest, top + 1))
+    for window in starts.keys() & index.keys():
+        for zi in index[window]:
+            z = rotations[zi]
+            for k in starts[window]:
+                top = h
+                while top < cap and z[top] == doubled[k + top]:
+                    top += 1
+                hits.extend((zi, piece, k)
+                            for piece in range(shortest, top + 1))
     hits.sort(key=lambda hit: (hit[0], -hit[1], hit[2]))
     for zi, piece, k in hits:
         yield words.concat(words.inverse(rotations[zi][piece:]),
@@ -186,11 +229,12 @@ def _rewrites(r, piece_index, shortest):
 def _shorten_step(p):
     indexes = [_piece_index(s) for s in p.relators]
     for i, r in enumerate(p.relators):
+        windows = _Windows(r)
         for j, s in enumerate(p.relators):
             if i == j or len(s) > len(r):
                 continue
             # a piece longer than half of s strictly shortens r
-            new = next(_rewrites(r, indexes[j], len(s) // 2 + 1), None)
+            new = next(_rewrites(windows, indexes[j], len(s) // 2 + 1), None)
             if new is not None:
                 return p.replace_relator(i, new, f"rewritten with relator {j}")
     return None
@@ -215,10 +259,11 @@ def _trivializes(target, others):
     for _ in range(_SEARCH_DEPTH):
         next_frontier = []
         for w in frontier:
+            windows = _Windows(w)
             for m, piece_index in rules:
                 if m > 2 * len(w):
                     continue
-                for new in _rewrites(w, piece_index, (m + 1) // 2):
+                for new in _rewrites(windows, piece_index, (m + 1) // 2):
                     key = words.cyclic_normal_form(new)
                     if not key:
                         return True

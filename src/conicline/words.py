@@ -5,6 +5,7 @@ A word is a tuple of nonzero integers: ``k`` stands for the generator
 reduced tuples, so words compare with ``==``.
 """
 
+import operator
 import re
 
 from .errors import ParseError
@@ -30,7 +31,7 @@ def concat(*words):
 
 
 def inverse(w):
-    return tuple(-a for a in reversed(w))
+    return tuple(map(operator.neg, reversed(w)))
 
 
 def relator(u, v=()):
@@ -59,25 +60,33 @@ def cyclic_normal_form(w):
 
 
 def _least_rotation(w):
-    """The least rotation of ``w``, by Booth's algorithm: ``fail`` is the
-    failure function of ``w w`` read from ``k``, the least start so far."""
+    """The least rotation of ``w``, by the two-pointer minimum-expression
+    scan over ``w w``; linear in ``len(w)``.
+
+    ``i`` and ``j`` are the two candidate starts still alive and ``k``
+    the length of their common prefix.  At the first mismatch the start
+    with the larger letter loses, and so does every start up to ``k``
+    past it: the start as far past the other candidate reads smaller.
+    A start that reaches ``len(w)`` has been ruled out, so the other one
+    begins the least rotation.
+    """
+    n = len(w)
     s = w + w
-    fail = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        c = s[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != s[k + i + 1]:
-            if c < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if i == -1 and c != s[k]:
-            if c < s[k]:
-                k = j
-            fail[j - k] = -1
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
         else:
-            fail[j - k] = i + 1
-    return s[k:k + len(w)]
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    i = min(i, j)
+    return s[i:i + n]
 
 
 def generators_of(w):

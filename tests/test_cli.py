@@ -40,6 +40,25 @@ def test_track(capsys):
     assert "braid: s1" in out
 
 
+def _strict_json(text):
+    """Parse JSON, refusing the NaN and Infinity that Python accepts."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_track_json_is_strict_and_one_strand_has_no_gap(capsys):
+    code, out, _ = run(capsys, "--format", "json", "track", "--poly", "y",
+                       "--samples", "8")
+    assert code == 0
+    data = _strict_json(out)
+    assert data["strands"] == 1 and data["min_gap"] is None
+    code, out, _ = run(capsys, "--format", "json", "track", "--poly",
+                       "y^2-x", "--samples", "64")
+    assert code == 0
+    assert _strict_json(out)["min_gap"] > 0
+
+
 def test_present_and_simplify_pipeline(tmp_path, capsys):
     from conicline.catalog import CONIC_PAIR_TABLE
     table = tmp_path / "table.txt"

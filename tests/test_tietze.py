@@ -8,7 +8,9 @@ from conicline.catalog import expected_groups
 from conicline.invariants import invariant_bundle
 from conicline.local_models import generalized_tangency
 from conicline.presentations import Presentation, replay
-from conicline.tietze import _piece_index, _rewrites, simplify
+from conicline import tietze
+from conicline.tietze import (_Windows, _elimination_candidate, _piece_index,
+                              _rewrites, simplify)
 from conicline.van_kampen import Factorization, present
 
 CONIC = Presentation(2, [(1, 2, 1, 2), (2, 1, 2, 1)])
@@ -161,6 +163,18 @@ def _random_cyclic_word(rng, ngen, length):
     return tuple(w)
 
 
+def _check_piece_finder(r, s):
+    """Both readers of the piece finder agree with the nested scan on
+    ``r`` and ``s``, reusing one window index of ``r`` for both."""
+    assert words.cyclic_reduce(r) == r and words.cyclic_reduce(s) == s
+    index, windows = _piece_index(s), _Windows(r)
+    once = next(_rewrites(windows, index, len(s) // 2 + 1), None)
+    assert once == _scan_once(r, s), (r, s)
+    found = list(_rewrites(windows, index, (len(s) + 1) // 2))
+    assert found == _scan_variants(r, s), (r, s)
+    return once, found, windows
+
+
 def test_piece_finder_matches_nested_scan():
     rng = random.Random(20261018)
     shortened = variants = 0
@@ -173,16 +187,145 @@ def test_piece_finder_matches_nested_scan():
             z = rng.choice(_rotations(s) + _rotations(words.inverse(s)))
             r = words.cyclic_reduce(z[:rng.randint(1, len(s))] + r)[:14]
             r = words.cyclic_reduce(r)
-        assert words.cyclic_reduce(r) == r and words.cyclic_reduce(s) == s
-        index = _piece_index(s)
-        once = next(_rewrites(r, index, len(s) // 2 + 1), None)
-        assert once == _scan_once(r, s), (r, s)
-        found = list(_rewrites(r, index, (len(s) + 1) // 2))
-        assert found == _scan_variants(r, s), (r, s)
+        once, found, _ = _check_piece_finder(r, s)
         shortened += once is not None
         variants += len(found)
     # the planted pieces make both readers do real work
     assert shortened > 500 and variants > 5000
+    # words of up to 30 letters with several planted pieces, so that one
+    # window of r r has several starts for the same rotation of s^±1
+    repeated = variants = 0
+    for _ in range(600):
+        ngen = rng.randint(1, 3)
+        s = _random_cyclic_word(rng, ngen, rng.randint(2, 10))
+        zs = _rotations(s) + _rotations(words.inverse(s))
+        parts = []
+        for _ in range(rng.randint(2, 4)):
+            z = rng.choice(zs[:2] if rng.random() < 0.5 else zs)
+            parts += z[:rng.randint((len(s) + 1) // 2, len(s))]
+            parts += _random_cyclic_word(rng, ngen, rng.randint(0, 3))
+        r = words.cyclic_reduce(words.cyclic_reduce(parts)[:30])
+        _, found, windows = _check_piece_finder(r, s)
+        variants += len(found)
+        repeated += any(len(starts) > 1 and window in _piece_index(s)[1]
+                        for starts_of in windows.values()
+                        for window, starts in starts_of.items())
+    assert repeated > 300 and variants > 20000
+
+
+# -- generator elimination against the per-generator scan it replaced -----
+
+def _elimination_by_nested_scan(p):
+    """Smallest generator with a single occurrence, first relator first."""
+    for g in range(1, p.ngen + 1):
+        for i, r in enumerate(p.relators):
+            occurrences = [k for k, a in enumerate(r) if abs(a) == g]
+            if len(occurrences) == 1:
+                return g, i, occurrences[0]
+    return None
+
+
+@pytest.mark.parametrize("ngen, relators, expected", [
+    # x1 occurs once in both relators: the first relator wins the tie
+    (2, [(2, 2, 1), (1, 2, 2)], (1, 0, 2)),
+    # x1 occurs twice in the earlier relator and once in the later one
+    (2, [(1, 2, 1, 2), (2, 2, 1)], (1, 1, 2)),
+    # x1 occurs in no relator; x2 is the least candidate
+    (3, [(3, 2, 3), (3, 3, 2)], (2, 0, 1)),
+    # every generator occurs twice or not at all
+    (3, [(2, 3, 2, 3)], None),
+    (3, [], None),
+])
+def test_elimination_candidate_cases(ngen, relators, expected):
+    p = Presentation(ngen, relators)
+    assert _elimination_candidate(p) == expected
+    assert _elimination_by_nested_scan(p) == expected
+
+
+def test_elimination_candidate_matches_nested_scan():
+    rng = random.Random(20261019)
+    found = 0
+    for _ in range(2000):
+        ngen = rng.randint(1, 5)
+        relators = [_random_cyclic_word(rng, ngen, rng.randint(0, 10))
+                    for _ in range(rng.randint(0, 5))]
+        p = Presentation(ngen, relators)
+        expected = _elimination_by_nested_scan(p)
+        assert _elimination_candidate(p) == expected, p.relators
+        found += expected is not None
+    assert 500 < found < 1900
+
+
+# -- the consequence search against a breadth-first search on the scan -----
+
+def _trivializes_by_nested_scan(target, others):
+    """:func:`tietze._trivializes` with the nested scan as piece finder:
+    the same beam, depth, dedup by cyclic normal form and frontier order."""
+    rules = [s for s in others if s]
+    if not rules:
+        return False
+    start = words.cyclic_normal_form(target)
+    if not start:
+        return True
+    frontier, seen = [start], {start}
+    for _ in range(tietze._SEARCH_DEPTH):
+        next_frontier = []
+        for w in frontier:
+            for s in rules:
+                for new in _scan_variants(w, s):
+                    key = words.cyclic_normal_form(new)
+                    if not key:
+                        return True
+                    if key not in seen:
+                        seen.add(key)
+                        next_frontier.append(key)
+        next_frontier.sort(key=lambda u: (len(u), u))
+        frontier = next_frontier[:tietze._SEARCH_BEAM]
+        if not frontier:
+            return False
+    return False
+
+
+def _conjugates_product(rng, ngen, rules):
+    """A cyclically reduced product of conjugates of ``rules^±1``."""
+    w = ()
+    for _ in range(rng.randint(1, 2)):
+        s = rng.choice(rules)
+        c = _random_cyclic_word(rng, ngen, rng.randint(0, 2))
+        w = words.concat(w, c, s if rng.random() < 0.5 else words.inverse(s),
+                         words.inverse(c))
+    return words.cyclic_reduce(w)
+
+
+def test_consequence_search_matches_nested_scan():
+    rng = random.Random(1)
+    outcomes = []
+    for _ in range(200):
+        ngen = rng.randint(2, 3)
+        rules = [_random_cyclic_word(rng, ngen, rng.randint(2, 6))
+                 for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            target = _conjugates_product(rng, ngen, rules)
+        else:
+            target = _random_cyclic_word(rng, ngen, rng.randint(1, 8))
+        found = tietze._trivializes(target, rules)
+        assert found == _trivializes_by_nested_scan(target, rules), \
+            (target, rules)
+        outcomes.append(found)
+    assert outcomes.count(True) > 50 and outcomes.count(False) > 50
+
+
+@pytest.mark.parametrize("target, rules, expected", [
+    # both searches fill the beam on the way to their answer
+    ((-1, -2, 1, 2, 1, 1, -2, -1, 2, 1, 1, -2, -2, -2),
+     [(1, -2), (-2, -1, -1)], True),
+    ((-2, -2, 3, 3, 1, 2, 1, 2, 2, 2, 3, -2, 1, 1, 3),
+     [(2, 2, -3), (1, -2)], False),
+])
+def test_consequence_search_matches_nested_scan_past_the_beam(
+        target, rules, expected):
+    assert tietze._trivializes(target, rules) is expected
+    assert _trivializes_by_nested_scan(target, rules) is expected
 
 
 # -- traces replay bit-for-bit: digests recorded before the piece finder ----

@@ -67,6 +67,9 @@ def test_cyclic_normal_form_matches_all_rotations():
     for w in cases:
         assert words.cyclic_normal_form(w) == \
             _normal_form_by_all_rotations(w), w
+        # the least rotation itself, periodic words included
+        assert words._least_rotation(w) == \
+            min((w[r:] + w[:r] for r in range(len(w))), default=()), w
 
 
 def test_generators_and_max_generator():
