@@ -371,6 +371,87 @@ def test_tracked_braid_unchanged_at_1024_samples(equation, radius, digest):
     assert hashlib.sha256(key.encode()).hexdigest() == digest
 
 
+# sha256 of repr((letters, permutation, refinements)) of ``track``, the
+# braid without ``min_gap``, at 256 and 1024 samples: every curve of
+# ``GOLDEN_TRACKS`` on the same loop.  Recorded before loops about a real
+# center were mirrored, which moves ``min_gap`` in its last bits only.
+GOLDEN_BRAIDS = {
+    '3comp-common-tangent':
+        ('f13afc51792cc96c048b18f97622d12d405314e964be32bc19f13c9addf67316',
+         'f13afc51792cc96c048b18f97622d12d405314e964be32bc19f13c9addf67316'),
+    '3comp-rotation':
+        ('b5ddbab7e9d604c7f19fe6f4be9e76a11b8348055c00818c38463889496ba030',
+         'b5ddbab7e9d604c7f19fe6f4be9e76a11b8348055c00818c38463889496ba030'),
+    '3comp-type1':
+        ('6a99e5d3b60134222092c815082589e5bed99d0ba1f448982775aaca58148e16',
+         '6a99e5d3b60134222092c815082589e5bed99d0ba1f448982775aaca58148e16'),
+    '3comp-type2':
+        ('10211e7cf2ac571b6625bedfcce2966fddfad8ec333e9efed62629da7e402b54',
+         '10211e7cf2ac571b6625bedfcce2966fddfad8ec333e9efed62629da7e402b54'),
+    '4comp-tangentline-type1':
+        ('08a0ce02c90cdf47a5d07f763a5e7e3ae08633b47f4fda001471eb612539dcbc',
+         '08a0ce02c90cdf47a5d07f763a5e7e3ae08633b47f4fda001471eb612539dcbc'),
+    '4comp-tangentline-type2':
+        ('89e67a5c8a5ff37ce29a4737515a18143b710ee02e8e1aab80c35b99968e131a',
+         '89e67a5c8a5ff37ce29a4737515a18143b710ee02e8e1aab80c35b99968e131a'),
+    '4comp-twolines-type1':
+        ('48e97f7ecce083883dead05e535dcf6d9575cf353760fcddec080d733178ebb3',
+         '48e97f7ecce083883dead05e535dcf6d9575cf353760fcddec080d733178ebb3'),
+    '4comp-twolines-type2':
+        ('901300596dee2ee61d6a2a0fed1b69a2de9b59bb3d3144257000cb7b31d4aca7',
+         '901300596dee2ee61d6a2a0fed1b69a2de9b59bb3d3144257000cb7b31d4aca7'),
+    'branch-point':
+        ('b48e5359db7eefa400e4f79cbd802ee0354792d89a37f4126799b0e5301fd72a',
+         'b48e5359db7eefa400e4f79cbd802ee0354792d89a37f4126799b0e5301fd72a'),
+    'conic-conic-tangency':
+        ('5e12aaaeb2834c6cfded7d849b76b04b72a77ad72f5ab365d3f22056d64c65bc',
+         '5e12aaaeb2834c6cfded7d849b76b04b72a77ad72f5ab365d3f22056d64c65bc'),
+    'node':
+        ('f3419e6a6996c55334d3f75dd649b451e2976c29238b26166114a2e988380664',
+         'f3419e6a6996c55334d3f75dd649b451e2976c29238b26166114a2e988380664'),
+    'simple-tangency':
+        ('5e12aaaeb2834c6cfded7d849b76b04b72a77ad72f5ab365d3f22056d64c65bc',
+         '5e12aaaeb2834c6cfded7d849b76b04b72a77ad72f5ab365d3f22056d64c65bc'),
+    'conic-pair':
+        ('0c230f0a4c12e7cd2d1783c97efb18b7d53d76d47b8882ef169008b266a547b7',
+         '2561c311ab2f3788ba68c28d8f0c11c850e0d23e7f69056c6af0dac6b2ebd2fb'),
+    'conic-pair+line':
+        ('94d09a9990d214852607d1b63f37fa995c86733bb0debb72a2920f4f5e9cea0b',
+         'd30b95428d20aca87e6dc1387be2f98d2fe2e32b46ea17a71e95d87b38226a71'),
+    'conic-pair+2lines':
+        ('a5ee0f1313549fc6c77bee1bcd5d9398af2f4cbe47eef2eaaa1d40fc01688df6',
+         '62ba22df09dc4eeb7e989ebb5e1a2d41f553b3211447f9e61f163e80660fbb3b'),
+}
+
+
+@pytest.mark.parametrize("samples", [256, 1024])
+@pytest.mark.parametrize("equation, radius, name",
+                         [case[1:3] + case[:1] for case in GOLDEN_TRACKS],
+                         ids=[case[0] for case in GOLDEN_TRACKS])
+def test_tracked_braid_letters_unchanged(equation, radius, name, samples):
+    tb = track(CurvePoly.parse(equation),
+               LoopSpec(0j, Fraction(radius), samples))
+    key = repr((tb.braid.letters, tb.permutation, tb.refinements))
+    want = GOLDEN_BRAIDS[name][samples == 1024]
+    assert hashlib.sha256(key.encode()).hexdigest() == want
+
+
+# sha256 of repr of the fibers over the 1025 grid points of a 1024-sample
+# loop about the non-real center i/10, whose points come in no conjugate
+# pairs: the two-line conic curve, radius 3.
+NON_REAL_CENTER_FIBERS = (
+    'e25f93877648c5cde2f9d6385366235720f3575fc0efefbf31cc6b6197ca9181')
+
+
+def test_loop_about_a_non_real_center_keeps_its_fibers():
+    p = CurvePoly.parse(dict((c[0], c[1]) for c in GOLDEN_TRACKS)
+                        ["conic-pair+2lines"])
+    loop = LoopSpec(0.1j, Fraction(3), samples=1024)
+    fibers = p.fibers([loop.point(k / 1024) for k in range(1025)])
+    digest = hashlib.sha256(repr(fibers).encode()).hexdigest()
+    assert digest == NON_REAL_CENTER_FIBERS
+
+
 def test_refused_grid_fiber_raises_only_when_reached():
     # along x = 1 - t on 8 steps: a double root over x = 1/2 (t = 1/2)
     # and a vanishing leading coefficient over x = 0 (t = 1)
