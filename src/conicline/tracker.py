@@ -7,7 +7,9 @@ the real-part order exchange places.  The fibers over all sample points
 are solved in one batch into an array (``CurvePoly.fiber_rows``), and
 all steps of the grid are matched at once (``_match_rows``); steps that
 fail are bisected level by level, each level's midpoints solved in one
-batch and its half-steps matched at once.
+batch and its half-steps matched at once.  A loop about a real center
+is mirror-symmetric (``LoopSpec.point``), so a batch solves only one
+fiber of each conjugate pair of its points.
 
 Strand order is by ``Re(y)`` with ties broken by ``Im(y)``; this is
 implemented as the order of ``Re(exp(-i*delta) * y)`` for a tiny fixed
@@ -78,26 +80,51 @@ class CurvePoly:
     def fiber_rows(self, xs):
         """The fiber roots over each x in ``xs`` in strand order, one row
         per x, and ``{row: error}`` of the refused rows (NaN), to raise on
-        reaching them.  Roots equal ``np.roots``: eigenvalues of companion
-        matrices stacked per count of zero roots.  Refused, with ``tol``
-        the ``RESIDUAL_TOL`` read at the call: ``|a_n| <= tol max |a_j|``
-        (``LeadingCoefficientVanishes``) or ``|sum a_j r^j| > 1e4 tol
-        max(sum |a_j| max(1, |r|)^j, 1)`` for a root ``r``
-        (``NoConvergence``)."""
+        reaching them.  Solved roots equal ``np.roots``: eigenvalues of
+        companion matrices stacked per count of zero roots.  Refused, with
+        ``tol`` the ``RESIDUAL_TOL`` read at the call: ``|a_n| <= tol max
+        |a_j|`` (``LeadingCoefficientVanishes``) or ``|sum a_j r^j| > 1e4
+        tol max(sum |a_j| max(1, |r|)^j, 1)`` for a root ``r``
+        (``NoConvergence``).
+
+        The coefficients are rational, so the fiber over a conjugate x is
+        the conjugate fiber.  A row whose x equals the conjugate of an
+        earlier row's non-real x is not solved: it takes that row's
+        eigenvalues with their imaginary parts negated.  LAPACK's ``zgeev`` is conjugation-symmetric bit for bit
+        on the loops the tests pin, so there they equal its own; in
+        general they equal them to rounding, as ``zgeev`` rounds the two
+        roots of a pair unevenly on some fibers (even in y, or with real
+        coefficients).  The deflated zero roots stay ``+0j``, and the
+        residual check, strand order and refusal run on the row's own
+        coefficients."""
         tol = RESIDUAL_TOL
         coeffs = self.y_coefficients(xs)
         n = self.degy
         mags = np.abs(coeffs)
         solvable = mags[:, -1] > tol * mags.max(axis=1)
         zeros = (coeffs == 0).argmin(axis=1)   # a solvable row's a_n != 0
+        # mirror[k]: the earlier row whose x is conjugate to row k's, or k;
+        # conjugation keeps every coefficient's magnitude and every zero,
+        # so the two rows agree in ``solvable`` and ``zeros``
+        first, mirror = {}, np.arange(len(coeffs))
+        for k, x in enumerate(xs):
+            if x.imag:
+                j = first.get(x.conjugate())
+                if j is None:
+                    first.setdefault(x, k)
+                else:
+                    mirror[k] = j
+        shared = mirror != np.arange(len(coeffs))
         roots = np.zeros((len(coeffs), n), dtype=complex)
         for z in set(zeros[solvable].tolist()) - {n}:   # n: all roots 0
             rows = np.flatnonzero(solvable & (zeros == z))
+            copies, rows = rows[shared[rows]], rows[~shared[rows]]
             top = coeffs[rows, z:][:, ::-1]   # highest degree first
             comp = np.zeros((len(rows), n - z, n - z), dtype=complex)
             comp[:, 0, :] = -top[:, 1:] / top[:, :1]
             comp.reshape(len(rows), -1)[:, n - z::n - z + 1] = 1
             roots[rows, :n - z] = np.linalg.eigvals(comp)
+            roots[copies, :n - z] = roots[mirror[copies], :n - z].conj()
         a, m, r = coeffs[solvable], mags[solvable], roots[solvable]
         residual, res_scale, grow = a[:, -1:], m[:, -1:], np.maximum(abs(r), 1)
         for j in range(n - 1, -1, -1):   # Horner, per root
@@ -178,6 +205,16 @@ class LoopSpec:
         object.__setattr__(self, "_radius", float(self.radius))
 
     def point(self, t):
+        """``center + radius * exp(2 pi i t)``.  About a real center, a
+        ``t`` past 1/2 gives the conjugate of the point at ``1 - t``, so
+        the second half of the loop mirrors the first exactly wherever
+        ``1 - t`` is exact: at every dyadic ``t``, such as the points of a
+        grid of ``2^k`` samples and their bisection midpoints.  Their
+        fibers are then conjugate pairs, each solved once
+        (``CurvePoly.fiber_rows``)."""
+        if t > 0.5 and not self._center.imag:
+            return (self._center + self._radius
+                    * cmath.exp(_TWO_PI_I * (1 - t))).conjugate()
         return self._center + self._radius * cmath.exp(_TWO_PI_I * t)
 
 

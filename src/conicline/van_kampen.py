@@ -57,7 +57,9 @@ def assemble(rows, n):
 
     The half-twist of row ``j``'s pair is conjugated by the accumulated
     diffeomorphism ``delta_1 ... delta_{j-1}`` (applied first), so each
-    skeleton is expressed in the base fiber.
+    skeleton is expressed in the base fiber.  Each factor is freely
+    reduced, so that :func:`format_factorization` writes the words that
+    :func:`parse_sweep` reads back.
     """
     history = BraidWord(n)
     factors = []
@@ -69,7 +71,8 @@ def assemble(rows, n):
             raise StrandMismatch(f"row {row.index} delta is on "
                                  f"{row.delta.strands} strands, not {n}")
         local = half_twist(n, a, b) ** row.epsilon
-        factors.append(history.inverse() * local * history)
+        conjugate = history.inverse() * local * history
+        factors.append(BraidWord(n, words.reduce(conjugate.letters)))
         history = history * row.delta
     return Factorization(n, tuple(factors))
 
