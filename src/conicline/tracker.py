@@ -90,13 +90,13 @@ class CurvePoly:
         The coefficients are rational, so the fiber over a conjugate x is
         the conjugate fiber.  A row whose x equals the conjugate of an
         earlier row's non-real x is not solved: it takes that row's
-        eigenvalues with their imaginary parts negated.  LAPACK's ``zgeev`` is conjugation-symmetric bit for bit
-        on the loops the tests pin, so there they equal its own; in
-        general they equal them to rounding, as ``zgeev`` rounds the two
-        roots of a pair unevenly on some fibers (even in y, or with real
-        coefficients).  The deflated zero roots stay ``+0j``, and the
-        residual check, strand order and refusal run on the row's own
-        coefficients."""
+        eigenvalues with their imaginary parts negated.  LAPACK's
+        ``zgeev`` is conjugation-symmetric bit for bit on the loops the
+        tests pin, so there they equal its own; in general they equal
+        them to rounding, as ``zgeev`` rounds the two roots of a pair
+        unevenly on some fibers (even in y, or with real coefficients).
+        The deflated zero roots stay ``+0j``, and the residual check,
+        strand order and refusal run on the row's own coefficients."""
         tol = RESIDUAL_TOL
         coeffs = self.y_coefficients(xs)
         n = self.degy
