@@ -459,8 +459,7 @@ def _count_eigvals_rows(monkeypatch):
 
 
 def test_loop_about_a_non_real_center_solves_every_fiber(monkeypatch):
-    p = CurvePoly.parse(dict((c[0], c[1]) for c in GOLDEN_TRACKS)
-                        ["conic-pair+2lines"])
+    p = CurvePoly.parse(CONIC_PAIR + "*(10*y-20*x-1)*(10*y+30*x-7)")
     loop = LoopSpec(0.1j, Fraction(3), samples=1024)
     rows = _count_eigvals_rows(monkeypatch)
     fibers = p.fibers([loop.point(k / 1024) for k in range(1025)])
@@ -480,8 +479,10 @@ def test_loop_about_a_real_center_mirrors_its_dyadic_points(center):
             if t != 0.5:
                 mirror = loop.point(t).conjugate()
                 assert repr(loop.point(1 - t)) == repr(mirror)
+            # and still on the circle, to a few units in the last place
             circle = center + 0.7 * cmath.exp(2j * cmath.pi * t)
-            assert abs(loop.point(t) - circle) < 1e-15
+            scale = sys.float_info.epsilon * (abs(center) + 0.7)
+            assert abs(loop.point(t) - circle) < 8 * scale
 
 
 def test_loop_about_a_real_center_solves_each_conjugate_pair_once(
