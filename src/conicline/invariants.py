@@ -157,8 +157,9 @@ def builtin_table(name):
     return _TABLES[name]
 
 
-# Rows per block, and entries per level of orbit refinement: bounds the
-# working arrays of count_homs to a few hundred kB whatever the search.
+# Rows per block of count_homs (whole orbits times the varying dense
+# digits), and entries per level of orbit refinement: bounds the working
+# arrays of count_homs to a few hundred kB whatever the search.
 _CHUNK_ROWS = 1 << 15
 
 
@@ -277,13 +278,11 @@ def count_homs(p, table, budget=HOM_BUDGET):
     with every image of the other generators, the dense digits:
     ``#orbits * |target| ** (ngen - k)`` rows.
 
-    Rows are evaluated in blocks of at most ``_CHUNK_ROWS``, whose shape
-    is fixed once per call: ``_CHUNK_ROWS // dense`` whole orbits when
-    one orbit's ``dense`` rows fit, otherwise one orbit times the largest
-    power of ``|target|`` that fits, with the higher dense digits fixed.
-    The varying digit columns are tiled once per call.  An image that is
-    constant on the block (the orbit's, when the block holds one orbit,
-    or a fixed high digit) is a Python scalar.
+    Rows are evaluated in blocks of at most ``_CHUNK_ROWS`` by one rule,
+    fixed once per call: the lowest ``vary`` dense digits vary, for the
+    largest ``vary`` whose ``per = |target| ** vary`` rows fit, in
+    ``_CHUNK_ROWS // per`` whole orbits, and the higher dense digits are
+    fixed for the block.  Every image is a column.
 
     The relators are evaluated as a straight-line program (see
     :func:`_straight_line`): a product of a letter pair that repeats
@@ -293,95 +292,68 @@ def count_homs(p, table, budget=HOM_BUDGET):
     80 relator letters of the simplified n = 5 tangency group take 18
     products per block.
 
-    Scalars fold: a product of two scalars is a table lookup in Python,
-    a scalar times a column one gather from a ``|target|``-entry row or
-    column of the table, and only a product of two columns gathers from
-    the whole table at ``a * size + b``.  Inverses fold as well: a
-    scalar's inverse is looked up, and the signs of two columns pick one
-    of four tables of ``a^+-1 b^+-1``, so no block gathers an inverse
-    column.  Index arithmetic runs in the least unsigned dtype that
-    holds ``size * size - 1``, named on every operation so that no numpy
+    A product of two columns is one gather from the whole table at
+    ``a * size + b``, and the signs of the two letters pick one of four
+    tables of ``a^+-1 b^+-1``, so no block gathers an inverse column.
+    Index arithmetic runs in the least unsigned dtype that holds
+    ``size * size - 1``, named on every operation so that no numpy
     casting rule can narrow an index and wrap it.
 
     Raises :class:`BudgetExceeded` when that number of rows exceeds
     ``budget``: the budget counts rows, however few products each takes.
     """
     size, n = table.size, p.ngen
-    k, reps, weights, dense = _hom_rows(n, table, budget)
+    k, reps, weights, _ = _hom_rows(n, table, budget)
     products, words = _straight_line(p.relators, n)
     small, index = reps.dtype, np.min_scalar_type(size * size - 1)
-    # prod[sa, sb][a, b] = a^sa b^sb, scaled[sa, sb] the same times size:
-    # a product of columns is one gather at a * size + b, whatever signs
+    # prod[sa, sb][a * size + b] = a^sa b^sb, with True for +1 and False
+    # for -1 (a letter s has sign s > 0); scaled[sa, sb] the same times
+    # size: a product of columns is one gather, whatever signs
     mult = np.asarray(table.mult, dtype=small)
-    elems = {1: np.arange(size), -1: np.asarray(table.inverse)}
-    prod = {(sa, sb): mult[elems[sa]][:, elems[sb]]
-            for sa in (1, -1) for sb in (1, -1)}
+    elems = {True: np.arange(size), False: np.asarray(table.inverse)}
+    prod = {(sa, sb): mult[elems[sa]][:, elems[sb]].ravel()
+            for sa in elems for sb in elems}
     scaled = {key: np.multiply(t, size, dtype=index)
               for key, t in prod.items()}
-    by_right = {key: t.T.copy() for key, t in prod.items()}
-    tmult, tinv, e = table.mult, table.inverse, table.identity
 
     free = n - k
-    if dense <= _CHUNK_ROWS:
-        group, vary = min(_CHUNK_ROWS // dense, len(weights)), free
-    else:
-        group, vary = 1, 0
-        while size ** (vary + 1) <= _CHUNK_ROWS:
-            vary += 1
+    vary = free
+    while size ** vary > _CHUNK_ROWS:
+        vary -= 1
     per = size ** vary  # rows of one orbit in a block
+    group = min(_CHUNK_ROWS // per, len(weights))
     # dense digit j of row r is r // size**j % size, for every orbit alike
     digits = [np.tile(np.repeat(np.arange(size, dtype=small), size ** j),
                       size ** (vary - 1 - j) * group) for j in range(vary)]
+    fixed = [np.empty(group * per, dtype=small) for _ in range(free - vary)]
     at = np.empty(group * per, dtype=index)
-
-    def value(s):  # a scalar with its sign folded in, or a column and sign
-        v = column[abs(s)]
-        if type(v) is int:
-            return (v if s > 0 else tinv[v]), 1
-        return v, (1 if s > 0 else -1)
 
     total = 0
     for o0 in range(0, len(weights), group):
         o1 = min(o0 + group, len(weights))
         rows = (o1 - o0) * per
-        if o1 - o0 == 1:
-            orbit = [int(a) for a in reps[o0]]
-        else:
-            orbit = [np.repeat(reps[o0:o1, j], per) for j in range(k)]
-        low = [d[:rows] for d in digits]
+        images = [np.repeat(reps[o0:o1, j], per) for j in range(k)]
+        images += [c[:rows] for c in digits + fixed]
+        column = dict(enumerate(images, 1))
         buf = at[:rows]
         for high in itertools.product(range(size), repeat=free - vary):
-            column = dict(enumerate(orbit + low + list(high), 1))
+            for c, h in zip(fixed, high):
+                c.fill(h)
             for s, (a, b) in enumerate(products, n + 1):
-                (a, sa), (b, sb) = value(a), value(b)
-                if type(a) is int:
-                    column[s] = (tmult[a][b] if type(b) is int
-                                 else prod[1, sb][a].take(b))
-                elif type(b) is int:
-                    column[s] = by_right[sa, 1][b].take(a)
-                else:
-                    np.multiply(a, size, out=buf, dtype=index)
-                    np.add(buf, b, out=buf, dtype=index)
-                    column[s] = prod[sa, sb].ravel().take(buf)
+                np.multiply(column[abs(a)], size, out=buf, dtype=index)
+                np.add(buf, column[abs(b)], out=buf, dtype=index)
+                column[s] = prod[a > 0, b > 0].take(buf)
             ok = np.ones(rows, dtype=bool)
             for w in words:
-                # a scalar, or a column times size whose sign is sa
-                acc, sa = value(w[0])
-                if type(acc) is not int:
-                    acc = np.multiply(acc, size, dtype=index)
+                # a column times size whose sign is sa
+                acc = np.multiply(column[abs(w[0])], size, dtype=index)
+                sa = w[0] > 0
                 for s in w[1:]:
-                    b, sb = value(s)
-                    if type(acc) is int:
-                        acc = (tmult[acc][b] if type(b) is int
-                               else scaled[1, sb][acc].take(b))
-                    elif type(b) is int:
-                        acc = scaled[sa, 1].ravel()[b:].take(acc)
-                    else:
-                        np.add(acc, b, out=buf, dtype=index)
-                        acc = scaled[sa, sb].ravel().take(buf)
-                    sa = 1
+                    np.add(acc, column[abs(s)], out=buf, dtype=index)
+                    acc = scaled[sa, s > 0].take(buf)
+                    sa = True
                 # x^-1 is the identity exactly when x is
-                ok &= acc == (e if type(acc) is int else e * size)
+                ok &= acc == table.identity * size
             total += int(ok.reshape(o1 - o0, per).sum(1) @ weights[o0:o1])
     return total
 

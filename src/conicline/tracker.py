@@ -147,13 +147,6 @@ class CurvePoly:
         roots, refused = self.fiber_rows(xs)
         return [refused.get(k, row) for k, row in enumerate(roots.tolist())]
 
-    def roots_at(self, x):
-        """``fibers`` on a batch of one, raising a refused fiber's error."""
-        fiber = self.fibers([x])[0]
-        if isinstance(fiber, ConiclineError):
-            raise fiber
-        return fiber
-
     def derivative_y(self):
         return CurvePoly({(i, j - 1): c * j
                           for (i, j), c in self.coeffs.items() if j})
@@ -464,6 +457,9 @@ class _PolyParser:
                 return p
 
     def factor(self):
+        if self.peek() == "-":   # applies after "^", as a leading sign does
+            self.take()
+            return _scale(self.factor(), -1)
         base = self.atom()
         if self.peek() == "^":
             self.take()
@@ -487,8 +483,6 @@ class _PolyParser:
             return {(1, 0): Fraction(1)}
         if tok == "y":
             return {(0, 1): Fraction(1)}
-        if tok == "-":
-            return _scale(self.atom(), -1)
         if tok is not None and tok.isdigit():
             return {(0, 0): Fraction(int(tok))}
         raise ParseError(f"unexpected token {tok!r} in polynomial")

@@ -270,7 +270,10 @@ def test_count_homs_highest_generator_unused(relators, homs):
 
 
 # (chunk, target, ngen, k): refinement stops where #orbits * |G| would
-# pass the chunk, so a small chunk also checks fewer orbit images
+# pass the chunk, so a small chunk also checks fewer orbit images.  A
+# block varies the most dense digits that fit the chunk, holds as many
+# whole orbits as fit, and fixes the higher dense digits.  D4's identity
+# is not 0.
 BLOCK_SHAPES = [
     (1 << 15, "S4", 0, 0),
     (1 << 15, "S4", 1, 1),
@@ -278,24 +281,24 @@ BLOCK_SHAPES = [
     (1 << 15, "S4", 3, 3),   # 681 orbits of one row in one block
     (66, "S3", 4, 3),        # 11 orbits of 6 rows a block, the last five
     (1032, "S4", 4, 3),      # 43 orbits of 24 rows a block, the last 36
-    (224, "D4", 4, 3),       # 28 orbits of 8 rows a block, identity not 0
+    (224, "D4", 4, 3),       # 28 orbits of 8 rows a block
     (1031, "S4", 3, 2),      # 42 orbits of 24 rows, then one
     (1 << 15, "S4", 5, 3),   # 56 orbits of 576 rows a block, the last nine
     (66, "S3", 5, 3),        # one orbit of 36 rows a block
-    (66, "S3", 6, 3),        # one orbit times 36 rows, one high digit fixed
-    (66, "S3", 7, 3),        # one orbit times 36 rows, two high digits fixed
-    (224, "D4", 6, 3),       # one orbit times 64 rows, identity not 0
-    (20, "S3", 4, 2),        # one orbit times 6 rows, one high digit fixed
-    (20, "S3", 5, 2),        # one orbit times 6 rows, two high digits fixed
-    (96, "S4", 3, 1),        # one class times 24 rows, one high digit fixed
-    (30, "S4", 4, 1),        # one class times 24 rows, two high digits fixed
-    (16, "D4", 3, 1),        # one class times 8 rows, identity not 0
-    (12, "D4", 4, 1),        # the same, two high digits fixed
-    # a chunk below |G| refines nothing: one row a block, all scalars
+    (66, "S3", 6, 3),        # one orbit of 36 rows, one digit fixed
+    (66, "S3", 7, 3),        # one orbit of 36 rows, two digits fixed
+    (224, "D4", 6, 3),       # 3 orbits of 64 rows, one digit fixed, then two
+    (20, "S3", 4, 2),        # 3 orbits of 6 rows, one digit fixed, then two
+    (20, "S3", 5, 2),        # the same, two digits fixed
+    (96, "S4", 3, 1),        # 4 classes of 24 rows, one digit fixed, then one
+    (30, "S4", 4, 1),        # one class of 24 rows, two digits fixed
+    (16, "D4", 3, 1),        # 2 classes of 8 rows, one digit fixed, then one
+    (12, "D4", 4, 1),        # one class of 8 rows, two digits fixed
+    # a chunk below |G| refines nothing: one row a block, all digits fixed
     (4, "S3", 2, 0),
     (1, "S3", 1, 0),
     (5, "S3", 3, 0),
-    (6, "D4", 3, 0),         # identity not 0
+    (6, "D4", 3, 0),
 ]
 
 
@@ -322,11 +325,17 @@ def test_count_homs_needs_32_bit_indices():
 
 def test_large_cyclic_group_refines_one_image():
     # 257 classes times 257 elements pass _CHUNK_ROWS, so the pairs are
-    # not refined: 257 orbits of x1 each take 257 dense images of x2
+    # not refined: 257 orbits of x1 each take 257^(ngen - 1) dense images
+    # of the other generators, 127 orbits of 257 rows a block (x3 fixed)
     c257 = _cyclic_table(257)
-    k, reps, weights, dense = _hom_rows(2, c257, HOM_BUDGET)
-    assert (k, reps.shape, weights.sum(), dense) == (1, (257, 1), 257, 257)
-    assert count_homs(Presentation(2, [(1, 1, 1, -2)]), c257) == 257
+    for ngen, relators, homs in [
+            (2, [(1, 1, 1, -2)], 257),
+            # x1 and x2 commute in C257 and x3 = x1^-2: 257^2 homs
+            (3, [(1, 2, -1, -2), (1, 1, 3)], 257 ** 2)]:
+        k, reps, weights, dense = _hom_rows(ngen, c257, HOM_BUDGET)
+        assert (k, reps.shape, weights.sum(), dense) == \
+            (1, (257, 1), 257, 257 ** (ngen - 1))
+        assert count_homs(Presentation(ngen, relators), c257) == homs
 
 
 def _expand(products, words, ngen):

@@ -231,6 +231,10 @@ assert count_homs(conic, builtin_table("S3")) == 24
 def test_parse_tokens():
     assert CurvePoly.parse(" y ^ 2-3/4 *x  ").coeffs == \
         CurvePoly.parse("y^2 - 3/4*x").coeffs
+    # a unary minus applies after "^", as a leading sign does
+    for text, same in [("x*-y^2", "-x*y^2"), ("x - -y^2", "x + y^2"),
+                       ("(-y)^2", "y^2")]:
+        assert CurvePoly.parse(text).coeffs == CurvePoly.parse(same).coeffs
     for text in ("y^2 - x;", "x/0 + y", "y^2 - x/"):
         with pytest.raises(ParseError):
             CurvePoly.parse(text)
@@ -313,7 +317,7 @@ def test_batched_solve_equals_np_roots(name, equation, radius):
         assert repr(fiber) == repr(want)    # repr tells every bit apart
     digest = hashlib.sha256(repr(fibers).encode()).hexdigest()
     assert digest == GOLDEN_FIBERS[name]
-    assert repr(p.roots_at(xs[1])) == repr(fibers[1])
+    assert repr(p.fibers([xs[1]])[0]) == repr(fibers[1])
 
 
 def test_zero_constant_coefficient_at_one_grid_point():
@@ -559,8 +563,8 @@ def test_refused_grid_fiber_raises_only_when_reached():
     assert track_path(p, line, 0.0, 0.25, 8).braid.letters == ()
     with pytest.raises(LeadingCoefficientVanishes):
         track_path(CurvePoly.parse("x*y^2 - 1"), line, 0.0, 1.0, 8)
-    with pytest.raises(LeadingCoefficientVanishes):
-        CurvePoly.parse("x*y^2 - 1").roots_at(0j)
+    assert isinstance(CurvePoly.parse("x*y^2 - 1").fibers([0j])[0],
+                      LeadingCoefficientVanishes)
 
 
 def test_residual_check_matches_scalar_reference(monkeypatch):
@@ -581,8 +585,7 @@ def test_residual_check_matches_scalar_reference(monkeypatch):
             refusals += want
     assert 0 < refusals < 21 * len(xs)
     monkeypatch.setattr(tracker, "RESIDUAL_TOL", 1e-300)
-    with pytest.raises(NoConvergence):
-        p.roots_at(xs[0])
+    assert isinstance(p.fibers([xs[0]])[0], NoConvergence)
 
 
 def test_overflowing_power_of_x_is_a_typed_error():
@@ -671,7 +674,7 @@ def _reference_match(roots, new_roots):
 
 def _depth_first_track(p, xfun, t0, t1, samples):
     """``track_path`` as the recursive walk it replaced: each step is
-    matched on its own and bisected at once, one ``roots_at`` per
+    matched on its own and bisected at once, one batch of one per
     midpoint, so letters and the first error come in path order."""
     ts = [t0 + (t1 - t0) * k / samples for k in range(samples + 1)]
     fibers = p.fibers([xfun(t) for t in ts])
@@ -691,7 +694,8 @@ def _depth_first_track(p, xfun, t0, t1, samples):
             if depth < MAX_REFINE:
                 refinements[0] += 1
                 tm = (ta + tb) / 2
-                mid = advance(roots, ta, tm, p.roots_at(xfun(tm)), depth + 1)
+                mid = advance(roots, ta, tm, p.fibers([xfun(tm)])[0],
+                              depth + 1)
                 return advance(mid, tm, tb, fiber, depth + 1)
             if perm is None:
                 raise AmbiguousMatching(
