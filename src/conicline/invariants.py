@@ -199,37 +199,63 @@ def _conjugation_orbits(table, k):
 def _hom_rows(ngen, table, budget):
     """What :func:`count_homs` enumerates for ``ngen`` generators.
 
-    Returns ``(k, reps, weights, dense)``: the orbit representatives of
-    the first ``k`` images with their weights, and ``dense`` rows for
-    each of them.  ``k`` is ``min(ngen, 3)``, less when refining one
-    more image would take an array of ``#orbits * |G|`` entries past
-    ``_CHUNK_ROWS``.  Raises :class:`BudgetExceeded` when the
-    ``#orbits * dense`` rows exceed ``budget``.
+    Returns ``(k, reps, weights)``: the orbit representatives of the
+    first ``k`` images with their weights; each takes every image of the
+    other ``ngen - k`` generators.  ``k`` is ``min(ngen, 3)``, less when
+    refining one more image would take an array of ``#orbits * |G|``
+    entries past ``_CHUNK_ROWS``.  Raises :class:`BudgetExceeded` when
+    the ``#orbits * |G| ** (ngen - k)`` rows exceed ``budget``.
     """
     k = 0
     while (k < min(ngen, 3) and len(_conjugation_orbits(table, k)[1])
            * table.size <= _CHUNK_ROWS):
         k += 1
     reps, weights = _conjugation_orbits(table, k)
-    dense = table.size ** (ngen - k)
-    if len(weights) * dense > budget:
+    rows = len(weights) * table.size ** (ngen - k)
+    if rows > budget:
         raise BudgetExceeded(f"{len(weights)} orbits x {table.size}^"
-                             f"{ngen - k} = {len(weights) * dense} rows "
+                             f"{ngen - k} = {rows} rows "
                              f"exceed budget {budget}")
-    return k, reps, weights, dense
+    return k, reps, weights
+
+
+@functools.lru_cache(maxsize=16)
+def _product_tables(table):
+    """The product tables of :func:`count_homs` for ``table``, read-only.
+
+    Returns ``(prod, scaled)``: ``prod[sa, sb][a * size + b]`` is
+    ``a^sa b^sb``, with True for +1 and False for -1 (a letter ``s`` has
+    sign ``s > 0``), in the least unsigned dtype that holds ``size - 1``;
+    ``scaled[sa, sb]`` is the same times ``size``, in the least that
+    holds ``size * size - 1``.  A product of columns is then one gather,
+    whatever the signs.
+    """
+    size = table.size
+    small = np.min_scalar_type(size - 1)
+    index = np.min_scalar_type(size * size - 1)
+    mult = np.asarray(table.mult, dtype=small)
+    elems = {True: np.arange(size), False: np.asarray(table.inverse)}
+    prod = {(sa, sb): mult[elems[sa]][:, elems[sb]].ravel()
+            for sa in elems for sb in elems}
+    scaled = {key: np.multiply(t, size, dtype=index)
+              for key, t in prod.items()}
+    for t in (*prod.values(), *scaled.values()):
+        t.flags.writeable = False
+    return prod, scaled
 
 
 def _straight_line(relators, ngen):
     """Relators as a straight-line program over shared letter pairs.
 
-    Returns ``(products, words)``.  Product ``i`` is a new symbol
-    ``ngen + 1 + i`` standing for the product ``(a, b)`` of two earlier
-    symbols, and ``-s`` stands for the inverse of ``s``; each word is a
-    nonempty relator rewritten over generators and these symbols.
-    Greedy pair replacement (Re-Pair): the adjacent pair that occurs
-    most often across the relators, counting ``(a, b)`` and its inverse
-    ``(-b, -a)`` as one and overlapping occurrences inside a run such as
-    ``x1^3`` once, becomes a new symbol, until no pair occurs twice.
+    Returns ``(products, words)``, both tuples.  Product ``i`` is a new
+    symbol ``ngen + 1 + i`` standing for the product ``(a, b)`` of two
+    earlier symbols, and ``-s`` stands for the inverse of ``s``; each
+    word is a nonempty relator rewritten over generators and these
+    symbols.  Greedy pair replacement (Re-Pair): the adjacent pair that
+    occurs most often across the relators, counting ``(a, b)`` and its
+    inverse ``(-b, -a)`` as one and overlapping occurrences inside a run
+    such as ``x1^3`` once, becomes a new symbol, until no pair occurs
+    twice.
     """
     words = [tuple(r) for r in relators if r]
     products = []
@@ -246,7 +272,7 @@ def _straight_line(relators, ngen):
                 counts[pair] = counts.get(pair, 0) + 1
         pair = max(counts, key=counts.get, default=None)
         if pair is None or counts[pair] < 2:
-            return products, words
+            return tuple(products), tuple(words)
         s = ngen + 1 + len(products)
         products.append(pair)
         inverse = (-pair[1], -pair[0])
@@ -263,6 +289,11 @@ def _straight_line(relators, ngen):
                     out.append(word[i])
                     i += 1
             words[w] = tuple(out)
+
+
+# count_homs' programs by value of ``(relators, ngen)``: S3 and S4 on one
+# presentation build it once
+_cached_straight_line = functools.lru_cache(maxsize=16)(_straight_line)
 
 
 def count_homs(p, table, budget=HOM_BUDGET):
@@ -299,22 +330,20 @@ def count_homs(p, table, budget=HOM_BUDGET):
     ``size * size - 1``, named on every operation so that no numpy
     casting rule can narrow an index and wrap it.
 
+    Built once per table: the orbits (:func:`_conjugation_orbits`) and
+    the read-only product tables (:func:`_product_tables`).  Built once
+    per relator set: the straight-line program.  Built per call: the
+    tiled digit columns, which depend on the block shape, and the
+    buffers ``fixed`` and ``at``, which each block writes in place.
+
     Raises :class:`BudgetExceeded` when that number of rows exceeds
     ``budget``: the budget counts rows, however few products each takes.
     """
     size, n = table.size, p.ngen
-    k, reps, weights, _ = _hom_rows(n, table, budget)
-    products, words = _straight_line(p.relators, n)
+    k, reps, weights = _hom_rows(n, table, budget)
+    products, words = _cached_straight_line(p.relators, n)
+    prod, scaled = _product_tables(table)
     small, index = reps.dtype, np.min_scalar_type(size * size - 1)
-    # prod[sa, sb][a * size + b] = a^sa b^sb, with True for +1 and False
-    # for -1 (a letter s has sign s > 0); scaled[sa, sb] the same times
-    # size: a product of columns is one gather, whatever signs
-    mult = np.asarray(table.mult, dtype=small)
-    elems = {True: np.arange(size), False: np.asarray(table.inverse)}
-    prod = {(sa, sb): mult[elems[sa]][:, elems[sb]].ravel()
-            for sa in elems for sb in elems}
-    scaled = {key: np.multiply(t, size, dtype=index)
-              for key, t in prod.items()}
 
     free = n - k
     vary = free
@@ -384,6 +413,16 @@ def _cached_homs(ngen, relators, table, budget):
         return None
 
 
+@functools.lru_cache(maxsize=None)
+def _cached_abelianization(ngen, relators):
+    """:func:`abelianization` by value of the presentation.
+
+    ``abelianization`` is looked up as a module global on each miss, so
+    a wrapper bound in its place sees every one actually computed.
+    """
+    return abelianization(Presentation(ngen, relators))
+
+
 def invariant_bundle(p, targets=("S3", "S4"), budget=HOM_BUDGET):
     """Abelianization and the hom count into each target.
 
@@ -395,7 +434,8 @@ def invariant_bundle(p, targets=("S3", "S4"), budget=HOM_BUDGET):
         table = t if isinstance(t, GroupTable) else builtin_table(t)
         counts.append((table.name,
                        _cached_homs(p.ngen, p.relators, table, budget)))
-    return InvariantBundle(abelianization(p), tuple(counts))
+    return InvariantBundle(_cached_abelianization(p.ngen, p.relators),
+                           tuple(counts))
 
 
 def _canonical_multiset(relators):

@@ -17,22 +17,31 @@ prefix, at least half as long as ``s``, of a rotation of relator ``s``
 or of ``s^-1``; rewriting replaces it by the inverse of the rest of that
 rotation.  The rotations of ``s`` and ``s^-1`` are indexed by their
 prefix of length ``h = (len(s) + 1) // 2``, the shortest admissible
-piece, and the word ``r`` by its windows: each length-``h`` window of
-``r r`` maps to its starts.  One intersection of the two key sets finds
-every start where a piece can begin, and each hit is extended letter by
-letter.  Pass 3 takes the first rewrite, in scan order, whose piece is
-longer than half of ``s``; pass 4 takes them all.
+piece, read as the length-``h`` windows of ``s s`` and ``s^-1 s^-1``,
+and the word ``r`` by its windows: each length-``h`` window of ``r r``
+maps to its starts.  One intersection of the two key sets finds every
+start where a piece can begin, and each hit is extended letter by
+letter along the doubled relator; a rotation is sliced out only for a
+rewrite that is read.  Pass 3 takes the first rewrite, in scan order,
+whose piece is longer than half of ``s``; pass 4 takes them all.
 
-Work is memoised by value, never by identity.  Each relator's piece
-index and its cyclic normal form (the pass-1 key) are computed once per
-process.  A word's window index lives for one pass-3 step, shared by
-every relator that rewrites it, or for one pass-4 search state, shared
-by every rule.  It is not cached process-wide: building one is a pass
-over the word per piece length, and a cache of the search states'
-indexes keyed by value only adds to peak memory (0.55 MB on the
-``tangency`` benchmark).  :func:`simplify` itself is memoised on
-``(ngen, relators, budget)``: the moves never depend on the input's
-trace, so each call appends the stored moves to its own.
+Work is memoised by value, never by identity, and each memo has one
+scope:
+
+* per process: each relator's piece index and its cyclic normal form
+  (the pass-1 key), and :func:`simplify` itself on ``(ngen, relators,
+  budget)``; the moves never depend on the input's trace, so each call
+  appends the stored moves to its own;
+* per :func:`simplify` run: the first pass-3 rewrite of ``r`` by ``s``
+  (or none) for each pair ``(r, s)`` seen, so a step pays only for the
+  pairs that the last move changed, and the memo holds no more than
+  the run's relator pairs;
+* per pass-3 step or pass-4 search state: a word's window index,
+  shared by every relator that rewrites it in that step, or by every
+  rule in that state.  It is not kept longer: building one is a pass
+  over the word per piece length, and a cache of the search states'
+  indexes keyed by value only adds to peak memory (0.55 MB on the
+  ``tangency`` benchmark).
 
 Every move is recorded in the presentation trace, so the output replays
 bit-for-bit from the input.  The engine never claims non-equivalence:
@@ -80,16 +89,17 @@ def simplify(p, budget=SIMPLIFY_BUDGET):
 def _simplified(ngen, relators, budget):
     """:func:`simplify` by value: ``(ngen, relators, moves, exhausted)``."""
     p = _build(ngen, relators, ())
-    q = _one_step(p)
+    firsts = {}  # the run's first rewrites by pair (see _shorten_step)
+    q = _one_step(p, firsts)
     for _ in range(budget):
         if q is None:
             break
-        p, q = q, _one_step(q)
+        p, q = q, _one_step(q, firsts)
     # a move still applicable means the budget, not a fixpoint, stopped it
     return p.ngen, p.relators, p.trace, q is not None
 
 
-def _one_step(p):
+def _one_step(p, firsts):
     """Apply the first applicable move in the fixed pass order."""
     step = _dedup_step(p)
     if step is not None:
@@ -97,7 +107,7 @@ def _one_step(p):
     step = _elimination_step(p)
     if step is not None:
         return step
-    step = _shorten_step(p)
+    step = _shorten_step(p, firsts)
     if step is not None:
         return step
     return _consequence_step(p)
@@ -160,16 +170,20 @@ def _elimination_step(p):
 def _piece_index(s):
     """The rotations of ``s`` and of ``s^-1``, indexed by prefix.
 
-    Returns ``(rotations, index)``: the ``2 len(s)`` rotations in scan
-    order, and a dict from each prefix of length ``(len(s) + 1) // 2``
-    (the shortest admissible piece) to the rotations that start with it.
+    Returns ``(doubles, index)``: ``(s s, s^-1 s^-1)``, and a dict from
+    each prefix of length ``(len(s) + 1) // 2`` (the shortest admissible
+    piece) to the rotations that start with it, in scan order.  Rotation
+    ``zi`` of the ``2 len(s)`` is the length-``len(s)`` window of
+    ``doubles[zi // len(s)]`` at ``zi % len(s)``; only the prefix
+    windows are copied here, and a rotation is read only on a hit.
     """
-    rotations = [z[i:] + z[:i] for z in (s, words.inverse(s))
-                 for i in range(len(s))]
+    m, h = len(s), (len(s) + 1) // 2
+    doubles = (s + s, words.inverse(s) * 2)
     index = {}
-    for zi, z in enumerate(rotations):
-        index.setdefault(z[:(len(s) + 1) // 2], []).append(zi)
-    return rotations, index
+    for zi in range(2 * m):
+        start = zi % m
+        index.setdefault(doubles[zi // m][start:start + h], []).append(zi)
+    return doubles, index
 
 
 class _Windows(dict):
@@ -203,9 +217,9 @@ def _rewrites(windows, piece_index, shortest):
     ``len(s)``.  Rewrites come in scan order: by rotation, longer pieces
     first, then by start in ``r``.
     """
-    rotations, index = piece_index
+    doubles, index = piece_index
     r, doubled = windows.word, windows.doubled
-    m = len(rotations) // 2
+    m = len(doubles[0]) // 2
     h, cap = (m + 1) // 2, min(m - 1, len(r))
     if h > cap:
         return
@@ -213,28 +227,44 @@ def _rewrites(windows, piece_index, shortest):
     hits = []
     for window in starts.keys() & index.keys():
         for zi in index[window]:
-            z = rotations[zi]
+            z, at = doubles[zi // m], zi % m  # rotation zi is z[at:at + m]
             for k in starts[window]:
                 top = h
-                while top < cap and z[top] == doubled[k + top]:
+                while top < cap and z[at + top] == doubled[k + top]:
                     top += 1
                 hits.extend((zi, piece, k)
                             for piece in range(shortest, top + 1))
     hits.sort(key=lambda hit: (hit[0], -hit[1], hit[2]))
     for zi, piece, k in hits:
-        yield words.concat(words.inverse(rotations[zi][piece:]),
+        z, at = doubles[zi // m], zi % m
+        yield words.concat(words.inverse(z[at + piece:at + m]),
                            doubled[k + piece:k + len(r)])
 
 
-def _shorten_step(p):
-    indexes = [_piece_index(s) for s in p.relators]
+_UNSEEN = object()
+
+
+def _shorten_step(p, firsts):
+    """Rewrite the first relator ``r`` that another relator ``s`` shortens.
+
+    ``firsts`` maps ``(r, s)`` to the first shortening rewrite of ``r``
+    by ``s``, or None, for every pair seen so far in the run: a pure
+    function of the two words, so a step pays only for the pairs that
+    the last move changed.
+    """
     for i, r in enumerate(p.relators):
-        windows = _Windows(r)
+        windows = None
         for j, s in enumerate(p.relators):
             if i == j or len(s) > len(r):
                 continue
-            # a piece longer than half of s strictly shortens r
-            new = next(_rewrites(windows, indexes[j], len(s) // 2 + 1), None)
+            new = firsts.get((r, s), _UNSEEN)
+            if new is _UNSEEN:
+                if windows is None:
+                    windows = _Windows(r)
+                # a piece longer than half of s strictly shortens r
+                new = firsts[r, s] = next(
+                    _rewrites(windows, _piece_index(s), len(s) // 2 + 1),
+                    None)
             if new is not None:
                 return p.replace_relator(i, new, f"rewritten with relator {j}")
     return None

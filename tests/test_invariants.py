@@ -8,8 +8,10 @@ import pytest
 from conicline import catalog, invariants
 from conicline.errors import BudgetExceeded, ScriptStepFailed
 from conicline.invariants import (HOM_BUDGET, GroupTable,
+                                  _cached_straight_line,
                                   _conjugation_orbits, _hom_rows,
-                                  _straight_line, abelianization,
+                                  _product_tables, _straight_line,
+                                  abelianization,
                                   bigness_certificate,
                                   builtin_table, compare, count_homs,
                                   exponent_matrix, invariant_bundle,
@@ -134,7 +136,8 @@ def _per_letter_homs(p, table):
     """Reference count: the same rows as ``count_homs``, each relator
     evaluated letter by letter with one table gather per letter."""
     size, n = table.size, p.ngen
-    k, reps, weights, dense = _hom_rows(n, table, 10 ** 8)
+    k, reps, weights = _hom_rows(n, table, 10 ** 8)
+    dense = table.size ** (n - k)
     flat = (np.asarray(table.mult, dtype=np.intp) * size).ravel()
     inv = np.asarray(table.inverse)
     place = size ** np.arange(n - k)
@@ -332,7 +335,8 @@ def test_large_cyclic_group_refines_one_image():
             (2, [(1, 1, 1, -2)], 257),
             # x1 and x2 commute in C257 and x3 = x1^-2: 257^2 homs
             (3, [(1, 2, -1, -2), (1, 1, 3)], 257 ** 2)]:
-        k, reps, weights, dense = _hom_rows(ngen, c257, HOM_BUDGET)
+        k, reps, weights = _hom_rows(ngen, c257, HOM_BUDGET)
+        dense = c257.size ** (ngen - k)
         assert (k, reps.shape, weights.sum(), dense) == \
             (1, (257, 1), 257, 257 ** (ngen - 1))
         assert count_homs(Presentation(ngen, relators), c257) == homs
@@ -369,6 +373,25 @@ def test_straight_line_small_programs(relators, ngen, nproducts):
     assert _expand(products, words, ngen) == [tuple(r) for r in relators]
     assert all(abs(a) < s and abs(b) < s
                for s, (a, b) in enumerate(products, ngen + 1))
+
+
+def test_straight_line_is_cached_by_value():
+    program = _cached_straight_line(((1, 2, 3), (1, 2, -3)), 3)
+    assert _cached_straight_line(((1, 2, 3), (1, 2, -3)), 3) is program
+    assert program == _straight_line([[1, 2, 3], [1, 2, -3]], 3) == \
+        (((-2, -1),), ((-4, 3), (-4, -3)))
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "D4", "C257"])
+def test_cached_product_tables_are_read_only(name):
+    # tables equal by value share one cached set of arrays
+    prod, scaled = _product_tables(_table(name))
+    assert _product_tables(_table(name))[0] is prod
+    for t in (*prod.values(), *scaled.values()):
+        with pytest.raises(ValueError):
+            t[0] = 1
+        with pytest.raises(ValueError):
+            t += 1
 
 
 def test_straight_line_shares_tangency_subwords():
@@ -489,6 +512,21 @@ def test_bundle_cache_counts_each_miss_through_the_module(monkeypatch):
     first = invariant_bundle(p)
     assert invariant_bundle(p) == first
     assert calls == ["S3", "S4"]
+
+
+def test_bundle_abelianizes_each_presentation_once(monkeypatch):
+    calls = []
+
+    def counting(p):
+        calls.append(p.relators)
+        return abelianization(p)
+
+    monkeypatch.setattr(invariants, "abelianization", counting)
+    p = Presentation(2, [(1, 1, 2, -1, 2, 2, 2, 1, 1)])
+    first = invariant_bundle(p)
+    assert invariant_bundle(p) == first
+    assert first.abelianization == abelianization(p)
+    assert calls == [p.relators]
 
 
 def test_bigness_conic_reaches_torus_form():

@@ -367,6 +367,35 @@ CATALOG_DIGESTS = {
 }
 
 
+def _clear_process_memos():
+    for memo in (tietze._simplified, tietze._piece_index,
+                 tietze._relator_class):
+        memo.cache_clear()
+
+
+def test_traces_do_not_depend_on_warm_memos():
+    # every memo is keyed by value: a run whose piece indexes and relator
+    # classes were filled by other groups makes the moves of a cold run
+    groups = dict(expected_groups())
+    for n in sorted(TANGENCY_DIGESTS):
+        groups[f"tangency-{n}"] = present(
+            Factorization(n, (generalized_tangency(n)[0],)))
+    cold = {}
+    for name, g in groups.items():
+        _clear_process_memos()
+        cold[name] = simplify(g)
+    for name, g in groups.items():
+        _clear_process_memos()
+        for other, h in groups.items():
+            if other != name:
+                simplify(h)
+        tietze._simplified.cache_clear()  # run the engine, not the memo
+        warm = simplify(g)
+        assert warm.trace == cold[name].trace, name
+        assert warm.presentation == cold[name].presentation, name
+        assert warm.exhausted == cold[name].exhausted, name
+
+
 @pytest.mark.parametrize("n", sorted(TANGENCY_DIGESTS))
 def test_tangency_trace_digest(n):
     p = present(Factorization(n, (generalized_tangency(n)[0],)))
