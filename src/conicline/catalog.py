@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConiclineError, UnknownModel
-from .invariants import VERIFY_BUDGET, bigness_certificate, compare
+from .invariants import bigness_certificate, compare
 from .presentations import Presentation
 from .van_kampen import parse_sweep, present
 from .words import relator
@@ -353,7 +353,7 @@ def _derivation(entry):
     raise ValueError(f"unknown source kind {kind!r}")
 
 
-def verify(entry, budget=VERIFY_BUDGET):
+def verify(entry):
     """Check the entry's pipeline output against its expected group.
 
     The derived presentation, or the expected group itself when there is
@@ -364,12 +364,12 @@ def verify(entry, budget=VERIFY_BUDGET):
         entry = get_entry(entry)
     derived, stages = _derivation(entry)
     subject = entry.expected if derived is None else derived
-    verdict = compare(subject, entry.expected, budget)
+    verdict = compare(subject, entry.expected)
     detail = ("no derivation data; expected group only"
               if derived is None else "")
     bigness = None
     try:
-        report = bigness_certificate(subject, entry.bigness_kill, budget)
+        report = bigness_certificate(subject, entry.bigness_kill)
         bigness = tuple(name for name, _ in report.steps)
     except ConiclineError as exc:
         detail = (detail + "; " if detail else "") + f"bigness failed: {exc}"
@@ -379,5 +379,5 @@ def verify(entry, budget=VERIFY_BUDGET):
                               verdict.bundle2.as_dict(), bigness, detail)
 
 
-def verify_all(budget=VERIFY_BUDGET):
-    return [verify(_CATALOG[i], budget) for i in list_entries()]
+def verify_all():
+    return [verify(_CATALOG[i]) for i in list_entries()]

@@ -18,11 +18,10 @@ from fractions import Fraction
 from . import catalog, words
 from .braids import format_braid
 from .errors import ConiclineError
-from .invariants import (VERIFY_BUDGET, bigness_certificate, compare,
-                         invariant_bundle)
+from .invariants import bigness_certificate, compare, invariant_bundle
 from .local_models import get_model, list_models
 from .presentations import format_presentation, parse_presentation
-from .tietze import SIMPLIFY_BUDGET, simplify
+from .tietze import simplify
 from .tracker import CurvePoly, LoopSpec, format_poly, track
 from .van_kampen import parse_sweep, present
 
@@ -130,7 +129,7 @@ def _cmd_present(args):
 
 def _cmd_simplify(args):
     p = _load_presentation(args.presentation)
-    res = simplify(p, args.budget)
+    res = simplify(p)
     s = res.presentation
     _emit(args, format_presentation(s),
           {"presentation": format_presentation(s),
@@ -158,7 +157,7 @@ def _cmd_invariants(args):
 def _cmd_compare(args):
     p1 = _load_presentation(args.a)
     p2 = _load_presentation(args.b)
-    v = compare(p1, p2, budget=args.budget)
+    v = compare(p1, p2)
     text = f"verdict: {v.kind}"
     if v.witness:
         text += (f"\nwitness: {v.witness[0]} "
@@ -169,7 +168,7 @@ def _cmd_compare(args):
 
 def _cmd_bigness(args):
     p = _load_presentation(args.presentation)
-    report = bigness_certificate(p, _parse_kill(args.kill), args.budget)
+    report = bigness_certificate(p, _parse_kill(args.kill))
     d = report.as_dict()
     text = "\n".join(f"step {name}: {desc}" for name, desc in report.steps)
     _emit(args, text + "\nverified: big", d)
@@ -178,9 +177,9 @@ def _cmd_bigness(args):
 
 def _cmd_verify_paper(args):
     if args.entry and not args.all:
-        reports = [catalog.verify(args.entry, args.budget)]
+        reports = [catalog.verify(args.entry)]
     else:
-        reports = catalog.verify_all(args.budget)
+        reports = catalog.verify_all()
     width = max(len(r.entry_id) for r in reports)
     lines = [f"{'entry':<{width}}  {'verdict':<12}  {'bigness':<8}  result"
              "  arrangement",
@@ -229,7 +228,6 @@ def build_parser():
 
     p = sub.add_parser("simplify", help="Tietze-simplify a presentation")
     p.add_argument("--presentation", required=True)
-    p.add_argument("--budget", type=int, default=SIMPLIFY_BUDGET)
     p.set_defaults(func=_cmd_simplify)
 
     p = sub.add_parser("invariants", help="invariant bundle of a "
@@ -240,7 +238,6 @@ def build_parser():
     p = sub.add_parser("compare", help="compare two presentation files")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--budget", type=int, default=VERIFY_BUDGET)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("verify-paper", help="run the catalog verification "
@@ -248,14 +245,12 @@ def build_parser():
     p.add_argument("entry", nargs="?",
                    help="single entry id (default: all)")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--budget", type=int, default=VERIFY_BUDGET)
     p.set_defaults(func=_cmd_verify_paper)
 
     p = sub.add_parser("bigness", help="run the bigness certificate")
     p.add_argument("--presentation", required=True)
     p.add_argument("--kill", default="",
                    help="comma-separated generators to kill first")
-    p.add_argument("--budget", type=int, default=VERIFY_BUDGET)
     p.set_defaults(func=_cmd_bigness)
 
     return ap

@@ -24,12 +24,8 @@ from .errors import BudgetExceeded, ScriptStepFailed
 from .presentations import Presentation, replay
 from .tietze import simplify
 
-# Tietze steps per ``simplify`` call of a verification: ``compare``, the
-# bigness certificate, the catalog and their CLI commands.
-VERIFY_BUDGET = 20000
-
 # Rows a hom count may enumerate before its target is skipped:
-# ``count_homs``, ``invariant_bundle`` and ``compare``'s ``hom_budget``.
+# ``count_homs`` and ``invariant_bundle``.
 HOM_BUDGET = 10 ** 8
 
 # -- Smith normal form -----------------------------------------------------
@@ -163,22 +159,29 @@ def builtin_table(name):
 _CHUNK_ROWS = 1 << 15
 
 
+def _read_only(*arrays):
+    """``arrays``, made read-only so that no caller can change a cached one."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @functools.lru_cache(maxsize=16)
 def _conjugation_orbits(table, k):
     """Orbits of ``G^k`` under simultaneous conjugation by ``G``.
 
-    Returns ``(reps, sizes)``: each orbit's least ``k``-tuple, the first
-    image most significant, as a ``(#orbits, k)`` array, and each orbit's
-    size ``|G| / |stabilizer|``.  The orbits of ``G^(k-1)`` are refined
-    by one image: a prefix's stabilizer splits the next image into
-    orbits, each represented by its least element.  A loop over the
+    Returns ``(reps, sizes)``, read-only: each orbit's least ``k``-tuple,
+    the first image most significant, as a ``(#orbits, k)`` array, and
+    each orbit's size ``|G| / |stabilizer|``.  The orbits of ``G^(k-1)``
+    are refined by one image: a prefix's stabilizer splits the next
+    image into orbits, each represented by its least element.  A loop over the
     conjugator keeps a running minimum of ``#prefixes x |G|`` entries,
     the largest array of a level.
     """
     size = table.size
     if k == 0:
-        return (np.zeros((1, 0), dtype=np.min_scalar_type(size - 1)),
-                np.ones(1, dtype=np.int64))
+        return _read_only(np.zeros((1, 0), dtype=np.min_scalar_type(size - 1)),
+                          np.ones(1, dtype=np.int64))
     prefixes, weights = _conjugation_orbits(table, k - 1)
     mult = np.asarray(table.mult, dtype=np.intp)
     conj = mult[mult, np.asarray(table.inverse)[:, None]]  # h x h^-1
@@ -192,8 +195,8 @@ def _conjugation_orbits(table, k):
     # x's orbit under its prefix's stabilizer: the x' whose least is x
     split = np.bincount((least + size * np.arange(len(weights))[:, None])
                         .ravel(), minlength=least.size)
-    return (np.column_stack((prefixes[p], x)).astype(prefixes.dtype),
-            weights[p] * split[p * size + x])
+    return _read_only(np.column_stack((prefixes[p], x)).astype(prefixes.dtype),
+                      weights[p] * split[p * size + x])
 
 
 def _hom_rows(ngen, table, budget):
@@ -239,8 +242,7 @@ def _product_tables(table):
             for sa in elems for sb in elems}
     scaled = {key: np.multiply(t, size, dtype=index)
               for key, t in prod.items()}
-    for t in (*prod.values(), *scaled.values()):
-        t.flags.writeable = False
+    _read_only(*prod.values(), *scaled.values())
     return prod, scaled
 
 
@@ -330,11 +332,12 @@ def count_homs(p, table, budget=HOM_BUDGET):
     ``size * size - 1``, named on every operation so that no numpy
     casting rule can narrow an index and wrap it.
 
-    Built once per table: the orbits (:func:`_conjugation_orbits`) and
-    the read-only product tables (:func:`_product_tables`).  Built once
-    per relator set: the straight-line program.  Built per call: the
-    tiled digit columns, which depend on the block shape, and the
-    buffers ``fixed`` and ``at``, which each block writes in place.
+    Built once per table, read-only: the orbits
+    (:func:`_conjugation_orbits`) and the product tables
+    (:func:`_product_tables`).  Built once per relator set: the
+    straight-line program.  Built per call: the tiled digit columns,
+    which depend on the block shape, and the buffers ``fixed`` and
+    ``at``, which each block writes in place.
 
     Raises :class:`BudgetExceeded` when that number of rows exceeds
     ``budget``: the budget counts rows, however few products each takes.
@@ -486,19 +489,19 @@ def _relabel_moves(q1, q2):
     return None
 
 
-def compare(p1, p2, budget=VERIFY_BUDGET, hom_budget=HOM_BUDGET):
+def compare(p1, p2):
     """Decide whether two presentations present the same group, when possible.
 
     ``distinct`` comes with an invariant witness, ``equivalent`` with
     replayable traces whose ends agree up to relator order; anything the
     budgets cannot settle is ``inconclusive`` (never a guess).  A hom
-    count skipped for ``hom_budget`` is never a witness.
+    count skipped for its budget is never a witness.
     """
-    r1 = simplify(p1, budget)
-    r2 = simplify(p2, budget)
+    r1 = simplify(p1)
+    r2 = simplify(p2)
     q1, q2 = r1.presentation, r2.presentation
-    b1 = invariant_bundle(q1, budget=hom_budget)
-    b2 = invariant_bundle(q2, budget=hom_budget)
+    b1 = invariant_bundle(q1)
+    b2 = invariant_bundle(q2)
     if b1.abelianization != b2.abelianization:
         return ComparisonVerdict("distinct",
                                  ("abelianization",
@@ -546,7 +549,7 @@ class BignessReport:
                                    for r in self.final.relators]}
 
 
-def bigness_certificate(p, kill=(), budget=VERIFY_BUDGET):
+def bigness_certificate(p, kill=()):
     """Certify a surjection onto ``<x, y | x^2, y^3>``.
 
     Kills the generators in ``kill`` (the meridians of the extra lines),
@@ -578,7 +581,7 @@ def bigness_certificate(p, kill=(), budget=VERIFY_BUDGET):
         if not 1 <= g <= q.ngen:
             raise ScriptStepFailed("project", f"no generator x{g} to kill")
         q = q.substitute(g, ())
-    q = simplify(q, budget).presentation
+    q = simplify(q).presentation
     if q.ngen != 2:
         raise ScriptStepFailed(
             "project", f"expected 2 generators after projection, got {q.ngen}")
@@ -590,7 +593,7 @@ def bigness_certificate(p, kill=(), budget=VERIFY_BUDGET):
                   + ", ".join(words.format_word(r) for r in q.relators)))
     if classes != {_CONIC_RELATOR}:
         q = q.add_relators([(1, 2, 1, 2)], "pass to the two-conic quotient")
-        q = simplify(q, budget).presentation
+        q = simplify(q).presentation
         if {words.cyclic_normal_form(r) for r in q.relators} != {_CONIC_RELATOR}:
             raise ScriptStepFailed("project", "quotient step did not close up")
         steps.append(("quotient", "adjoined (x1 x2)^2"))
@@ -603,7 +606,7 @@ def bigness_certificate(p, kill=(), budget=VERIFY_BUDGET):
                 "conjugate of x1^2")
     steps.append(("substitute", "x = ab, y = b; relators reduce to x^2"))
     q = q.add_relators([(2, 2, 2)], "adjoin y^3")
-    q = simplify(q, budget).presentation
+    q = simplify(q).presentation
     want = {square, words.cyclic_normal_form((2, 2, 2))}
     if q.ngen != 2 or {words.cyclic_normal_form(r) for r in q.relators} != want:
         raise ScriptStepFailed("torus", "did not reach <x, y | x^2, y^3>")

@@ -54,8 +54,9 @@ from dataclasses import dataclass
 from . import words
 from .presentations import Presentation, _build
 
-# Steps per ``simplify`` call by default, also for ``conicline simplify``.
-SIMPLIFY_BUDGET = 10000
+# Steps per ``simplify`` call: every caller's budget, verification and
+# ``conicline simplify`` included.
+SIMPLIFY_BUDGET = 20000
 
 # Bounds of the pass-4 consequence search; fixed so traces reproduce.
 _SEARCH_BEAM = 600

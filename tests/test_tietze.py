@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conicline import words
+from conicline import catalog, words
 from conicline.catalog import expected_groups
 from conicline.invariants import invariant_bundle
 from conicline.local_models import generalized_tangency
@@ -394,6 +394,22 @@ def test_traces_do_not_depend_on_warm_memos():
         assert warm.trace == cold[name].trace, name
         assert warm.presentation == cold[name].presentation, name
         assert warm.exhausted == cold[name].exhausted, name
+
+
+def test_fixed_budget_is_never_reached():
+    # SIMPLIFY_BUDGET is every caller's budget, verification included, so
+    # it must not bind on any group the repo verifies or benchmarks
+    groups = dict(expected_groups())
+    for entry_id in catalog.list_entries():
+        derived, _ = catalog._derivation(catalog.get_entry(entry_id))
+        if derived is not None:
+            groups[f"entry {entry_id}"] = derived
+    for n in range(3, 8):
+        groups[f"tangency-{n}"] = present(
+            Factorization(n, (generalized_tangency(n)[0],)))
+    assert len(groups) == 9 + 7 + 5
+    for name, g in groups.items():
+        assert not simplify(g).exhausted, name
 
 
 @pytest.mark.parametrize("n", sorted(TANGENCY_DIGESTS))
