@@ -24,8 +24,8 @@ from .errors import BudgetExceeded, ScriptStepFailed
 from .presentations import Presentation, replay
 from .tietze import simplify
 
-# Rows a hom count may enumerate before its target is skipped:
-# ``count_homs`` and ``invariant_bundle``.
+# Rows a hom count may enumerate before its target is skipped, read at
+# each call: ``count_homs`` and ``invariant_bundle``.
 HOM_BUDGET = 10 ** 8
 
 # -- Smith normal form -----------------------------------------------------
@@ -141,16 +141,12 @@ def symmetric_group_table(k):
     return GroupTable(f"S{k}", len(elements), mult, tuple(inv))
 
 
-_TABLES = {}
-
-
+@functools.cache
 def builtin_table(name):
-    """The built-in targets: S3 and S4 (S5 on request, it is larger)."""
-    if name not in _TABLES:
-        if name not in ("S3", "S4", "S5"):
-            raise ValueError(f"no built-in group {name!r}")
-        _TABLES[name] = symmetric_group_table(int(name[1]))
-    return _TABLES[name]
+    """The built-in targets: S3 and S4."""
+    if name not in ("S3", "S4"):
+        raise ValueError(f"no built-in group {name!r}")
+    return symmetric_group_table(int(name[1]))
 
 
 # Rows per block of count_homs (whole orbits times the varying dense
@@ -199,7 +195,7 @@ def _conjugation_orbits(table, k):
                       weights[p] * split[p * size + x])
 
 
-def _hom_rows(ngen, table, budget):
+def _hom_rows(ngen, table):
     """What :func:`count_homs` enumerates for ``ngen`` generators.
 
     Returns ``(k, reps, weights)``: the orbit representatives of the
@@ -207,7 +203,8 @@ def _hom_rows(ngen, table, budget):
     other ``ngen - k`` generators.  ``k`` is ``min(ngen, 3)``, less when
     refining one more image would take an array of ``#orbits * |G|``
     entries past ``_CHUNK_ROWS``.  Raises :class:`BudgetExceeded` when
-    the ``#orbits * |G| ** (ngen - k)`` rows exceed ``budget``.
+    the ``#orbits * |G| ** (ngen - k)`` rows exceed ``HOM_BUDGET``, read
+    at the call.
     """
     k = 0
     while (k < min(ngen, 3) and len(_conjugation_orbits(table, k)[1])
@@ -215,10 +212,10 @@ def _hom_rows(ngen, table, budget):
         k += 1
     reps, weights = _conjugation_orbits(table, k)
     rows = len(weights) * table.size ** (ngen - k)
-    if rows > budget:
+    if rows > HOM_BUDGET:
         raise BudgetExceeded(f"{len(weights)} orbits x {table.size}^"
                              f"{ngen - k} = {rows} rows "
-                             f"exceed budget {budget}")
+                             f"exceed budget {HOM_BUDGET}")
     return k, reps, weights
 
 
@@ -298,7 +295,7 @@ def _straight_line(relators, ngen):
 _cached_straight_line = functools.lru_cache(maxsize=16)(_straight_line)
 
 
-def count_homs(p, table, budget=HOM_BUDGET):
+def count_homs(p, table):
     """Count the homomorphisms from the group of ``p`` into ``table``.
 
     A homomorphism is an image for each generator that sends every
@@ -340,10 +337,11 @@ def count_homs(p, table, budget=HOM_BUDGET):
     ``at``, which each block writes in place.
 
     Raises :class:`BudgetExceeded` when that number of rows exceeds
-    ``budget``: the budget counts rows, however few products each takes.
+    ``HOM_BUDGET``: the budget counts rows, however few products each
+    takes.
     """
     size, n = table.size, p.ngen
-    k, reps, weights = _hom_rows(n, table, budget)
+    k, reps, weights = _hom_rows(n, table)
     products, words = _cached_straight_line(p.relators, n)
     prod, scaled = _product_tables(table)
     small, index = reps.dtype, np.min_scalar_type(size * size - 1)
@@ -404,41 +402,34 @@ class InvariantBundle:
 
 
 @functools.lru_cache(maxsize=None)
-def _cached_homs(ngen, relators, table, budget):
-    """:func:`count_homs` by value of its arguments, ``None`` over budget.
+def _bundle(ngen, relators, tables, budget):
+    """:func:`invariant_bundle` by value; ``budget`` is the ``HOM_BUDGET``
+    that the caller read, so a patched constant never meets a stale
+    count.  A target over budget gets ``None``.
 
-    ``count_homs`` is looked up as a module global on each miss, so a
-    wrapper bound in its place sees every count actually made.
+    ``count_homs`` and ``abelianization`` are looked up as module
+    globals on each miss, so a wrapper bound in their place sees every
+    one actually computed.
     """
-    try:
-        return count_homs(Presentation(ngen, relators), table, budget)
-    except BudgetExceeded:
-        return None
+    p = Presentation(ngen, relators)
+    counts = []
+    for table in tables:
+        try:
+            counts.append((table.name, count_homs(p, table)))
+        except BudgetExceeded:
+            counts.append((table.name, None))
+    return InvariantBundle(abelianization(p), tuple(counts))
 
 
-@functools.lru_cache(maxsize=None)
-def _cached_abelianization(ngen, relators):
-    """:func:`abelianization` by value of the presentation.
-
-    ``abelianization`` is looked up as a module global on each miss, so
-    a wrapper bound in its place sees every one actually computed.
-    """
-    return abelianization(Presentation(ngen, relators))
-
-
-def invariant_bundle(p, targets=("S3", "S4"), budget=HOM_BUDGET):
+def invariant_bundle(p, targets=("S3", "S4")):
     """Abelianization and the hom count into each target.
 
-    A target whose count would exceed ``budget`` rows (see
-    :func:`count_homs`) is skipped: its count is ``None``.
+    A target whose count would exceed ``HOM_BUDGET`` rows, read at the
+    call (see :func:`count_homs`), is skipped: its count is ``None``.
     """
-    counts = []
-    for t in targets:
-        table = t if isinstance(t, GroupTable) else builtin_table(t)
-        counts.append((table.name,
-                       _cached_homs(p.ngen, p.relators, table, budget)))
-    return InvariantBundle(_cached_abelianization(p.ngen, p.relators),
-                           tuple(counts))
+    tables = tuple(t if isinstance(t, GroupTable) else builtin_table(t)
+                   for t in targets)
+    return _bundle(p.ngen, p.relators, tables, HOM_BUDGET)
 
 
 def _canonical_multiset(relators):

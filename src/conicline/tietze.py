@@ -1,7 +1,7 @@
 """Budgeted greedy simplification of finite presentations.
 
 The engine repeats four deterministic passes until nothing changes or
-the move budget runs out:
+the move budget, the constant ``SIMPLIFY_BUDGET``, runs out:
 
 1. drop trivial and duplicate relators (duplicates up to cyclic
    permutation, inversion and free reduction),
@@ -30,8 +30,9 @@ scope:
 
 * per process: each relator's piece index and its cyclic normal form
   (the pass-1 key), and :func:`simplify` itself on ``(ngen, relators,
-  budget)``; the moves never depend on the input's trace, so each call
-  appends the stored moves to its own;
+  SIMPLIFY_BUDGET)``, the budget as read at the call, so a patched
+  constant never meets a stale result; the moves never depend on the
+  input's trace, so each call appends the stored moves to its own;
 * per :func:`simplify` run: the first pass-3 rewrite of ``r`` by ``s``
   (or none) for each pair ``(r, s)`` seen, so a step pays only for the
   pairs that the last move changed, and the memo holds no more than
@@ -54,8 +55,8 @@ from dataclasses import dataclass
 from . import words
 from .presentations import Presentation, _build
 
-# Steps per ``simplify`` call: every caller's budget, verification and
-# ``conicline simplify`` included.
+# Steps per ``simplify`` call, read at each call: every caller's budget,
+# verification and ``conicline simplify`` included.
 SIMPLIFY_BUDGET = 20000
 
 # Bounds of the pass-4 consequence search; fixed so traces reproduce.
@@ -70,8 +71,8 @@ class SimplifyResult:
     exhausted: bool
 
 
-def simplify(p, budget=SIMPLIFY_BUDGET):
-    """Greedy Tietze simplification within ``budget`` steps.
+def simplify(p):
+    """Greedy Tietze simplification within ``SIMPLIFY_BUDGET`` steps.
 
     Each step applies the first applicable move in the fixed pass order.
     The budget counts steps, not trace entries: a generator elimination
@@ -79,9 +80,8 @@ def simplify(p, budget=SIMPLIFY_BUDGET):
     ``eliminate``).  ``exhausted`` is true when a step was still
     applicable as the budget ran out.
     """
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
-    ngen, relators, moves, exhausted = _simplified(p.ngen, p.relators, budget)
+    ngen, relators, moves, exhausted = _simplified(p.ngen, p.relators,
+                                                   SIMPLIFY_BUDGET)
     return SimplifyResult(_build(ngen, relators, p.trace + moves),
                           moves, exhausted)
 

@@ -43,9 +43,9 @@ def test_local_models_reproduce_paper_relations():
     for mid in list_models():
         m = get_model(mid)
         p = present(Factorization(m.strands, (m.braid,)), projective=False)
-        s = simplify(p, 10000).presentation
+        s = simplify(p).presentation
         printed = Presentation(m.strands, m.paper_relations)
-        printed = simplify(printed, 10000).presentation
+        printed = simplify(printed).presentation
         assert invariant_bundle(s) == invariant_bundle(printed), mid
     assert time.time() - start < 5.0
 
@@ -79,9 +79,8 @@ def test_tracker_rotation():
     assert tb.permutation == (5, 4, 3, 2, 1)
     # induced relations agree with the rotation model's relation set
     m = get_model("3comp-rotation")
-    got = simplify(braid_relations(tb.braid), 10000).presentation
-    want = simplify(Presentation(m.strands, m.paper_relations),
-                    10000).presentation
+    got = simplify(braid_relations(tb.braid)).presentation
+    want = simplify(Presentation(m.strands, m.paper_relations)).presentation
     assert invariant_bundle(got) == invariant_bundle(want)
     assert time.time() - start < 10.0
 

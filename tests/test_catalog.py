@@ -85,7 +85,7 @@ def test_verify_fails_an_entry_with_a_wrong_expected_group():
     assert r.verdict == "distinct"
     assert not r.passed
     assert r.expected_bundle == invariant_bundle(wrong).as_dict()
-    derived = simplify(entry.source[1], 20000).presentation
+    derived = simplify(entry.source[1]).presentation
     assert r.computed_bundle == invariant_bundle(derived).as_dict()
     assert r.computed_bundle != r.expected_bundle
 

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import random
@@ -8,7 +7,7 @@ import pytest
 
 from conicline import catalog, invariants
 from conicline.errors import BudgetExceeded, ScriptStepFailed
-from conicline.invariants import (HOM_BUDGET, GroupTable,
+from conicline.invariants import (GroupTable,
                                   _cached_straight_line,
                                   _conjugation_orbits, _hom_rows,
                                   _product_tables, _straight_line,
@@ -137,7 +136,7 @@ def _per_letter_homs(p, table):
     """Reference count: the same rows as ``count_homs``, each relator
     evaluated letter by letter with one table gather per letter."""
     size, n = table.size, p.ngen
-    k, reps, weights = _hom_rows(n, table, 10 ** 8)
+    k, reps, weights = _hom_rows(n, table)
     dense = table.size ** (n - k)
     flat = (np.asarray(table.mult, dtype=np.intp) * size).ravel()
     inv = np.asarray(table.inverse)
@@ -311,7 +310,7 @@ BLOCK_SHAPES = [
 def test_count_homs_every_block_shape(monkeypatch, chunk, name, ngen, k):
     monkeypatch.setattr(invariants, "_CHUNK_ROWS", chunk)
     table = _table(name)
-    assert _hom_rows(ngen, table, HOM_BUDGET)[0] == k
+    assert _hom_rows(ngen, table)[0] == k
     rng = random.Random(chunk * 10 + ngen)
     for _ in range(2 if ngen >= 5 else 6):
         p = _seeded_presentation(rng, ngen)
@@ -336,7 +335,7 @@ def test_large_cyclic_group_refines_one_image():
             (2, [(1, 1, 1, -2)], 257),
             # x1 and x2 commute in C257 and x3 = x1^-2: 257^2 homs
             (3, [(1, 2, -1, -2), (1, 1, 3)], 257 ** 2)]:
-        k, reps, weights = _hom_rows(ngen, c257, HOM_BUDGET)
+        k, reps, weights = _hom_rows(ngen, c257)
         dense = c257.size ** (ngen - k)
         assert (k, reps.shape, weights.sum(), dense) == \
             (1, (257, 1), 257, 257 ** (ngen - 1))
@@ -391,7 +390,7 @@ def test_cached_product_tables_are_read_only(name):
     assert _product_tables(_table(name))[0] is prod
     # the cached orbits of each level that count_homs refines: k = 0..3,
     # but 0..1 for C257, whose level 3 would hold 257^3 orbits
-    top = _hom_rows(3, table, HOM_BUDGET)[0]
+    top = _hom_rows(3, table)[0]
     orbits = [a for k in range(top + 1) for a in _conjugation_orbits(table, k)]
     for t in (*prod.values(), *scaled.values(), *orbits):
         with pytest.raises(ValueError):
@@ -419,21 +418,46 @@ def test_count_homs_tangency_published(n, s3, s4):
     assert count_homs(q, builtin_table("S4")) == s4
 
 
-def test_count_homs_budget_counts_rows():
+def test_fixed_hom_budget_binds_only_past_the_published_counts():
+    # HOM_BUDGET is every caller's budget, verification included: it
+    # skips no S3 or S4 count of a group the repo verifies or counts
+    groups = dict(catalog.expected_groups())
+    for entry_id in catalog.list_entries():
+        derived, _ = catalog._derivation(catalog.get_entry(entry_id))
+        if derived is not None:
+            groups[f"entry {entry_id}"] = derived
+    for n in range(3, 7):
+        groups[f"tangency-{n}"] = present(
+            Factorization(n, (generalized_tangency(n)[0],)))
+    assert len(groups) == 9 + 7 + 4
+    for name, g in groups.items():
+        counts = dict(invariant_bundle(simplify(g).presentation).hom_counts)
+        assert None not in counts.values(), name
+    # n = 7 fits in S3 but not in S4: 681 orbits x 24^4 rows exceed 10^8
+    q = simplify(present(Factorization(7, (generalized_tangency(7)[0],))))
+    assert dict(invariant_bundle(q.presentation).hom_counts) == \
+        {"S3": 188082, "S4": None}
+
+
+def test_count_homs_budget_counts_rows(monkeypatch):
     # S3 x S3 has 11 conjugation orbits, so CONIC needs 11 rows
     s3 = builtin_table("S3")
-    assert count_homs(CONIC, s3, budget=11) == 24
+    monkeypatch.setattr(invariants, "HOM_BUDGET", 11)
+    assert count_homs(CONIC, s3) == 24
+    monkeypatch.setattr(invariants, "HOM_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
-        count_homs(CONIC, s3, budget=10)
+        count_homs(CONIC, s3)
 
 
-def test_count_homs_budget_counts_rows_of_three_images():
+def test_count_homs_budget_counts_rows_of_three_images(monkeypatch):
     # S3^3 has 49 conjugation orbits, so three generators need 49 rows
     s3 = builtin_table("S3")
     p = Presentation(3, CONIC.relators)
-    assert count_homs(p, s3, budget=49) == 24 * 6
+    monkeypatch.setattr(invariants, "HOM_BUDGET", 49)
+    assert count_homs(p, s3) == 24 * 6
+    monkeypatch.setattr(invariants, "HOM_BUDGET", 48)
     with pytest.raises(BudgetExceeded):
-        count_homs(p, s3, budget=48)
+        count_homs(p, s3)
 
 
 def test_symmetric_group_tables_are_groups():
@@ -467,10 +491,8 @@ def test_compare_equivalent_relabelled():
 
 
 def test_skipped_hom_counts_are_never_witnesses(monkeypatch):
-    # compare looks invariant_bundle up as a module global: every count
-    # it asks for is skipped
-    monkeypatch.setattr(invariants, "invariant_bundle",
-                        functools.partial(invariant_bundle, budget=1))
+    # every count that compare asks for is skipped
+    monkeypatch.setattr(invariants, "HOM_BUDGET", 1)
     v = compare(CONIC, CONIC)
     assert v.kind == "equivalent"
     assert verdict_sound(CONIC, CONIC, v)
@@ -480,8 +502,8 @@ def test_skipped_hom_counts_are_never_witnesses(monkeypatch):
     f3 = Presentation(3, [])
     h3 = Presentation(3, [(1, 2, 3, -1, -2, -3)])
     assert compare(f3, h3).kind == "inconclusive"
-    assert dict(invariant_bundle(h3, budget=1).hom_counts) == \
-        {"S3": None, "S4": None}
+    assert dict(invariant_bundle(h3).hom_counts) == {"S3": None, "S4": None}
+    monkeypatch.undo()
     assert dict(invariant_bundle(h3).hom_counts)["S3"] == 108
 
 
@@ -490,12 +512,14 @@ def test_bundle_cached_and_equal():
     assert invariant_bundle(CONIC) != invariant_bundle(F2)
 
 
-def test_cached_bundle_still_obeys_budget():
+def test_cached_bundle_still_obeys_budget(monkeypatch):
     # a full count first fills the cache; a tighter budget must still skip
     full = dict(invariant_bundle(CONIC).hom_counts)
     assert None not in full.values()
-    assert dict(invariant_bundle(CONIC, budget=1).hom_counts) == \
-        {"S3": None, "S4": None}
+    with monkeypatch.context() as m:
+        m.setattr(invariants, "HOM_BUDGET", 1)
+        assert dict(invariant_bundle(CONIC).hom_counts) == \
+            {"S3": None, "S4": None}
     assert dict(invariant_bundle(CONIC).hom_counts) == full
 
 
@@ -513,9 +537,9 @@ def test_bundle_cache_keys_tables_by_value():
 def test_bundle_cache_counts_each_miss_through_the_module(monkeypatch):
     calls = []
 
-    def counting(p, table, budget):
+    def counting(p, table):
         calls.append(table.name)
-        return count_homs(p, table, budget)
+        return count_homs(p, table)
 
     monkeypatch.setattr(invariants, "count_homs", counting)
     p = Presentation(2, [(1, 1, 1, 2, 2, -1, 2, 2, 2, 2, 2)])

@@ -50,8 +50,8 @@ def test_induced_relations_match_paper_relations():
         m = get_model(mid)
         induced = present(Factorization(m.strands, (m.braid,)))
         printed = Presentation(m.strands, m.paper_relations)
-        a = simplify(induced, 10000).presentation
-        b = simplify(printed, 10000).presentation
+        a = simplify(induced).presentation
+        b = simplify(printed).presentation
         assert invariant_bundle(a) == invariant_bundle(b), mid
 
 

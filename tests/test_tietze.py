@@ -39,8 +39,9 @@ def test_trace_replays_to_same_output():
     assert replayed.relators == res.presentation.relators
 
 
-def test_budget_zero_is_identity():
-    res = simplify(CONIC, budget=0)
+def test_budget_zero_is_identity(monkeypatch):
+    monkeypatch.setattr(tietze, "SIMPLIFY_BUDGET", 0)
+    res = simplify(CONIC)
     assert res.presentation.relators == CONIC.relators
 
 
@@ -63,37 +64,46 @@ def test_big_presentation_reaches_small_form():
     assert invariant_bundle(s) == invariant_bundle(CONIC)
 
 
-def test_budget_boundary_sets_exhausted():
+def _simplify_within(p, budget, monkeypatch):
+    """``simplify(p)`` with ``SIMPLIFY_BUDGET`` patched to ``budget``."""
+    with monkeypatch.context() as m:
+        m.setattr(tietze, "SIMPLIFY_BUDGET", budget)
+        return simplify(p)
+
+
+def test_budget_boundary_sets_exhausted(monkeypatch):
     # five moves: drop the duplicate, then four eliminations (each
     # elimination records two trace entries)
     p = _padded_conic()
     full = simplify(p)
     assert not full.exhausted
-    exact = simplify(p, budget=5)
+    exact = _simplify_within(p, 5, monkeypatch)
     assert not exact.exhausted
     assert exact.trace == full.trace
-    assert simplify(p, budget=4).exhausted
-    assert simplify(p, budget=0).exhausted
+    assert _simplify_within(p, 4, monkeypatch).exhausted
+    assert _simplify_within(p, 0, monkeypatch).exhausted
 
 
-def test_budget_boundary_on_rewrite_moves():
+def test_budget_boundary_on_rewrite_moves(monkeypatch):
     # the n = 5 tangency group needs four single-entry moves
     p = present(Factorization(5, (generalized_tangency(5)[0],)))
     full = simplify(p)
     assert len(full.trace) == 4 and not full.exhausted
-    assert not simplify(p, budget=4).exhausted
-    assert simplify(p, budget=3).exhausted
-    assert simplify(p, budget=0).exhausted
+    assert not _simplify_within(p, 4, monkeypatch).exhausted
+    assert _simplify_within(p, 3, monkeypatch).exhausted
+    assert _simplify_within(p, 0, monkeypatch).exhausted
 
 
-# -- simplify is memoised by value of (ngen, relators, budget) -------------
+# -- simplify is memoised by value of (ngen, relators, SIMPLIFY_BUDGET) ----
 
-def test_memo_keys_on_budget():
+def test_memo_keys_on_budget(monkeypatch):
     p = _padded_conic()
     assert simplify(p).trace
-    zero = simplify(p, 0)
+    zero = _simplify_within(p, 0, monkeypatch)
     assert zero.exhausted and zero.trace == ()
     assert zero.presentation == p and zero.presentation.trace == p.trace
+    # the restored constant is read again: the stored full run comes back
+    assert simplify(p).trace and not simplify(p).exhausted
 
 
 def test_memo_keys_on_generator_count():
