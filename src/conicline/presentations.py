@@ -10,7 +10,8 @@ Presentations are immutable; each move returns a new presentation whose
 from dataclasses import dataclass
 
 from . import words
-from .errors import DefinitionContainsTarget, MapsNotInverse, ParseError
+from .errors import (ConiclineError, DefinitionContainsTarget, MapsNotInverse,
+                     ParseError)
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class Presentation:
 
     def __init__(self, ngen, relators=()):
         if ngen < 0:
-            raise ValueError("generator count must be >= 0")
+            raise ConiclineError("generator count must be >= 0")
         rels = tuple(_relator(r, ngen) for r in relators)
         object.__setattr__(self, "ngen", ngen)
         object.__setattr__(self, "relators", rels)
@@ -151,7 +152,7 @@ def _relator(r, ngen):
     """``r`` freely and cyclically reduced, if it uses only ``x1..x<ngen>``."""
     r = words.cyclic_reduce(r)
     if words.max_generator(r) > ngen:
-        raise ValueError(f"relator {r} uses a generator beyond {ngen}")
+        raise ConiclineError(f"relator {r} uses a generator beyond {ngen}")
     return r
 
 

@@ -28,21 +28,18 @@ whose piece is longer than half of ``s``; pass 4 takes them all.
 Work is memoised by value, never by identity, and each memo has one
 scope:
 
-* per process: each relator's piece index and its cyclic normal form
-  (the pass-1 key), and :func:`simplify` itself on ``(ngen, relators,
+* per process: each relator's piece index, its cyclic normal form (the
+  pass-1 key), the first pass-3 rewrite of ``r`` by ``s`` (or none) for
+  each pair ``(r, s)`` seen, so a step pays only for the pairs that the
+  last move changed, and :func:`simplify` itself on ``(ngen, relators,
   SIMPLIFY_BUDGET)``, the budget as read at the call, so a patched
   constant never meets a stale result; the moves never depend on the
   input's trace, so each call appends the stored moves to its own;
-* per :func:`simplify` run: the first pass-3 rewrite of ``r`` by ``s``
-  (or none) for each pair ``(r, s)`` seen, so a step pays only for the
-  pairs that the last move changed, and the memo holds no more than
-  the run's relator pairs;
-* per pass-3 step or pass-4 search state: a word's window index,
-  shared by every relator that rewrites it in that step, or by every
-  rule in that state.  It is not kept longer: building one is a pass
-  over the word per piece length, and a cache of the search states'
-  indexes keyed by value only adds to peak memory (0.55 MB on the
-  ``tangency`` benchmark).
+* per pass-4 search state: a word's window index, shared by every rule
+  in that state (a pass-3 miss builds its own).  It is not kept longer:
+  building one is a pass over the word per piece length, and a cache of
+  the search states' indexes keyed by value only adds to peak memory
+  (0.55 MB on the ``tangency`` benchmark).
 
 Every move is recorded in the presentation trace, so the output replays
 bit-for-bit from the input.  The engine never claims non-equivalence:
@@ -90,17 +87,16 @@ def simplify(p):
 def _simplified(ngen, relators, budget):
     """:func:`simplify` by value: ``(ngen, relators, moves, exhausted)``."""
     p = _build(ngen, relators, ())
-    firsts = {}  # the run's first rewrites by pair (see _shorten_step)
-    q = _one_step(p, firsts)
+    q = _one_step(p)
     for _ in range(budget):
         if q is None:
             break
-        p, q = q, _one_step(q, firsts)
+        p, q = q, _one_step(q)
     # a move still applicable means the budget, not a fixpoint, stopped it
     return p.ngen, p.relators, p.trace, q is not None
 
 
-def _one_step(p, firsts):
+def _one_step(p):
     """Apply the first applicable move in the fixed pass order."""
     step = _dedup_step(p)
     if step is not None:
@@ -108,7 +104,7 @@ def _one_step(p, firsts):
     step = _elimination_step(p)
     if step is not None:
         return step
-    step = _shorten_step(p, firsts)
+    step = _shorten_step(p)
     if step is not None:
         return step
     return _consequence_step(p)
@@ -188,7 +184,7 @@ def _piece_index(s):
 
 
 class _Windows(dict):
-    """The window index of cyclic word ``r``, scoped to one step or state.
+    """The window index of cyclic word ``r``, for one pass-3 miss or state.
 
     Maps each length ``h`` asked for to a dict from each length-``h``
     window of ``r r`` to its starts in ``range(len(r))``, ascending; each
@@ -242,32 +238,23 @@ def _rewrites(windows, piece_index, shortest):
                            doubled[k + piece:k + len(r)])
 
 
-_UNSEEN = object()
+@functools.lru_cache(maxsize=None)
+def _first_rewrite(r, s):
+    """The first rewrite of ``r`` by ``s`` that shortens ``r``, or None."""
+    # a piece longer than half of s strictly shortens r
+    return next(_rewrites(_Windows(r), _piece_index(s), len(s) // 2 + 1),
+                None)
 
 
-def _shorten_step(p, firsts):
-    """Rewrite the first relator ``r`` that another relator ``s`` shortens.
-
-    ``firsts`` maps ``(r, s)`` to the first shortening rewrite of ``r``
-    by ``s``, or None, for every pair seen so far in the run: a pure
-    function of the two words, so a step pays only for the pairs that
-    the last move changed.
-    """
+def _shorten_step(p):
+    """Rewrite the first relator ``r`` that another relator ``s`` shortens."""
     for i, r in enumerate(p.relators):
-        windows = None
         for j, s in enumerate(p.relators):
-            if i == j or len(s) > len(r):
-                continue
-            new = firsts.get((r, s), _UNSEEN)
-            if new is _UNSEEN:
-                if windows is None:
-                    windows = _Windows(r)
-                # a piece longer than half of s strictly shortens r
-                new = firsts[r, s] = next(
-                    _rewrites(windows, _piece_index(s), len(s) // 2 + 1),
-                    None)
-            if new is not None:
-                return p.replace_relator(i, new, f"rewritten with relator {j}")
+            if i != j and len(s) <= len(r):
+                new = _first_rewrite(r, s)
+                if new is not None:
+                    return p.replace_relator(i, new,
+                                             f"rewritten with relator {j}")
     return None
 
 

@@ -51,7 +51,12 @@ class CurvePoly:
         self.degy = max((j for _, j in self.coeffs), default=0)
         self.degx = max((i for i, _ in self.coeffs), default=0)
         # the terms as (power of x, power of y, complex coefficient)
-        self.terms = [(i, j, complex(c)) for (i, j), c in self.coeffs.items()]
+        try:
+            self.terms = [(i, j, complex(c))
+                          for (i, j), c in self.coeffs.items()]
+        except OverflowError:
+            raise ConiclineError("a coefficient is beyond the float "
+                                 "range") from None
 
     @classmethod
     def parse(cls, text):
@@ -190,9 +195,9 @@ class LoopSpec:
     def __post_init__(self):
         if not (0 < self.radius <= sys.float_info.max
                 and cmath.isfinite(complex(self.center))):
-            raise ValueError("need a finite center and a finite radius > 0")
+            raise ConiclineError("need a finite center and a finite radius > 0")
         if self.samples < 8:
-            raise ValueError("need at least 8 samples")
+            raise ConiclineError("need at least 8 samples")
         # point() runs once per sample: convert center and radius once
         object.__setattr__(self, "_center", complex(self.center))
         object.__setattr__(self, "_radius", float(self.radius))
@@ -250,7 +255,7 @@ def track_path(p, xfun, t0=0.0, t1=1.0, samples=256):
     1`` batches more than a walk along the path.
     """
     if t1 <= t0:
-        raise ValueError("need t1 > t0")
+        raise ConiclineError("need t1 > t0")
     if p.degy == 0:
         raise ConiclineError("the curve has no strands: it has no y term")
     ts = [t0 + (t1 - t0) * k / samples for k in range(samples + 1)]

@@ -110,13 +110,13 @@ def substitute_letters(w, images):
     return reduce(out)
 
 
-_XGEN = re.compile(r"^x?(\d+)$")
+_XGEN = re.compile(r"^x(\d+)$")
 
 
 def parse_word(text, names=None):
     """Parse the ``x1 x2^-1 x1^2`` syntax into a word.
 
-    ``e`` (or an empty string) is the identity.  With ``names`` given,
+    ``e``, ``1`` or an empty string is the identity.  With ``names`` given,
     tokens are looked up there before falling back to the ``x<index>``
     form.
     """

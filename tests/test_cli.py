@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from conicline import catalog
-from conicline.cli import main
+from conicline.cli import build_parser, main
+from conicline.errors import ConiclineError
 from conicline.presentations import format_presentation
 
 
@@ -255,6 +256,30 @@ def test_track_refuses_untrackable_input(capsys, argv, message):
     code, _, err = run(capsys, "track", *argv)
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["simplify"], "gens: -1\n", "generator count must be"),
+    (["simplify"], "gens: 2\nx3\n", "generator beyond 2"),
+    (["track", "--poly", "y^2-x", "--radius", "0"], "", "finite radius > 0"),
+    (["track", "--poly", "y^2-x", "--samples", "4"], "", "at least 8"),
+    (["track", "--poly", "y^2-x", "--range", "1:0"], "", "need t1 > t0"),
+    (["track", "--poly", "10^400*y^2-x"], "", "beyond the float range"),
+], ids=["negative-gens", "generator-beyond-gens", "radius-0", "samples-4",
+        "empty-range", "huge-coefficient"])
+def test_out_of_range_values_are_typed_refusals(tmp_path, capsys, argv, text,
+                                                 message):
+    if text:
+        pres = tmp_path / "p.pres"
+        pres.write_text(text)
+        argv = [*argv, "--presentation", str(pres)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+    # a ConiclineError, not a ValueError that main happens to catch
+    args = build_parser().parse_args(argv)
+    with pytest.raises(ConiclineError, match=message):
+        args.func(args)
 
 
 def test_track_overflowing_loop_exit_2(capsys):

@@ -21,6 +21,7 @@ from conicline.local_models import generalized_tangency
 from conicline.presentations import Presentation
 from conicline.tietze import simplify
 from conicline.van_kampen import Factorization, present
+from conicline.words import relator
 
 CONIC = Presentation(2, [(1, 2, 1, 2), (2, 1, 2, 1)])
 G2 = Presentation(2, [(1, 2, 1, 2, -1, -2, -1, -2)])
@@ -159,6 +160,30 @@ def _per_letter_homs(p, table):
                 acc = flat[acc + column[a]]
             ok &= acc == e
         total += int(weights[orbit[ok]].sum())
+    return total
+
+
+def _all_assignments_homs(p, table):
+    """Reference count without orbits or weights: every one of the
+    ``|G|^ngen`` assignments of images, each relator evaluated letter by
+    letter with one table gather per letter."""
+    size, n = table.size, p.ngen
+    mult = np.asarray(table.mult)
+    inv = np.asarray(table.inverse)
+    total = 0
+    for lo in range(0, size ** n, 1 << 15):
+        code = np.arange(lo, min(lo + (1 << 15), size ** n))
+        column = {}
+        for g in range(1, n + 1):
+            column[g] = code // size ** (g - 1) % size
+            column[-g] = inv[column[g]]
+        ok = np.ones(code.size, dtype=bool)
+        for r in p.relators:
+            acc = np.full(code.size, table.identity)
+            for a in r:
+                acc = mult[acc, column[a]]
+            ok &= acc == table.identity
+        total += int(ok.sum())
     return total
 
 
@@ -314,7 +339,11 @@ def test_count_homs_every_block_shape(monkeypatch, chunk, name, ngen, k):
     rng = random.Random(chunk * 10 + ngen)
     for _ in range(2 if ngen >= 5 else 6):
         p = _seeded_presentation(rng, ngen)
-        assert count_homs(p, table) == _per_letter_homs(p, table), p
+        got = count_homs(p, table)
+        assert got == _per_letter_homs(p, table), p
+        # _per_letter_homs walks the same orbits; this oracle walks none
+        if table.size ** ngen <= 24 ** 4:
+            assert got == _all_assignments_homs(p, table), p
 
 
 def test_count_homs_needs_32_bit_indices():
@@ -488,6 +517,18 @@ def test_compare_equivalent_relabelled():
     v = compare(CONIC, q)
     assert v.kind == "equivalent"
     assert verdict_sound(CONIC, q, v)
+
+
+def test_compare_is_inconclusive_when_no_relabelling_matches():
+    # two presentations of the trefoil group, <a, b | a^2 = b^3> and
+    # <x, y | xyx = yxy>: simplification leaves both as they are, every
+    # invariant agrees, and no relabelling maps one relator onto the other
+    p = Presentation(2, [(1, 1, -2, -2, -2)])
+    q = Presentation(2, [relator((1, 2, 1), (2, 1, 2))])
+    assert invariant_bundle(p) == invariant_bundle(q)
+    assert invariant_bundle(p).abelianization.free_rank == 1
+    assert invariant_bundle(p).hom_counts == (("S3", 12), ("S4", 96))
+    assert compare(p, q).kind == "inconclusive"
 
 
 def test_skipped_hom_counts_are_never_witnesses(monkeypatch):

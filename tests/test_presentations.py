@@ -1,8 +1,8 @@
 import pytest
 
 from conicline import presentations, words
-from conicline.errors import (DefinitionContainsTarget, MapsNotInverse,
-                              ParseError)
+from conicline.errors import (ConiclineError, DefinitionContainsTarget,
+                              MapsNotInverse, ParseError)
 from conicline.presentations import (Presentation, TietzeMove, apply_move,
                                      format_presentation, parse_presentation,
                                      replay)
@@ -64,7 +64,7 @@ def test_parse_refuses_generator_names():
 def test_replace_relator_reduces_and_range_checks_the_new_word():
     q = CONIC.replace_relator(0, (2, 1, 1, -1, -1, 1, -2))
     assert q.relators == ((1,), CONIC.relators[1])
-    with pytest.raises(ValueError, match="beyond 2"):
+    with pytest.raises(ConiclineError, match="beyond 2"):
         CONIC.replace_relator(0, (3,))
     with pytest.raises(ValueError):
         CONIC.replace_relator(0, (1, 0))

@@ -7,7 +7,7 @@ from conicline import catalog, words
 from conicline.catalog import expected_groups
 from conicline.invariants import invariant_bundle
 from conicline.local_models import generalized_tangency
-from conicline.presentations import Presentation, replay
+from conicline.presentations import Presentation, TietzeMove, replay
 from conicline import tietze
 from conicline.tietze import (_Windows, _elimination_candidate, _piece_index,
                               _rewrites, simplify)
@@ -29,6 +29,14 @@ def test_removes_duplicate_relators():
                          (-2, -1, -2, -1)])
     s = simplify(p).presentation
     assert len(s.relators) == 1
+
+
+def test_removes_a_relator_that_the_others_imply():
+    # x1^4 is (x1^2)^2: no earlier pass applies, pass 4 removes it
+    res = simplify(Presentation(1, [(1, 1), (1, 1, 1, 1)]))
+    assert res.presentation == Presentation(1, [(1, 1)])
+    assert res.trace == (TietzeMove("remove_relator",
+                                    (1, "consequence of the others")),)
 
 
 def test_trace_replays_to_same_output():
@@ -379,13 +387,14 @@ CATALOG_DIGESTS = {
 
 def _clear_process_memos():
     for memo in (tietze._simplified, tietze._piece_index,
-                 tietze._relator_class):
+                 tietze._relator_class, tietze._first_rewrite):
         memo.cache_clear()
 
 
 def test_traces_do_not_depend_on_warm_memos():
-    # every memo is keyed by value: a run whose piece indexes and relator
-    # classes were filled by other groups makes the moves of a cold run
+    # every memo is keyed by value: a run whose piece indexes, relator
+    # classes and first rewrites were filled by other groups makes the
+    # moves of a cold run
     groups = dict(expected_groups())
     for n in sorted(TANGENCY_DIGESTS):
         groups[f"tangency-{n}"] = present(

@@ -244,7 +244,7 @@ def test_loop_spec_rejects_non_finite_values():
     for bad in (dict(radius=float("inf")), dict(radius=float("nan")),
                 dict(radius=Fraction(10) ** 400), dict(center=complex("inf")),
                 dict(radius=Fraction(0))):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConiclineError):
             LoopSpec(**bad)
 
 

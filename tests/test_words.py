@@ -110,3 +110,7 @@ def test_parse_rejects_garbage():
         words.parse_word("x1^")
     with pytest.raises(ParseError):
         words.parse_word("y%3")
+    # a bare index is not a generator: "1" is the identity, "2" nothing
+    for text in ("2", "1 1"):
+        with pytest.raises(ParseError):
+            words.parse_word(text)
