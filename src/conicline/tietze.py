@@ -19,11 +19,18 @@ rotation.  The rotations of ``s`` and ``s^-1`` are indexed by their
 prefix of length ``h = (len(s) + 1) // 2``, the shortest admissible
 piece, read as the length-``h`` windows of ``s s`` and ``s^-1 s^-1``,
 and the word ``r`` by its windows: each length-``h`` window of ``r r``
-maps to its starts.  One intersection of the two key sets finds every
-start where a piece can begin, and each hit is extended letter by
-letter along the doubled relator; a rotation is sliced out only for a
-rewrite that is read.  Pass 3 takes the first rewrite, in scan order,
-whose piece is longer than half of ``s``; pass 4 takes them all.
+maps to its starts.  One intersection of the two key sets, each a set
+that keeps its keys' hashes, finds every start where a piece can begin,
+and each hit is extended letter by letter along the doubled relator; a
+rotation is sliced out only for a rewrite that is read, and the rewrite
+cancels letters only where its two parts meet.  Pass 3 takes the first
+rewrite, in scan order, whose piece is longer than half of ``s``; pass 4
+takes them all.
+
+The consequence search of pass 4 runs breadth first, one level at a
+time, and treats a level as a set: its classes are sorted by ``(len,
+word)`` and cut to the beam, and an empty word anywhere in it ends the
+search, so the order in which a level is expanded never matters.
 
 Work is memoised by value, never by identity, and each memo has one
 scope:
@@ -35,11 +42,20 @@ scope:
   SIMPLIFY_BUDGET)``, the budget as read at the call, so a patched
   constant never meets a stale result; the moves never depend on the
   input's trace, so each call appends the stored moves to its own;
-* per pass-4 search state: a word's window index, shared by every rule
-  in that state (a pass-3 miss builds its own).  It is not kept longer:
-  building one is a pass over the word per piece length, and a cache of
-  the search states' indexes keyed by value only adds to peak memory
-  (0.55 MB on the ``tangency`` benchmark).
+* per consequence step (one call of pass 4): the classes that each
+  ``(state, rule)`` pair reaches, and the class of each rewrite, shared
+  by the searches of every target: where ``r_i`` and ``r_j`` have one
+  length, the rewrites of ``r_i`` by ``r_j`` are the inverses of those
+  of ``r_j`` by ``r_i``, so the two searches meet the same states;
+* per pass-3 relator in one step: its window index, shared by the
+  misses of ``r`` against every ``s``;
+* per pass-4 state visit: its window index, shared by every rule that
+  the state meets for the first time.
+
+No search state outlives its step: building a window index is a pass
+over the word per piece length, and a cache of the search states'
+indexes keyed by value only adds to peak memory (0.55 MB on the
+``tangency`` benchmark).
 
 Every move is recorded in the presentation trace, so the output replays
 bit-for-bit from the input.  The engine never claims non-equivalence:
@@ -167,12 +183,13 @@ def _elimination_step(p):
 def _piece_index(s):
     """The rotations of ``s`` and of ``s^-1``, indexed by prefix.
 
-    Returns ``(doubles, index)``: ``(s s, s^-1 s^-1)``, and a dict from
-    each prefix of length ``(len(s) + 1) // 2`` (the shortest admissible
-    piece) to the rotations that start with it, in scan order.  Rotation
-    ``zi`` of the ``2 len(s)`` is the length-``len(s)`` window of
-    ``doubles[zi // len(s)]`` at ``zi % len(s)``; only the prefix
-    windows are copied here, and a rotation is read only on a hit.
+    Returns ``(doubles, index, prefixes)``: ``(s s, s^-1 s^-1)``, a
+    dict from each prefix of length ``(len(s) + 1) // 2`` (the shortest
+    admissible piece) to the rotations that start with it, in scan
+    order, and the set of those prefixes.  Rotation ``zi`` of the ``2
+    len(s)`` is the length-``len(s)`` window of ``doubles[zi // len(s)]``
+    at ``zi % len(s)``; only the prefix windows are copied here, and a
+    rotation is read only on a hit.
     """
     m, h = len(s), (len(s) + 1) // 2
     doubles = (s + s, words.inverse(s) * 2)
@@ -180,14 +197,17 @@ def _piece_index(s):
     for zi in range(2 * m):
         start = zi % m
         index.setdefault(doubles[zi // m][start:start + h], []).append(zi)
-    return doubles, index
+    return doubles, index, frozenset(index)
 
 
 class _Windows(dict):
-    """The window index of cyclic word ``r``, for one pass-3 miss or state.
+    """The window index of cyclic word ``r``, for one pass-3 relator or
+    pass-4 state.
 
-    Maps each length ``h`` asked for to a dict from each length-``h``
-    window of ``r r`` to its starts in ``range(len(r))``, ascending; each
+    Maps each length ``h`` asked for to ``(starts, keys)``: a dict from
+    each length-``h`` window of ``r r`` to its starts in
+    ``range(len(r))``, ascending, and the set of its keys, which meets a
+    piece index's prefixes without hashing a window again.  Each
     length is indexed on first use.
     """
 
@@ -200,8 +220,8 @@ class _Windows(dict):
         doubled = self.doubled
         for k in range(len(self.word)):
             starts.setdefault(doubled[k:k + h], []).append(k)
-        self[h] = starts
-        return starts
+        self[h] = starts, frozenset(starts)
+        return self[h]
 
 
 def _rewrites(windows, piece_index, shortest):
@@ -214,59 +234,72 @@ def _rewrites(windows, piece_index, shortest):
     ``len(s)``.  Rewrites come in scan order: by rotation, longer pieces
     first, then by start in ``r``.
     """
-    doubles, index = piece_index
+    doubles, index, prefixes = piece_index
     r, doubled = windows.word, windows.doubled
     m = len(doubles[0]) // 2
     h, cap = (m + 1) // 2, min(m - 1, len(r))
     if h > cap:
         return
-    starts = windows[h]
+    starts, keys = windows[h]
     hits = []
-    for window in starts.keys() & index.keys():
+    for window in keys & prefixes:
         for zi in index[window]:
             z, at = doubles[zi // m], zi % m  # rotation zi is z[at:at + m]
             for k in starts[window]:
                 top = h
                 while top < cap and z[at + top] == doubled[k + top]:
                     top += 1
-                hits.extend((zi, piece, k)
-                            for piece in range(shortest, top + 1))
-    hits.sort(key=lambda hit: (hit[0], -hit[1], hit[2]))
-    for zi, piece, k in hits:
-        z, at = doubles[zi // m], zi % m
-        yield words.concat(words.inverse(z[at + piece:at + m]),
-                           doubled[k + piece:k + len(r)])
+                # as (zi, -piece, k), which sorts in scan order
+                hits += [(zi, -piece, k) for piece in range(shortest, top + 1)]
+    hits.sort()
+    n = len(r)
+    for zi, minus, k in hits:
+        # the inverse of the rest z[at + piece:at + m] of rotation zi, read
+        # off the other double
+        at = zi % m
+        yield words.concat(doubles[1 - zi // m][m - at:2 * m - at + minus],
+                           doubled[k - minus:k + n])
 
 
-@functools.lru_cache(maxsize=None)
-def _first_rewrite(r, s):
-    """The first rewrite of ``r`` by ``s`` that shortens ``r``, or None."""
-    # a piece longer than half of s strictly shortens r
-    return next(_rewrites(_Windows(r), _piece_index(s), len(s) // 2 + 1),
-                None)
+# per process: the first rewrite of r by s that shortens r, or None, for
+# each pair (r, s) seen
+_first_rewrites = {}
+_UNSEEN = object()
 
 
 def _shorten_step(p):
     """Rewrite the first relator ``r`` that another relator ``s`` shortens."""
     for i, r in enumerate(p.relators):
+        windows = _Windows(r)     # shared by the misses of r in this step
         for j, s in enumerate(p.relators):
-            if i != j and len(s) <= len(r):
-                new = _first_rewrite(r, s)
-                if new is not None:
-                    return p.replace_relator(i, new,
-                                             f"rewritten with relator {j}")
+            if i == j or len(s) > len(r):
+                continue
+            new = _first_rewrites.get((r, s), _UNSEEN)
+            if new is _UNSEEN:
+                # a piece longer than half of s strictly shortens r
+                new = _first_rewrites[r, s] = next(
+                    _rewrites(windows, _piece_index(s), len(s) // 2 + 1),
+                    None)
+            if new is not None:
+                return p.replace_relator(i, new, f"rewritten with relator {j}")
     return None
 
 
 # -- pass 4: bounded consequence detection ---------------------------------
 
-def _trivializes(target, others):
+def _trivializes(target, others, expansions, classes):
     """Bounded search showing ``target`` is a consequence of ``others``.
 
     Breadth-limited rewriting that also admits length-preserving steps;
-    states are deduplicated by cyclic normal form.
+    states are deduplicated by cyclic normal form.  A level is searched
+    as a set: its classes, sorted by ``(len, word)``, are cut to the beam,
+    and an empty word anywhere in it is the answer.  The searches of one
+    consequence step share two memos: ``expansions`` maps each rule to
+    the classes that each state it expanded reaches, and ``classes`` maps
+    each rewrite to its class.
     """
-    rules = [(len(s), _piece_index(s)) for s in others if s]
+    rules = [(len(s), _piece_index(s), expansions.setdefault(s, {}))
+             for s in others if s]
     if not rules:
         return False
     start = _relator_class(target)
@@ -275,21 +308,26 @@ def _trivializes(target, others):
     frontier = [start]
     seen = {start}
     for _ in range(_SEARCH_DEPTH):
-        next_frontier = []
+        reached = set()
         for w in frontier:
             windows = _Windows(w)
-            for m, piece_index in rules:
+            for m, piece_index, expanded in rules:
                 if m > 2 * len(w):
                     continue
-                for new in _rewrites(windows, piece_index, (m + 1) // 2):
-                    key = words.cyclic_normal_form(new)
-                    if not key:
-                        return True
-                    if key not in seen:
-                        seen.add(key)
-                        next_frontier.append(key)
-        next_frontier.sort(key=lambda u: (len(u), u))
-        frontier = next_frontier[:_SEARCH_BEAM]
+                found = expanded.get(w)
+                if found is None:
+                    found = expanded[w] = set()
+                    for new in _rewrites(windows, piece_index, (m + 1) // 2):
+                        key = classes.get(new)
+                        if key is None:
+                            key = classes[new] = words.cyclic_normal_form(new)
+                        found.add(key)
+                if () in found:
+                    return True
+                reached |= found
+        reached -= seen
+        seen |= reached
+        frontier = sorted(reached, key=lambda u: (len(u), u))[:_SEARCH_BEAM]
         if not frontier:
             return False
     return False
@@ -300,8 +338,9 @@ def _consequence_step(p):
         return None
     order = sorted(range(len(p.relators)),
                    key=lambda i: (-len(p.relators[i]), i))
+    expansions, classes = {}, {}  # per step: see _trivializes
     for i in order:
         others = p.relators[:i] + p.relators[i + 1:]
-        if _trivializes(p.relators[i], others):
+        if _trivializes(p.relators[i], others, expansions, classes):
             return p.remove_relator(i, "consequence of the others")
     return None

@@ -40,6 +40,10 @@ _pairs = functools.cache(lambda n: np.triu_indices(n, 1))   # k < j of n
 RESIDUAL_TOL = 1e-10
 MATCH_SAFETY = 5.0
 MAX_REFINE = 20
+# The largest sample count of a loop or path: far above the 1024 that
+# the workloads use, and refused before the grid is built, so that a
+# mistyped count fails at once instead of filling memory.
+MAX_SAMPLES = 2 ** 20
 
 
 class CurvePoly:
@@ -198,6 +202,8 @@ class LoopSpec:
             raise ConiclineError("need a finite center and a finite radius > 0")
         if self.samples < 8:
             raise ConiclineError("need at least 8 samples")
+        if self.samples > MAX_SAMPLES:
+            raise ConiclineError(f"need at most {MAX_SAMPLES} samples")
         # point() runs once per sample: convert center and radius once
         object.__setattr__(self, "_center", complex(self.center))
         object.__setattr__(self, "_radius", float(self.radius))
@@ -256,6 +262,8 @@ def track_path(p, xfun, t0=0.0, t1=1.0, samples=256):
     """
     if t1 <= t0:
         raise ConiclineError("need t1 > t0")
+    if samples > MAX_SAMPLES:
+        raise ConiclineError(f"need at most {MAX_SAMPLES} samples")
     if p.degy == 0:
         raise ConiclineError("the curve has no strands: it has no y term")
     ts = [t0 + (t1 - t0) * k / samples for k in range(samples + 1)]

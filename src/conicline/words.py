@@ -10,11 +10,28 @@ import re
 
 from .errors import ParseError
 
+
+def _is_reduced(w):
+    """No letter of ``w`` is 0 or next to its inverse."""
+    if 0 in w:
+        return False
+    prev = 0
+    for a in w:
+        if a == -prev:
+            return False
+        prev = a
+    return True
+
+
 def reduce(letters):
     """Freely reduce a sequence of signed letters.
 
     Idempotent and length-nonincreasing; the empty tuple is the identity.
+    A tuple that is already freely reduced is returned as it is, after
+    one pass that checks it.
     """
+    if type(letters) is tuple and _is_reduced(letters):
+        return letters
     out = []
     for a in letters:
         if a == 0:
@@ -27,7 +44,21 @@ def reduce(letters):
 
 
 def concat(*words):
-    return reduce([a for w in words for a in w])
+    """The freely reduced product of ``words``, left to right.
+
+    Letters cancel only where two parts meet.  The product is then
+    checked, and reduced in full only when some part was not reduced.
+    """
+    out = ()
+    for w in words:
+        w = tuple(w)
+        n = len(out)
+        k, top = 0, min(n, len(w))
+        # a letter 0 never cancels, so that reduce refuses it
+        while k < top and w[k] and out[n - 1 - k] == -w[k]:
+            k += 1
+        out = out[:n - k] + w[k:]
+    return reduce(out)
 
 
 def inverse(w):
@@ -56,6 +87,13 @@ def cyclic_normal_form(w):
     permutation, inversion and free reduction; linear in ``len(w)``.
     """
     w = cyclic_reduce(w)
+    if not w:
+        return w
+    # the least rotations of w and w^-1 start with min(w) and -max(w):
+    # unless those are equal, only one of the two can win
+    low, high = min(w), -max(w)
+    if low != high:
+        return _least_rotation(w if low < high else inverse(w))
     return min(_least_rotation(w), _least_rotation(inverse(w)))
 
 
@@ -67,23 +105,30 @@ def _least_rotation(w):
     the length of their common prefix.  At the first mismatch the start
     with the larger letter loses, and so does every start up to ``k``
     past it: the start as far past the other candidate reads smaller.
-    A start that reaches ``len(w)`` has been ruled out, so the other one
-    begins the least rotation.
+    Only a start that reads the least letter can win, so a candidate
+    moves on to the next such start; one that reaches ``len(w)`` has
+    been ruled out, and the other one begins the least rotation.
     """
     n = len(w)
-    s = w + w
-    i, j, k = 0, 1, 0
+    if not n:
+        return w
+    s, low = w + w, min(w)
+    # s.index(low, min(p, n)) is the next start at or past p that reads
+    # the least letter; as that letter recurs at n + w.index(low), a
+    # result of n or more means there is none
+    i = s.index(low)
+    j, k = s.index(low, i + 1), 0
     while i < n and j < n and k < n:
         a, b = s[i + k], s[j + k]
         if a == b:
             k += 1
             continue
         if a > b:
-            i += k + 1
+            i = s.index(low, min(i + k + 1, n))
         else:
-            j += k + 1
+            j = s.index(low, min(j + k + 1, n))
         if i == j:
-            j += 1
+            j = s.index(low, min(j + 1, n))
         k = 0
     i = min(i, j)
     return s[i:i + n]

@@ -263,10 +263,12 @@ def test_track_refuses_untrackable_input(capsys, argv, message):
     (["simplify"], "gens: 2\nx3\n", "generator beyond 2"),
     (["track", "--poly", "y^2-x", "--radius", "0"], "", "finite radius > 0"),
     (["track", "--poly", "y^2-x", "--samples", "4"], "", "at least 8"),
+    (["track", "--poly", "y^2-x", "--samples", "100000000000000000000"], "",
+     "at most 1048576"),
     (["track", "--poly", "y^2-x", "--range", "1:0"], "", "need t1 > t0"),
     (["track", "--poly", "10^400*y^2-x"], "", "beyond the float range"),
 ], ids=["negative-gens", "generator-beyond-gens", "radius-0", "samples-4",
-        "empty-range", "huge-coefficient"])
+        "samples-1e20", "empty-range", "huge-coefficient"])
 def test_out_of_range_values_are_typed_refusals(tmp_path, capsys, argv, text,
                                                  message):
     if text:

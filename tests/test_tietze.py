@@ -226,7 +226,7 @@ def test_piece_finder_matches_nested_scan():
         _, found, windows = _check_piece_finder(r, s)
         variants += len(found)
         repeated += any(len(starts) > 1 and window in _piece_index(s)[1]
-                        for starts_of in windows.values()
+                        for starts_of, _ in windows.values()
                         for window, starts in starts_of.items())
     assert repeated > 300 and variants > 20000
 
@@ -326,24 +326,73 @@ def test_consequence_search_matches_nested_scan():
             target = _conjugates_product(rng, ngen, rules)
         else:
             target = _random_cyclic_word(rng, ngen, rng.randint(1, 8))
-        found = tietze._trivializes(target, rules)
+        found = tietze._trivializes(target, rules, {}, {})
         assert found == _trivializes_by_nested_scan(target, rules), \
             (target, rules)
         outcomes.append(found)
     assert outcomes.count(True) > 50 and outcomes.count(False) > 50
 
 
-@pytest.mark.parametrize("target, rules, expected", [
-    # both searches fill the beam on the way to their answer
+# both searches fill the beam on the way to their answer
+_PAST_THE_BEAM = [
     ((-1, -2, 1, 2, 1, 1, -2, -1, 2, 1, 1, -2, -2, -2),
      [(1, -2), (-2, -1, -1)], True),
     ((-2, -2, 3, 3, 1, 2, 1, 2, 2, 2, 3, -2, 1, 1, 3),
      [(2, 2, -3), (1, -2)], False),
-])
+]
+
+
+@pytest.mark.parametrize("target, rules, expected", _PAST_THE_BEAM)
 def test_consequence_search_matches_nested_scan_past_the_beam(
         target, rules, expected):
-    assert tietze._trivializes(target, rules) is expected
+    assert tietze._trivializes(target, rules, {}, {}) is expected
     assert _trivializes_by_nested_scan(target, rules) is expected
+
+
+def _consequence_by_nested_scan(p):
+    """The relator that pass 4 removes, by a fresh nested-scan search per
+    target in pass-4 order (longest first), or None."""
+    order = sorted(range(len(p.relators)),
+                   key=lambda i: (-len(p.relators[i]), i))
+    for i in order:
+        others = p.relators[:i] + p.relators[i + 1:]
+        if _trivializes_by_nested_scan(p.relators[i], others):
+            return i
+    return None
+
+
+def test_consequence_step_memo_matches_a_search_per_target():
+    # the searches of one step share their expansions and classes: on
+    # each presentation, the step removes the relator that a fresh
+    # nested-scan search per target finds first, or none
+    rng = random.Random(20261022)
+    cases = [(words.max_generator(target), [target, *rules])
+             for target, rules, _ in _PAST_THE_BEAM]
+    for _ in range(40):
+        ngen = rng.randint(2, 3)
+        rules = [_random_cyclic_word(rng, ngen, rng.randint(2, 6))
+                 for _ in range(rng.randint(2, 3))]
+        extra = [_conjugates_product(rng, ngen, rules)
+                 if rng.random() < 0.5
+                 else _random_cyclic_word(rng, ngen, rng.randint(1, 8))
+                 for _ in range(rng.randint(1, 2))]
+        cases.append((ngen, rules + extra))
+    removed = kept = 0
+    for ngen, relators in cases:
+        p = Presentation(ngen, relators)
+        if len(p.relators) < 2:
+            continue
+        want = _consequence_by_nested_scan(p)
+        step = tietze._consequence_step(p)
+        if want is None:
+            assert step is None, p.relators
+            kept += 1
+        else:
+            assert step == p.remove_relator(want), p.relators
+            assert step.trace == (TietzeMove(
+                "remove_relator", (want, "consequence of the others")),)
+            removed += 1
+    assert removed > 15 and kept > 10
 
 
 # -- traces replay bit-for-bit: digests recorded before the piece finder ----
@@ -387,8 +436,9 @@ CATALOG_DIGESTS = {
 
 def _clear_process_memos():
     for memo in (tietze._simplified, tietze._piece_index,
-                 tietze._relator_class, tietze._first_rewrite):
+                 tietze._relator_class):
         memo.cache_clear()
+    tietze._first_rewrites.clear()
 
 
 def test_traces_do_not_depend_on_warm_memos():

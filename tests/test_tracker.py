@@ -19,8 +19,8 @@ from conicline.errors import (AmbiguousMatching, CollisionOnLoop,
                               NoConvergence, ParseError)
 from conicline.local_models import get_model, list_models
 from conicline.tracker import (_COS_D, _SIN_D, MATCH_SAFETY, MAX_REFINE,
-                               CurvePoly, LoopSpec, _distances, _gaps,
-                               _match, _match_rows, _reversed_blocks,
+                               MAX_SAMPLES, CurvePoly, LoopSpec, _distances,
+                               _gaps, _match, _match_rows, _reversed_blocks,
                                format_poly, singular_x_values, track,
                                track_path)
 
@@ -246,6 +246,21 @@ def test_loop_spec_rejects_non_finite_values():
                 dict(radius=Fraction(0))):
         with pytest.raises(ConiclineError):
             LoopSpec(**bad)
+
+
+def test_oversized_sample_count_is_refused_before_the_grid():
+    # the bound is checked before any grid point or fiber: the path
+    # function fails the test if it is ever called
+    def never(t):
+        raise AssertionError(f"grid started at t={t}")
+
+    p = CurvePoly.parse("y^2 - x")
+    for samples in (MAX_SAMPLES + 1, 10 ** 20):
+        with pytest.raises(ConiclineError, match="at most"):
+            LoopSpec(0j, Fraction(1), samples)
+        with pytest.raises(ConiclineError, match="at most"):
+            track_path(p, never, 0.0, 1.0, samples)
+    assert LoopSpec(0j, Fraction(1), MAX_SAMPLES).samples == MAX_SAMPLES
 
 
 ZERO_CONSTANT = "y^2 + y + 1 - x"   # constant coefficient 0 only at x = 1

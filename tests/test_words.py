@@ -72,6 +72,66 @@ def test_cyclic_normal_form_matches_all_rotations():
             min((w[r:] + w[:r] for r in range(len(w))), default=()), w
 
 
+def test_cyclic_normal_form_computes_only_the_winning_rotation():
+    # unless min(w) == -max(w), the least rotations of w and w^-1 start
+    # with different letters and only one of them is computed
+    rng = random.Random(20261020)
+    ties = others = 0
+    for _ in range(3000):
+        ngen = rng.randint(1, 4)
+        w = words.cyclic_reduce(tuple(
+            rng.choice((1, -1)) * rng.randint(1, ngen)
+            for _ in range(rng.randint(0, 16))))
+        want = min(words._least_rotation(w),
+                   words._least_rotation(words.inverse(w)))
+        assert words.cyclic_normal_form(w) == want, w
+        if w:
+            ties += min(w) == -max(w)
+            others += min(w) != -max(w)
+    assert ties > 500 and others > 500
+
+
+def _reduce_letter_by_letter(letters):
+    out = []
+    for a in letters:
+        if out and out[-1] == -a:
+            out.pop()
+        else:
+            out.append(a)
+    return tuple(out)
+
+
+def test_concat_matches_reducing_the_concatenation():
+    rng = random.Random(20261021)
+    cancelled = unreduced = 0
+    for _ in range(3000):
+        ngen = rng.randint(1, 3)
+        parts = []
+        for _ in range(rng.randint(0, 4)):
+            kind = rng.random()
+            if kind < 0.2 and parts:
+                # cancels the part before it completely
+                parts.append(words.inverse(words.reduce(parts[-1])))
+            elif kind < 0.3:
+                parts.append(())
+            else:
+                part = tuple(rng.choice((1, -1)) * rng.randint(1, ngen)
+                             for _ in range(rng.randint(1, 8)))
+                if kind < 0.6:
+                    part = words.reduce(part)
+                parts.append(part)
+        want = _reduce_letter_by_letter([a for w in parts for a in w])
+        assert words.concat(*parts) == want, parts
+        assert words.concat(*map(list, parts)) == want, parts
+        cancelled += bool(parts) and not want
+        unreduced += any(w != words.reduce(w) for w in parts)
+    assert cancelled > 100 and unreduced > 1000
+    # a letter 0 is refused, even where it meets another 0
+    for parts in [((1, 0),), ((0,), (0,)), ((1, 0), (0, -1))]:
+        with pytest.raises(ValueError):
+            words.concat(*parts)
+
+
 def test_generators_and_max_generator():
     assert words.generators_of((1, -3, 2)) == {1, 2, 3}
     assert words.max_generator((1, -3, 2)) == 3
