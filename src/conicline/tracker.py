@@ -9,7 +9,18 @@ all steps of the grid are matched at once (``_match_rows``); steps that
 fail are bisected level by level, each level's midpoints solved in one
 batch and its half-steps matched at once.  A loop about a real center
 is mirror-symmetric (``LoopSpec.point``), so a batch solves only one
-fiber of each conjugate pair of its points.
+fiber of each conjugate pair of its points (``_conjugate_mirrors``).
+
+``track`` makes the grid's points in one numpy expression
+(``LoopSpec.grid``), and the first batch matches the grid's rows
+against the next rows in place: only steps that cross, are halved or
+fail become ``(key, start t, end t)`` tuples.  Polynomial text is parsed
+on integer numerators over one common denominator.  The memos are per
+process and keyed by value: the root index pairs of each strand count
+(``_pairs``), and the discriminant roots of ``singular_x_values`` by
+the exact coefficients, bounded to 256 curves, so a curve tracked along
+several loops is solved once; ``track`` still checks the loop against
+them on every call.
 
 Strand order is by ``Re(y)`` with ties broken by ``Im(y)``; this is
 implemented as the order of ``Re(exp(-i*delta) * y)`` for a tiny fixed
@@ -19,6 +30,7 @@ real part.
 
 import cmath
 import functools
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -79,7 +91,7 @@ class CurvePoly:
                               np.arange(self.degx + 1))
             powers[:, 2:3] *= 1   # Python's x ** 2 is 1 * (x * x)
         if np.isinf(powers).any():
-            x = xs[np.isinf(powers).any(axis=1).argmax()]
+            x = complex(xs[np.isinf(powers).any(axis=1).argmax()])
             raise ConiclineError(f"x^{self.degx} overflows a float at x={x}")
         out = np.zeros((len(powers), self.degy + 1), dtype=complex)
         for i, j, c in self.terms:
@@ -99,7 +111,8 @@ class CurvePoly:
         The coefficients are rational, so the fiber over a conjugate x is
         the conjugate fiber.  A row whose x equals the conjugate of an
         earlier row's non-real x is not solved: it takes that row's
-        eigenvalues with their imaginary parts negated.  LAPACK's
+        eigenvalues with their imaginary parts negated (the pairing of
+        ``_conjugate_mirrors``).  LAPACK's
         ``zgeev`` is conjugation-symmetric bit for bit on the loops the
         tests pin, so there they equal its own; in general they equal
         them to rounding, as ``zgeev`` rounds the two roots of a pair
@@ -107,22 +120,15 @@ class CurvePoly:
         The deflated zero roots stay ``+0j``, and the residual check,
         strand order and refusal run on the row's own coefficients."""
         tol = RESIDUAL_TOL
+        xs = np.asarray(xs, dtype=complex)
         coeffs = self.y_coefficients(xs)
         n = self.degy
         mags = np.abs(coeffs)
         solvable = mags[:, -1] > tol * mags.max(axis=1)
         zeros = (coeffs == 0).argmin(axis=1)   # a solvable row's a_n != 0
-        # mirror[k]: the earlier row whose x is conjugate to row k's, or k;
         # conjugation keeps every coefficient's magnitude and every zero,
-        # so the two rows agree in ``solvable`` and ``zeros``
-        first, mirror = {}, np.arange(len(coeffs))
-        for k, x in enumerate(xs):
-            if x.imag:
-                j = first.get(x.conjugate())
-                if j is None:
-                    first.setdefault(x, k)
-                else:
-                    mirror[k] = j
+        # so a row and its mirror agree in ``solvable`` and ``zeros``
+        mirror = _conjugate_mirrors(xs)
         shared = mirror != np.arange(len(coeffs))
         roots = np.zeros((len(coeffs), n), dtype=complex)
         for z in set(zeros[solvable].tolist()) - {n}:   # n: all roots 0
@@ -134,7 +140,9 @@ class CurvePoly:
             comp.reshape(len(rows), -1)[:, n - z::n - z + 1] = 1
             roots[rows, :n - z] = np.linalg.eigvals(comp)
             roots[copies, :n - z] = roots[mirror[copies], :n - z].conj()
-        a, m, r = coeffs[solvable], mags[solvable], roots[solvable]
+        everywhere = solvable.all()
+        a, m, r = ((coeffs, mags, roots) if everywhere else
+                   (coeffs[solvable], mags[solvable], roots[solvable]))
         residual, res_scale, grow = a[:, -1:], m[:, -1:], np.maximum(abs(r), 1)
         for j in range(n - 1, -1, -1):   # Horner, per root
             residual = residual * r + a[:, j:j + 1]
@@ -143,12 +151,16 @@ class CurvePoly:
         order = np.argsort(roots.real * _COS_D + roots.imag * _SIN_D,
                            axis=1, kind="stable")
         roots = roots[np.arange(len(roots))[:, None], order]
+        if everywhere and not bad.any():
+            return roots, {}
         refused = ~solvable
         refused[solvable] = bad
         roots[refused] = np.nan
-        return roots, {k: NoConvergence(f"root residual too large at x={xs[k]}")
+        return roots, {k: NoConvergence(
+                           f"root residual too large at x={complex(xs[k])}")
                        if solvable[k] else LeadingCoefficientVanishes(
-                           f"leading y-coefficient vanishes at x={xs[k]}")
+                           f"leading y-coefficient vanishes at "
+                           f"x={complex(xs[k])}")
                        for k in np.flatnonzero(refused).tolist()}
 
     def fibers(self, xs):
@@ -161,17 +173,49 @@ class CurvePoly:
                           for (i, j), c in self.coeffs.items() if j})
 
 
+def _conjugate_mirrors(xs):
+    """``mirror[k]``: the row whose roots row ``k`` takes conjugated, or
+    ``k``.  Rows fall into classes of equal ``(Re x, |Im x|)`` (a NaN
+    equals nothing, and ``-0.0`` equals ``0.0``); in each class the first
+    row and every row with its x are solved, and every row with the
+    conjugate of its non-real x mirrors it.  A walk over the rows in
+    order gives the same: it keeps the first row of each x and looks up
+    the conjugate x of each later row among them."""
+    n = len(xs)
+    key = np.empty(n, dtype=complex)
+    key.real, key.imag = xs.real, abs(xs.imag)
+    order = key.argsort(kind="stable")   # each class in row order
+    key = key[order]
+    run = np.empty(n, dtype=bool)
+    run[:1] = True
+    np.not_equal(key[1:], key[:-1], out=run[1:])
+    first = np.empty(n, dtype=np.intp)
+    first[order] = order[np.maximum.accumulate(run * np.arange(n))]
+    im = xs.imag
+    return np.where((im != 0) & (np.signbit(im) != np.signbit(im[first])),
+                    first, np.arange(n))
+
+
 def singular_x_values(p):
-    """Approximate x where the fiber degenerates (discriminant roots).
+    """Approximate x where the fiber degenerates (discriminant roots), as a
+    tuple.
 
     The discriminant in y is recovered by evaluating the Sylvester
     determinant of ``p`` and ``dp/dy`` at roots of unity and
-    interpolating its coefficients, then solved numerically.
+    interpolating its coefficients, then solved numerically.  The roots
+    are memoised per process by the exact coefficients, so a curve
+    tracked along several loops is solved once.
     """
+    return _discriminant_roots(frozenset(p.coeffs.items()))
+
+
+@functools.lru_cache(maxsize=256)
+def _discriminant_roots(coeffs):
+    p = CurvePoly(dict(coeffs))
     q = p.derivative_y()
     n, m = p.degy, q.degy
     if n < 1 or m < 0:
-        return []
+        return ()
     count = 1 << (p.degx * (n + m) + 1).bit_length()   # 2^k > degree bound
     xs = [cmath.exp(2j * cmath.pi * k / count) * 1.37 for k in range(count)]
     # the Sylvester matrices, leading coefficients first
@@ -183,11 +227,11 @@ def singular_x_values(p):
     for r in range(n):
         mats[:, m + r, r:r + m + 1] = b
     # invert the evaluation at scaled roots of unity
-    coeffs = np.fft.fft(np.linalg.det(mats)) / count
-    coeffs = coeffs / (1.37 ** np.arange(count))
-    mags = np.abs(coeffs)
+    disc = np.fft.fft(np.linalg.det(mats)) / count
+    disc = disc / (1.37 ** np.arange(count))
+    mags = np.abs(disc)
     deg = max(np.flatnonzero(mags > 1e-8 * mags.max()), default=0)
-    return np.roots(coeffs[:deg + 1][::-1]).tolist()
+    return tuple(np.roots(disc[:deg + 1][::-1]).tolist())
 
 
 @dataclass(frozen=True)
@@ -221,6 +265,22 @@ class LoopSpec:
                     * cmath.exp(_TWO_PI_I * (1 - t))).conjugate()
         return self._center + self._radius * cmath.exp(_TWO_PI_I * t)
 
+    def grid(self, ts):
+        """``point`` at each ``t`` of ``ts``, an array from ``t0`` to
+        ``t1`` in equal steps, bit for bit, except on the full loop (0 to
+        1) about a real center: there a point past the middle is the
+        conjugate of the point at the mirrored index, so that every
+        conjugate pair of fibers is solved once at any sample count.  That
+        is ``point`` at power-of-two counts, where ``1 - t`` is exact, and
+        within a few units in the last place of it elsewhere."""
+        c = self._center
+        if c.imag:
+            return c + self._radius * np.exp(_TWO_PI_I * ts)
+        past = ts > 0.5
+        mirror = ts[::-1] if ts[0] == 0 and ts[-1] == 1 else 1 - ts
+        x = c + self._radius * np.exp(_TWO_PI_I * np.where(past, mirror, ts))
+        return np.where(past, x.conj(), x)
+
 
 @dataclass
 class TrackedBraid:
@@ -236,13 +296,16 @@ def track(p, loop, t0=0.0, t1=1.0):
     The full loop is ``[0, 1]``; the Lefschetz half-loop is ``[1/2, 1]``.
     Emits a positive Artin letter when the strand passing above (larger
     imaginary part) moves from right to left, the sign fixed by the
-    branch-point calibration ``y^2 - x -> s1``.
+    branch-point calibration ``y^2 - x -> s1``.  This is ``track_path``
+    along ``loop.point``, with the grid's points made at once by
+    ``loop.grid``.
     """
     for s in singular_x_values(p):
         d = abs(s - complex(loop.center))
         if abs(d - float(loop.radius)) < 1e-6 * max(1.0, float(loop.radius)):
             raise CollisionOnLoop(f"loop passes through singular x ~ {s}")
-    return track_path(p, loop.point, t0, t1, loop.samples)
+    ts = _grid_times(p, t0, t1, loop.samples)
+    return _walk(p, loop.point, ts.tolist(), loop.grid(ts))
 
 
 def track_path(p, xfun, t0=0.0, t1=1.0, samples=256):
@@ -260,14 +323,27 @@ def track_path(p, xfun, t0=0.0, t1=1.0, samples=256):
     dropped, so a region that keeps failing costs at most ``MAX_REFINE +
     1`` batches more than a walk along the path.
     """
+    ts = _grid_times(p, t0, t1, samples).tolist()
+    return _walk(p, xfun, ts, [xfun(t) for t in ts])
+
+
+def _grid_times(p, t0, t1, samples):
+    """The grid ``t0 + (t1 - t0) * k / samples`` for ``k = 0..samples``,
+    as an array of floats, after the checks that come before any fiber."""
     if t1 <= t0:
         raise ConiclineError("need t1 > t0")
     if samples > MAX_SAMPLES:
         raise ConiclineError(f"need at most {MAX_SAMPLES} samples")
     if p.degy == 0:
         raise ConiclineError("the curve has no strands: it has no y term")
-    ts = [t0 + (t1 - t0) * k / samples for k in range(samples + 1)]
-    grid, refused = p.fiber_rows([xfun(t) for t in ts])
+    return float(t0) + float(t1 - t0) * np.arange(samples + 1) / samples
+
+
+def _walk(p, xfun, ts, xs):
+    """``track_path`` over the grid times ``ts`` (floats) and their points
+    ``xs``; ``xfun`` gives the bisection midpoints."""
+    grid, refused = p.fiber_rows(xs)
+    samples = len(ts) - 1
     # no step goes past the first refused fiber
     stop = min(refused, default=samples + 1)
     if stop == 0:
@@ -275,21 +351,26 @@ def track_path(p, xfun, t0=0.0, t1=1.0, samples=256):
     # the first error on the path so far and its key (or a key past all
     # steps), and the letters of each resolved step by its key
     limit, error, words = (stop - 1,), refused.get(stop), []
-    # pending steps (key, start t, end t) in key order; ends: their fibers
-    steps = [((k,), ts[k], ts[k + 1]) for k in range(stop - 1)]
-    ends = np.stack([grid[:stop - 1], grid[1:stop]], axis=1)
+    # the batch being matched: step(i) is the (key, start t, end t) of its
+    # row i, a_now and b_now its end fibers; the first batch is the grid,
+    # grid step k running from ts[k] to ts[k + 1]
+    def step(k):
+        return (k,), ts[k], ts[k + 1]
+
+    a_now, b_now = grid[:stop - 1], grid[1:stop]
+    # the pending halves (key, start t, end t) in key order; ends: their
+    # fibers
+    steps, ends = [], np.empty((0, 2, p.degy), dtype=complex)
     batch = max(stop - 1, 1)
     min_gap, refinements = _gaps(grid[:1])[0], 0
-    while steps:
-        now, (a_now, b_now) = steps[:batch], ends[:batch].swapaxes(0, 1)
-        steps, ends = steps[batch:], ends[batch:]
+    while len(a_now):
         gaps = _gaps(b_now)
         min_gap = gaps.min(initial=min_gap)
         perms, accepted = _match_rows(a_now, b_now, gaps)
         halve = []
         for i in np.flatnonzero(
                 ~accepted | (perms != np.arange(p.degy)).any(1)).tolist():
-            key, ta, _ = now[i]
+            key, ta, _ = step(i)
             blocks = _reversed_blocks(perms[i].tolist()) if accepted[i] else None
             if len(key) <= MAX_REFINE and (
                     blocks is None or any(j > k + 1 for k, j in blocks)):
@@ -311,20 +392,23 @@ def track_path(p, xfun, t0=0.0, t1=1.0, samples=256):
                     f"matching stayed ambiguous near t={ta}"))
         if halve:
             refinements += len(halve)
-            tm = [(now[i][1] + now[i][2]) / 2 for i in halve]
+            halved = [step(i) for i in halve]
+            tm = [(ta + tb) / 2 for _, ta, tb in halved]
             mid, refused = p.fiber_rows([xfun(t) for t in tm])
             for r, exc in refused.items():   # its halves lie past the limit
-                if now[halve[r]][0] < limit:
-                    limit, error = now[halve[r]][0], exc
+                if halved[r][0] < limit:
+                    limit, error = halved[r][0], exc
             # a step's halves precede every later pending step in key order
-            steps = [half for i, t in zip(halve, tm) for half in (
-                (now[i][0] + (0,), now[i][1], t),
-                (now[i][0] + (1,), t, now[i][2]))] + steps
+            steps = [half for (key, ta, tb), t in zip(halved, tm) for half in (
+                (key + (0,), ta, t), (key + (1,), t, tb))] + steps
             amb = np.stack([a_now[halve], mid, b_now[halve]], axis=1)
             ends = np.concatenate([amb[:, [[0, 1], [1, 2]]].reshape(
                 -1, 2, p.degy), ends])   # a to mid, mid to b
-        steps = [step for step in steps if step[0] < limit]   # a prefix
-        ends = ends[:len(steps)]
+        steps = [half for half in steps if half[0] < limit]   # a prefix
+        now, steps = steps[:batch], steps[batch:]
+        step = now.__getitem__
+        a_now, b_now = ends[:len(now)].swapaxes(0, 1)
+        ends = ends[len(now):len(now) + len(steps)]
     if error is not None:
         raise error
     braid = BraidWord(p.degy, [s for _, word in sorted(words) for s in word])
@@ -421,6 +505,12 @@ def _tokenize(text):
 
 
 class _PolyParser:
+    """Recursive descent over the tokens.  A polynomial is ``(nums, d)``:
+    ``{(i, j): integer numerator}`` of the coefficients of ``x^i y^j``
+    over one common denominator ``d``, with no zero numerator, so the
+    arithmetic is on integers and ``Fraction``s are made once, by
+    ``_parse_poly``."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
@@ -444,11 +534,13 @@ class _PolyParser:
         while self.peek() in ("+", "-"):
             if self.take() == "-":
                 sign = -sign
-        p = _scale(self.term(), sign)
+        p = self.term()
+        if sign < 0:
+            p = _negate(p)
         while self.peek() in ("+", "-"):
             op = self.take()
             q = self.term()
-            p = _add(p, _scale(q, -1 if op == "-" else 1))
+            p = _add(p, _negate(q) if op == "-" else q)
         return p
 
     def term(self):
@@ -462,7 +554,7 @@ class _PolyParser:
                 tok = self.take()
                 if tok is None or not tok.isdigit() or int(tok) == 0:
                     raise ParseError("division only by nonzero integers")
-                p = _scale(p, Fraction(1, int(tok)))
+                p = p[0], p[1] * int(tok)
             elif self.peek() in ("(", "x", "y") or (
                     self.peek() or "").isdigit():
                 p = _mul(p, self.factor())
@@ -472,14 +564,14 @@ class _PolyParser:
     def factor(self):
         if self.peek() == "-":   # applies after "^", as a leading sign does
             self.take()
-            return _scale(self.factor(), -1)
+            return _negate(self.factor())
         base = self.atom()
         if self.peek() == "^":
             self.take()
             tok = self.take()
             if tok is None or not tok.isdigit():
                 raise ParseError("exponent must be a nonnegative integer")
-            result = {(0, 0): Fraction(1)}
+            result = {(0, 0): 1}, 1
             for _ in range(int(tok)):
                 result = _mul(result, base)
             return result
@@ -493,39 +585,43 @@ class _PolyParser:
                 raise ParseError("unbalanced parentheses")
             return p
         if tok == "x":
-            return {(1, 0): Fraction(1)}
+            return {(1, 0): 1}, 1
         if tok == "y":
-            return {(0, 1): Fraction(1)}
+            return {(0, 1): 1}, 1
         if tok is not None and tok.isdigit():
-            return {(0, 0): Fraction(int(tok))}
+            c = int(tok)
+            return ({(0, 0): c} if c else {}), 1
         raise ParseError(f"unexpected token {tok!r} in polynomial")
 
 
+def _negate(p):
+    return {k: -v for k, v in p[0].items()}, p[1]
+
+
 def _add(p, q):
-    out = dict(p)
-    for k, v in q.items():
-        out[k] = out.get(k, 0) + v
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _scale(p, c):
-    return {k: v * c for k, v in p.items() if v * c != 0}
+    (a, da), (b, db) = p, q
+    d = math.lcm(da, db)
+    out = {k: v * (d // da) for k, v in a.items()}
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + v * (d // db)
+    return {k: v for k, v in out.items() if v}, d
 
 
 def _mul(p, q):
+    (a, da), (b, db) = p, q
     out = {}
-    for (i1, j1), c1 in p.items():
-        for (i2, j2), c2 in q.items():
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
             k = (i1 + i2, j1 + j2)
             out[k] = out.get(k, 0) + c1 * c2
-    return {k: v for k, v in out.items() if v != 0}
+    return {k: v for k, v in out.items() if v}, da * db
 
 
 def _parse_poly(text):
-    coeffs = _PolyParser(_tokenize(text)).parse()
-    if not coeffs:
+    nums, d = _PolyParser(_tokenize(text)).parse()
+    if not nums:
         raise ParseError("zero polynomial")
-    return coeffs
+    return {k: Fraction(v, d) for k, v in nums.items()}
 
 
 def format_poly(p):

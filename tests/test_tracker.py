@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from conicline import tracker
-from conicline.braids import BraidWord, action_equal, braid_permutation
+from conicline.braids import (BraidWord, action_equal, braid_permutation,
+                              full_twist)
 from conicline.errors import (AmbiguousMatching, CollisionOnLoop,
                               ConiclineError, LeadingCoefficientVanishes,
                               NoConvergence, ParseError)
@@ -51,6 +52,41 @@ def test_singular_values_branch_point():
     assert abs(s[0]) < 1e-8
 
 
+@pytest.fixture
+def cold_discriminants():
+    """The discriminant memo, empty before and after the test: a test that
+    patches what the roots are computed with neither reads a stored value
+    nor leaves one behind."""
+    tracker._discriminant_roots.cache_clear()
+    yield
+    tracker._discriminant_roots.cache_clear()
+
+
+def test_singular_values_are_memoised_by_value(monkeypatch,
+                                               cold_discriminants):
+    det, calls = np.linalg.det, []
+
+    def counted(a):
+        calls.append(len(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    first = singular_x_values(CurvePoly.parse("(y+x^2)*(y-x^2)"))
+    assert isinstance(first, tuple) and len(calls) == 1
+    # the same coefficients written another way: no second computation
+    assert singular_x_values(CurvePoly.parse("y^2-x^4")) is first
+    assert len(calls) == 1
+    # another curve is computed, and a loop through its roots is refused
+    # on every call, the memo's or not
+    assert len(singular_x_values(CurvePoly.parse("y^2-x"))) == 1
+    assert len(calls) == 2
+    p = CurvePoly.parse("y^2 - x^2 + 1")
+    for _ in range(2):
+        with pytest.raises(CollisionOnLoop):
+            track(p, UNIT)
+    assert len(calls) == 3
+
+
 def test_branch_point_emits_sigma1():
     p = CurvePoly.parse("y^2 - x")
     tb = track(p, UNIT)
@@ -64,6 +100,10 @@ def test_tangency_full_and_half_loop():
     half = track(p, UNIT, 0.0, 0.5)
     assert action_equal(full.braid, BraidWord(2, (1, 1, 1, 1)))
     assert action_equal(half.braid, BraidWord(2, (1, 1)))
+    # an arc given by exact or integer ends is the same arc
+    for t0, t1 in [(Fraction(0), Fraction(1, 2)), (0, Fraction(1, 2))]:
+        assert track(p, UNIT, t0, t1) == half
+    assert track(p, UNIT, 0, 1) == full
 
 
 def test_loop_through_singular_x_rejected():
@@ -238,6 +278,108 @@ def test_parse_tokens():
     for text in ("y^2 - x;", "x/0 + y", "y^2 - x/"):
         with pytest.raises(ParseError):
             CurvePoly.parse(text)
+
+
+# -- the Fraction arithmetic the parser used before integer numerators,
+# kept as the reference for the fuzz below --------------------------------
+
+def _ref_add(p, q):
+    out = dict(p)
+    for k, v in q.items():
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _ref_scale(p, c):
+    return {k: v * c for k, v in p.items() if v * c != 0}
+
+
+def _ref_mul(p, q):
+    out = {}
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _ref_power(p, e):
+    out = {(0, 0): Fraction(1)}
+    for _ in range(e):
+        out = _ref_mul(out, p)
+    return out
+
+
+def _random_factor(rng, depth):
+    """``(text, coeffs)`` of a factor: an atom, a power of one, or a unary
+    minus before a factor (which applies after ``^``)."""
+    roll = rng.random()
+    if roll < 0.15:
+        text, value = _random_factor(rng, depth)
+        return "-" + text, _ref_scale(value, -1)
+    if depth > 0 and roll < 0.35:
+        text, value = _random_expr(rng, depth - 1)
+        text = f"({text})"
+    else:
+        atom = rng.choice(["x", "y", str(rng.randint(0, 12))])
+        text = atom
+        value = ({(1, 0): Fraction(1)} if atom == "x" else
+                 {(0, 1): Fraction(1)} if atom == "y" else
+                 {(0, 0): Fraction(int(atom))})
+    if rng.random() < 0.3:
+        e = rng.randint(0, 3)
+        return f"{text}^{e}", _ref_power(value, e)
+    return text, value
+
+
+def _random_term(rng, depth):
+    """``(text, coeffs)`` of a product: factors joined by ``*``, by
+    juxtaposition (never before a unary minus) and divided by integers."""
+    text, value = _random_factor(rng, depth)
+    for _ in range(rng.randint(0, 3)):
+        roll = rng.random()
+        if roll < 0.3:
+            d = rng.randint(1, 30)
+            text, value = f"{text}/{d}", _ref_scale(value, Fraction(1, d))
+            continue
+        other, v = _random_factor(rng, depth)
+        if roll < 0.65 or other.startswith("-"):
+            text = f"{text}*{other}"
+        else:
+            text = f"{text} {other}"
+        value = _ref_mul(value, v)
+    return text, value
+
+
+def _random_expr(rng, depth):
+    """``(text, coeffs)`` of a sum, with leading signs."""
+    signs = "".join(rng.choice("+-") for _ in range(rng.choice([0, 0, 1, 2])))
+    text, value = _random_term(rng, depth)
+    value = _ref_scale(value, (-1) ** signs.count("-"))
+    text = signs + text
+    for _ in range(rng.randint(0, 3)):
+        op = rng.choice("+-")
+        other, v = _random_term(rng, depth)
+        text = f"{text} {op} {other}"
+        value = _ref_add(value, _ref_scale(v, -1 if op == "-" else 1))
+    return text, value
+
+
+def test_parse_equals_fraction_arithmetic():
+    rng = random.Random(2510)
+    parsed = zero = 0
+    for _ in range(3000):
+        text, want = _random_expr(rng, 2)
+        if not want:
+            with pytest.raises(ParseError, match="zero polynomial"):
+                CurvePoly.parse(text)
+            zero += 1
+            continue
+        got = CurvePoly.parse(text).coeffs
+        assert got == want, text
+        assert all(type(c) is Fraction for c in got.values())
+        parsed += 1
+    assert parsed > 2000 and zero > 20
 
 
 def test_loop_spec_rejects_non_finite_values():
@@ -504,6 +646,63 @@ def test_loop_about_a_real_center_mirrors_its_dyadic_points(center):
             assert abs(loop.point(t) - circle) < 8 * scale
 
 
+_GRID_CENTERS = [0j, 1.5 + 0j, -0.1 + 0j, complex(-1.3, -0.0), 0.1j]
+
+
+def _grid_times(t0, t1, samples):
+    return np.array([t0 + (t1 - t0) * k / samples for k in range(samples + 1)])
+
+
+@pytest.mark.parametrize("center", _GRID_CENTERS)
+def test_batch_grid_equals_point(center):
+    loop = LoopSpec(center, Fraction(7, 10), samples=8)
+    # bit for bit at power-of-two counts, on the full loop and on arcs
+    for samples in (8, 64, 256, 1024, 4096):
+        for t0, t1 in ((0.0, 1.0), (0.5, 1.0), (0.0, 0.5), (0.25, 2.0)):
+            ts = _grid_times(t0, t1, samples)
+            want = [loop.point(t) for t in ts.tolist()]
+            assert repr(loop.grid(ts).tolist()) == repr(want), (samples, t0)
+    # elsewhere arcs stay bit for bit, and the full loop about a real
+    # center is exactly conjugate by index, a few units in the last place
+    # from ``point``
+    for samples in (300, 1000):
+        ts = _grid_times(0.5, 1.0, samples)
+        want = [loop.point(t) for t in ts.tolist()]
+        assert repr(loop.grid(ts).tolist()) == repr(want)
+        ts = _grid_times(0.0, 1.0, samples)
+        grid = loop.grid(ts).tolist()
+        if not center.imag:   # t = 1/2 is its own mirror, just off the axis
+            mirrored = [k for k in range(samples + 1) if 2 * k != samples]
+            assert (repr([grid[samples - k] for k in mirrored])
+                    == repr([grid[k].conjugate() for k in mirrored]))
+        scale = sys.float_info.epsilon * (abs(center) + 0.7)
+        for x, t in zip(grid, ts.tolist()):
+            assert abs(x - loop.point(t)) <= 4 * scale, (samples, t)
+
+
+def test_grid_of_any_count_solves_each_conjugate_pair_once(
+        monkeypatch, cold_discriminants):
+    # a 1000-sample loop about the real center 0 has 499 conjugate pairs
+    # of points and x = 3 (at t = 0 and 1) and x = -3 (at t = 1/2); each
+    # pair is solved once, as at power-of-two counts
+    rows = _count_eigvals_rows(monkeypatch)
+    for samples, want in ((1000, 502), (300, 152), (1024, 514)):
+        p = CurvePoly.parse(CONIC_PAIR)
+        solve, grid_rows = p.fiber_rows, []
+
+        def first_solve(xs):
+            before = sum(rows)
+            out = solve(xs)
+            if not grid_rows:
+                grid_rows.append(sum(rows) - before)
+            return out
+
+        p.fiber_rows = first_solve
+        tb = track(p, LoopSpec(0j, Fraction(3), samples))
+        assert grid_rows == [want], samples
+        assert action_equal(tb.braid, full_twist(4, 1, 4)), samples
+
+
 def test_loop_about_a_real_center_solves_each_conjugate_pair_once(
         monkeypatch):
     # the 1025 grid points are 511 conjugate pairs, x = 3 and x = -3, and
@@ -541,6 +740,42 @@ def test_batch_with_conjugate_pairs_equals_each_x_alone(equation,
     # copies i, or both are refused where the leading coefficient vanishes;
     # the second x is solved again, as its mirror is a copy
     assert sum(rows) == len(batch) - 4
+
+
+def _walked_mirrors(xs):
+    """The pairing as ``fiber_rows`` made it before ``_conjugate_mirrors``:
+    a walk over the rows that keeps the first row of each non-real x and
+    mirrors each later row whose conjugate x it has kept."""
+    first, mirror = {}, list(range(len(xs)))
+    for k, x in enumerate(xs):
+        if x.imag:
+            j = first.get(x.conjugate())
+            if j is None:
+                first.setdefault(x, k)
+            else:
+                mirror[k] = j
+    return mirror
+
+
+def test_conjugate_mirrors_equal_the_ordered_walk():
+    rng = random.Random(2511)
+    nan, inf = float("nan"), float("inf")
+    values = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), 1j, -1j,
+              complex(-0.0, 1), complex(0.0, -1), 1 + 1j, 1 - 1j, 2 + 0j,
+              complex(2, -0.0), complex(nan, 1), complex(nan, -1),
+              complex(1, nan), complex(inf, 1), complex(inf, -1),
+              complex(1, inf), complex(1, -inf), complex(1e-200, 1e-200),
+              complex(1e-200, -1e-200)]
+    for _ in range(5000):
+        xs = [rng.choice(values) for _ in range(rng.randint(0, 12))]
+        got = tracker._conjugate_mirrors(np.array(xs, dtype=complex))
+        assert got.tolist() == _walked_mirrors(xs), xs
+    loop = LoopSpec(0.3 + 0j, Fraction(2), samples=8)
+    for samples in (300, 1000, 1024):
+        xs = [loop.point(k / samples) for k in range(samples + 1)]
+        xs += [loop.point((k + 0.5) / samples) for k in range(samples)]
+        got = tracker._conjugate_mirrors(np.array(xs, dtype=complex))
+        assert got.tolist() == _walked_mirrors(xs)
 
 
 def test_shared_fibers_are_the_conjugates_of_their_mirrors():
