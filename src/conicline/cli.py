@@ -20,9 +20,10 @@ from .braids import format_braid
 from .errors import ConiclineError
 from .invariants import bigness_certificate, compare, invariant_bundle
 from .local_models import get_model, list_models
+from .polys import CurvePoly, format_poly
 from .presentations import format_presentation, parse_presentation
 from .tietze import simplify
-from .tracker import CurvePoly, LoopSpec, format_poly, track
+from .tracker import LoopSpec, track
 from .van_kampen import parse_sweep, present
 
 

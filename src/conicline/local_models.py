@@ -18,7 +18,7 @@ from . import words
 from .braids import (BraidWord, block_around, full_twist, half_block_around,
                      half_twist)
 from .errors import UnknownModel
-from .tracker import CurvePoly
+from .polys import CurvePoly
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,24 @@
-"""Numerical braid monodromy: root continuation along a loop in x.
+"""Numerical braid monodromy: root continuation along a path in x.
 
-A curve ``p(x, y) = 0`` is tracked by sampling the fiber roots in ``y``
-along ``x(t) = center + radius * exp(2 pi i t)``, matching consecutive
-fibers, and emitting an Artin letter whenever two strands adjacent in
-the real-part order exchange places.  The fibers over all sample points
-are solved in one batch into an array (``CurvePoly.fiber_rows``), and
-all steps of the grid are matched at once (``_match_rows``); steps that
-fail are bisected level by level, each level's midpoints solved in one
-batch and its half-steps matched at once.  A loop about a real center
-is mirror-symmetric (``LoopSpec.point``), so a batch solves only one
-fiber of each conjugate pair of its points (``_conjugate_mirrors``).
+A curve ``p(x, y) = 0``, a ``CurvePoly`` of ``conicline.polys``, is
+tracked by sampling the fiber roots in ``y`` along a path ``x(t)``, such
+as the loop ``center + radius * exp(2 pi i t)`` (``LoopSpec.grid``),
+matching consecutive fibers, and emitting an Artin letter whenever two
+strands adjacent in the real-part order exchange places.  A path maps an
+array of ``t`` to the array of its ``x``, and ``track_path`` calls it
+once for the grid and once per batch of bisection midpoints.  The fibers
+of a batch are solved at once into an array (``fiber_rows``), and all
+steps of the grid are matched at once (``_match_rows``); steps that fail
+are bisected level by level, each level's midpoints solved in one batch
+and its half-steps matched at once.  A loop about a real center is
+mirror-symmetric, so a batch solves only one fiber of each conjugate
+pair of its points (``_conjugate_mirrors``).
 
-``track`` makes the grid's points in one numpy expression
-(``LoopSpec.grid``), and the first batch matches the grid's rows
-against the next rows in place: only steps that cross, are halved or
-fail become ``(key, start t, end t)`` tuples.  Polynomial text is parsed
-on integer numerators over one common denominator.  The memos are per
-process and keyed by value: the root index pairs of each strand count
-(``_pairs``), and the discriminant roots of ``singular_x_values`` by
-the exact coefficients, bounded to 256 curves, so a curve tracked along
-several loops is solved once; ``track`` still checks the loop against
-them on every call.
+The memos are per process and keyed by value: the root index pairs of
+each strand count (``_pairs``), and the discriminant roots of
+``singular_x_values`` by the exact coefficients, bounded to 256 curves,
+so a curve tracked along several loops is solved once; ``track`` still
+checks the loop against them on every call.
 
 Strand order is by ``Re(y)`` with ties broken by ``Im(y)``; this is
 implemented as the order of ``Re(exp(-i*delta) * y)`` for a tiny fixed
@@ -30,8 +28,6 @@ real part.
 
 import cmath
 import functools
-import math
-import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +36,9 @@ import numpy as np
 
 from .braids import BraidWord, braid_permutation, half_twist
 from .errors import (AmbiguousMatching, CollisionOnLoop, ConiclineError,
-                     LeadingCoefficientVanishes, NoConvergence, ParseError)
+                     LeadingCoefficientVanishes, NoConvergence)
+# the benchmark workloads read format_poly from this module
+from .polys import CurvePoly, format_poly  # noqa: F401
 
 # order key rotation; breaks real-part ties by imaginary part
 _TIE_DELTA = 1e-3
@@ -58,119 +56,94 @@ MAX_REFINE = 20
 MAX_SAMPLES = 2 ** 20
 
 
-class CurvePoly:
-    """A polynomial in x and y with exact rational coefficients."""
+def y_coefficients(p, xs):
+    """The fiber polynomials of ``p`` over ``xs``, one row per x,
+    constant term first, summed over ``np.power(x, i)``: Python's ``x **
+    i`` for ``i < 100`` but for the sign of a zero part, which the sum
+    washes out.  An infinite power is refused, as Python overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.power(np.asarray(xs, dtype=complex)[:, None],
+                          np.arange(p.degx + 1))
+        powers[:, 2:3] *= 1   # Python's x ** 2 is 1 * (x * x)
+    if np.isinf(powers).any():
+        x = complex(xs[np.isinf(powers).any(axis=1).argmax()])
+        raise ConiclineError(f"x^{p.degx} overflows a float at x={x}")
+    out = np.zeros((len(powers), p.degy + 1), dtype=complex)
+    for i, j, c in p.terms:
+        out[:, j] += c * powers[:, i]
+    return out
 
-    def __init__(self, coeffs):
-        # coeffs: {(i, j): Fraction} for x^i y^j
-        self.coeffs = {k: Fraction(v) for k, v in coeffs.items() if v != 0}
-        self.degy = max((j for _, j in self.coeffs), default=0)
-        self.degx = max((i for i, _ in self.coeffs), default=0)
-        # the terms as (power of x, power of y, complex coefficient)
-        try:
-            self.terms = [(i, j, complex(c))
-                          for (i, j), c in self.coeffs.items()]
-        except OverflowError:
-            raise ConiclineError("a coefficient is beyond the float "
-                                 "range") from None
 
-    @classmethod
-    def parse(cls, text):
-        return cls(_parse_poly(text))
+def fiber_rows(p, xs):
+    """The fiber roots of ``p`` over each x in ``xs`` in strand order,
+    one row per x, and ``{row: error}`` of the refused rows (NaN), to
+    raise on reaching them.  Solved roots equal ``np.roots``: eigenvalues
+    of companion matrices stacked per count of zero roots.  Refused, with
+    ``tol`` the ``RESIDUAL_TOL`` read at the call: ``|a_n| <= tol max
+    |a_j|`` (``LeadingCoefficientVanishes``) or ``|sum a_j r^j| > 1e4
+    tol max(sum |a_j| max(1, |r|)^j, 1)`` for a root ``r``
+    (``NoConvergence``).
 
-    def __repr__(self):
-        return f"CurvePoly({format_poly(self)!r})"
+    The coefficients are rational, so the fiber over a conjugate x is
+    the conjugate fiber.  A row whose x equals the conjugate of an
+    earlier row's non-real x is not solved: it takes that row's
+    eigenvalues with their imaginary parts negated (the pairing of
+    ``_conjugate_mirrors``).  LAPACK's ``zgeev`` is conjugation-symmetric
+    bit for bit on the loops the tests pin, so there they equal its own;
+    in general they equal them to rounding, as ``zgeev`` rounds the two
+    roots of a pair unevenly on some fibers (even in y, or with real
+    coefficients).  The deflated zero roots stay ``+0j``, and the
+    residual check, strand order and refusal run on the row's own
+    coefficients."""
+    tol = RESIDUAL_TOL
+    xs = np.asarray(xs, dtype=complex)
+    coeffs = y_coefficients(p, xs)
+    n = p.degy
+    mags = np.abs(coeffs)
+    solvable = mags[:, -1] > tol * mags.max(axis=1)
+    zeros = (coeffs == 0).argmin(axis=1)   # a solvable row's a_n != 0
+    # conjugation keeps every coefficient's magnitude and every zero,
+    # so a row and its mirror agree in ``solvable`` and ``zeros``
+    mirror = _conjugate_mirrors(xs)
+    shared = mirror != np.arange(len(coeffs))
+    roots = np.zeros((len(coeffs), n), dtype=complex)
+    for z in set(zeros[solvable].tolist()) - {n}:   # n: all roots 0
+        rows = np.flatnonzero(solvable & (zeros == z))
+        copies, rows = rows[shared[rows]], rows[~shared[rows]]
+        top = coeffs[rows, z:][:, ::-1]   # highest degree first
+        comp = np.zeros((len(rows), n - z, n - z), dtype=complex)
+        comp[:, 0, :] = -top[:, 1:] / top[:, :1]
+        comp.reshape(len(rows), -1)[:, n - z::n - z + 1] = 1
+        roots[rows, :n - z] = np.linalg.eigvals(comp)
+        roots[copies, :n - z] = roots[mirror[copies], :n - z].conj()
+    everywhere = solvable.all()
+    a, m, r = ((coeffs, mags, roots) if everywhere else
+               (coeffs[solvable], mags[solvable], roots[solvable]))
+    residual, res_scale, grow = a[:, -1:], m[:, -1:], np.maximum(abs(r), 1)
+    for j in range(n - 1, -1, -1):   # Horner, per root
+        residual = residual * r + a[:, j:j + 1]
+        res_scale = res_scale * grow + m[:, j:j + 1]
+    bad = (abs(residual) > 1e4 * tol * np.maximum(res_scale, 1)).any(1)
+    order = np.argsort(roots.real * _COS_D + roots.imag * _SIN_D,
+                       axis=1, kind="stable")
+    roots = roots[np.arange(len(roots))[:, None], order]
+    if everywhere and not bad.any():
+        return roots, {}
+    refused = ~solvable
+    refused[solvable] = bad
+    roots[refused] = np.nan
+    return roots, {k: NoConvergence(
+                       f"root residual too large at x={complex(xs[k])}")
+                   if solvable[k] else LeadingCoefficientVanishes(
+                       f"leading y-coefficient vanishes at "
+                       f"x={complex(xs[k])}")
+                   for k in np.flatnonzero(refused).tolist()}
 
-    def y_coefficients(self, xs):
-        """The fiber polynomials over ``xs``, one row per x, constant term
-        first, summed over ``np.power(x, i)``: Python's ``x ** i`` for ``i <
-        100`` but for the sign of a zero part, which the sum washes out.
-        An infinite power is refused, as Python overflows."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            powers = np.power(np.asarray(xs, dtype=complex)[:, None],
-                              np.arange(self.degx + 1))
-            powers[:, 2:3] *= 1   # Python's x ** 2 is 1 * (x * x)
-        if np.isinf(powers).any():
-            x = complex(xs[np.isinf(powers).any(axis=1).argmax()])
-            raise ConiclineError(f"x^{self.degx} overflows a float at x={x}")
-        out = np.zeros((len(powers), self.degy + 1), dtype=complex)
-        for i, j, c in self.terms:
-            out[:, j] += c * powers[:, i]
-        return out
 
-    def fiber_rows(self, xs):
-        """The fiber roots over each x in ``xs`` in strand order, one row
-        per x, and ``{row: error}`` of the refused rows (NaN), to raise on
-        reaching them.  Solved roots equal ``np.roots``: eigenvalues of
-        companion matrices stacked per count of zero roots.  Refused, with
-        ``tol`` the ``RESIDUAL_TOL`` read at the call: ``|a_n| <= tol max
-        |a_j|`` (``LeadingCoefficientVanishes``) or ``|sum a_j r^j| > 1e4
-        tol max(sum |a_j| max(1, |r|)^j, 1)`` for a root ``r``
-        (``NoConvergence``).
-
-        The coefficients are rational, so the fiber over a conjugate x is
-        the conjugate fiber.  A row whose x equals the conjugate of an
-        earlier row's non-real x is not solved: it takes that row's
-        eigenvalues with their imaginary parts negated (the pairing of
-        ``_conjugate_mirrors``).  LAPACK's
-        ``zgeev`` is conjugation-symmetric bit for bit on the loops the
-        tests pin, so there they equal its own; in general they equal
-        them to rounding, as ``zgeev`` rounds the two roots of a pair
-        unevenly on some fibers (even in y, or with real coefficients).
-        The deflated zero roots stay ``+0j``, and the residual check,
-        strand order and refusal run on the row's own coefficients."""
-        tol = RESIDUAL_TOL
-        xs = np.asarray(xs, dtype=complex)
-        coeffs = self.y_coefficients(xs)
-        n = self.degy
-        mags = np.abs(coeffs)
-        solvable = mags[:, -1] > tol * mags.max(axis=1)
-        zeros = (coeffs == 0).argmin(axis=1)   # a solvable row's a_n != 0
-        # conjugation keeps every coefficient's magnitude and every zero,
-        # so a row and its mirror agree in ``solvable`` and ``zeros``
-        mirror = _conjugate_mirrors(xs)
-        shared = mirror != np.arange(len(coeffs))
-        roots = np.zeros((len(coeffs), n), dtype=complex)
-        for z in set(zeros[solvable].tolist()) - {n}:   # n: all roots 0
-            rows = np.flatnonzero(solvable & (zeros == z))
-            copies, rows = rows[shared[rows]], rows[~shared[rows]]
-            top = coeffs[rows, z:][:, ::-1]   # highest degree first
-            comp = np.zeros((len(rows), n - z, n - z), dtype=complex)
-            comp[:, 0, :] = -top[:, 1:] / top[:, :1]
-            comp.reshape(len(rows), -1)[:, n - z::n - z + 1] = 1
-            roots[rows, :n - z] = np.linalg.eigvals(comp)
-            roots[copies, :n - z] = roots[mirror[copies], :n - z].conj()
-        everywhere = solvable.all()
-        a, m, r = ((coeffs, mags, roots) if everywhere else
-                   (coeffs[solvable], mags[solvable], roots[solvable]))
-        residual, res_scale, grow = a[:, -1:], m[:, -1:], np.maximum(abs(r), 1)
-        for j in range(n - 1, -1, -1):   # Horner, per root
-            residual = residual * r + a[:, j:j + 1]
-            res_scale = res_scale * grow + m[:, j:j + 1]
-        bad = (abs(residual) > 1e4 * tol * np.maximum(res_scale, 1)).any(1)
-        order = np.argsort(roots.real * _COS_D + roots.imag * _SIN_D,
-                           axis=1, kind="stable")
-        roots = roots[np.arange(len(roots))[:, None], order]
-        if everywhere and not bad.any():
-            return roots, {}
-        refused = ~solvable
-        refused[solvable] = bad
-        roots[refused] = np.nan
-        return roots, {k: NoConvergence(
-                           f"root residual too large at x={complex(xs[k])}")
-                       if solvable[k] else LeadingCoefficientVanishes(
-                           f"leading y-coefficient vanishes at "
-                           f"x={complex(xs[k])}")
-                       for k in np.flatnonzero(refused).tolist()}
-
-    def fibers(self, xs):
-        """``fiber_rows`` as a list: per x its roots, or its error."""
-        roots, refused = self.fiber_rows(xs)
-        return [refused.get(k, row) for k, row in enumerate(roots.tolist())]
-
-    def derivative_y(self):
-        return CurvePoly({(i, j - 1): c * j
-                          for (i, j), c in self.coeffs.items() if j})
+def fibers(p, xs):
+    """``fiber_rows`` as a list: per x its roots, or its error."""
+    roots, refused = fiber_rows(p, xs)
+    return [refused.get(k, row) for k, row in enumerate(roots.tolist())]
 
 
 def _conjugate_mirrors(xs):
@@ -219,8 +192,8 @@ def _discriminant_roots(coeffs):
     count = 1 << (p.degx * (n + m) + 1).bit_length()   # 2^k > degree bound
     xs = [cmath.exp(2j * cmath.pi * k / count) * 1.37 for k in range(count)]
     # the Sylvester matrices, leading coefficients first
-    a = p.y_coefficients(xs)[:, ::-1]
-    b = q.y_coefficients(xs)[:, ::-1]
+    a = y_coefficients(p, xs)[:, ::-1]
+    b = y_coefficients(q, xs)[:, ::-1]
     mats = np.zeros((count, n + m, n + m), dtype=complex)
     for r in range(m):
         mats[:, r, r:r + n + 1] = a
@@ -248,37 +221,28 @@ class LoopSpec:
             raise ConiclineError("need at least 8 samples")
         if self.samples > MAX_SAMPLES:
             raise ConiclineError(f"need at most {MAX_SAMPLES} samples")
-        # point() runs once per sample: convert center and radius once
-        object.__setattr__(self, "_center", complex(self.center))
-        object.__setattr__(self, "_radius", float(self.radius))
-
-    def point(self, t):
-        """``center + radius * exp(2 pi i t)``.  About a real center, a
-        ``t`` past 1/2 gives the conjugate of the point at ``1 - t``, so
-        the second half of the loop mirrors the first exactly wherever
-        ``1 - t`` is exact: at every dyadic ``t``, such as the points of a
-        grid of ``2^k`` samples and their bisection midpoints.  Their
-        fibers are then conjugate pairs, each solved once
-        (``CurvePoly.fiber_rows``)."""
-        if t > 0.5 and not self._center.imag:
-            return (self._center + self._radius
-                    * cmath.exp(_TWO_PI_I * (1 - t))).conjugate()
-        return self._center + self._radius * cmath.exp(_TWO_PI_I * t)
 
     def grid(self, ts):
-        """``point`` at each ``t`` of ``ts``, an array from ``t0`` to
-        ``t1`` in equal steps, bit for bit, except on the full loop (0 to
-        1) about a real center: there a point past the middle is the
-        conjugate of the point at the mirrored index, so that every
-        conjugate pair of fibers is solved once at any sample count.  That
-        is ``point`` at power-of-two counts, where ``1 - t`` is exact, and
-        within a few units in the last place of it elsewhere."""
-        c = self._center
+        """The loop's points ``center + radius * exp(2 pi i t)`` at the
+        ``t`` of the array ``ts``: the path that ``track`` follows.  About
+        a real center, a ``t`` past 1/2 gives the conjugate of the point
+        at ``1 - t``, so the second half of the loop mirrors the first
+        exactly wherever ``1 - t`` is exact: at every dyadic ``t``, such
+        as the points of a grid of ``2^k`` samples and their bisection
+        midpoints.  On the full loop's grid (``k / n`` for ``k = 0..n``)
+        the mirror of a point is the point at the mirrored index instead,
+        so every conjugate pair of fibers is solved once (``fiber_rows``)
+        at any sample count: the same points at power-of-two counts, and
+        within a few units in the last place of them elsewhere."""
+        c, r = complex(self.center), float(self.radius)
         if c.imag:
-            return c + self._radius * np.exp(_TWO_PI_I * ts)
+            return c + r * np.exp(_TWO_PI_I * ts)
         past = ts > 0.5
-        mirror = ts[::-1] if ts[0] == 0 and ts[-1] == 1 else 1 - ts
-        x = c + self._radius * np.exp(_TWO_PI_I * np.where(past, mirror, ts))
+        n = len(ts) - 1
+        full = (ts[0] == 0 and ts[-1] == 1
+                and (ts == np.arange(n + 1) / n).all())
+        mirror = ts[::-1] if full else 1 - ts
+        x = c + r * np.exp(_TWO_PI_I * np.where(past, mirror, ts))
         return np.where(past, x.conj(), x)
 
 
@@ -297,19 +261,20 @@ def track(p, loop, t0=0.0, t1=1.0):
     Emits a positive Artin letter when the strand passing above (larger
     imaginary part) moves from right to left, the sign fixed by the
     branch-point calibration ``y^2 - x -> s1``.  This is ``track_path``
-    along ``loop.point``, with the grid's points made at once by
-    ``loop.grid``.
+    along ``loop.grid``, after a check that the loop misses every
+    singular fiber.
     """
     for s in singular_x_values(p):
         d = abs(s - complex(loop.center))
         if abs(d - float(loop.radius)) < 1e-6 * max(1.0, float(loop.radius)):
             raise CollisionOnLoop(f"loop passes through singular x ~ {s}")
-    ts = _grid_times(p, t0, t1, loop.samples)
-    return _walk(p, loop.point, ts.tolist(), loop.grid(ts))
+    return track_path(p, loop.grid, t0, t1, loop.samples)
 
 
-def track_path(p, xfun, t0=0.0, t1=1.0, samples=256):
-    """Track the fiber roots along an arbitrary path ``t -> xfun(t)``.
+def track_path(p, path, t0=0.0, t1=1.0, samples=256):
+    """Track the fiber roots along a path in x: ``path`` maps an array of
+    ``t`` to the array of its points, and is called once for the grid and
+    once per batch of bisection midpoints.
 
     A step whose permutation is a disjoint set of adjacent transpositions
     is accepted at once.  Any other step is bisected, up to
@@ -323,29 +288,19 @@ def track_path(p, xfun, t0=0.0, t1=1.0, samples=256):
     dropped, so a region that keeps failing costs at most ``MAX_REFINE +
     1`` batches more than a walk along the path.
     """
-    ts = _grid_times(p, t0, t1, samples).tolist()
-    return _walk(p, xfun, ts, [xfun(t) for t in ts])
-
-
-def _grid_times(p, t0, t1, samples):
-    """The grid ``t0 + (t1 - t0) * k / samples`` for ``k = 0..samples``,
-    as an array of floats, after the checks that come before any fiber."""
+    # the checks that come before any fiber, then the grid's t as floats
     if t1 <= t0:
         raise ConiclineError("need t1 > t0")
-    if samples > MAX_SAMPLES:
-        raise ConiclineError(f"need at most {MAX_SAMPLES} samples")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ConiclineError(f"need at least 1 and at most {MAX_SAMPLES} "
+                             f"samples")
     if p.degy == 0:
         raise ConiclineError("the curve has no strands: it has no y term")
-    return float(t0) + float(t1 - t0) * np.arange(samples + 1) / samples
-
-
-def _walk(p, xfun, ts, xs):
-    """``track_path`` over the grid times ``ts`` (floats) and their points
-    ``xs``; ``xfun`` gives the bisection midpoints."""
-    grid, refused = p.fiber_rows(xs)
-    samples = len(ts) - 1
+    ts = float(t0) + float(t1 - t0) * np.arange(samples + 1) / samples
+    grid, refused = fiber_rows(p, path(ts))
+    ts = ts.tolist()
     # no step goes past the first refused fiber
-    stop = min(refused, default=samples + 1)
+    stop = min(refused, default=len(ts))
     if stop == 0:
         raise refused[0]
     # the first error on the path so far and its key (or a key past all
@@ -394,7 +349,7 @@ def _walk(p, xfun, ts, xs):
             refinements += len(halve)
             halved = [step(i) for i in halve]
             tm = [(ta + tb) / 2 for _, ta, tb in halved]
-            mid, refused = p.fiber_rows([xfun(t) for t in tm])
+            mid, refused = fiber_rows(p, path(np.array(tm)))
             for r, exc in refused.items():   # its halves lie past the limit
                 if halved[r][0] < limit:
                     limit, error = halved[r][0], exc
@@ -489,156 +444,3 @@ def _reversed_blocks(perm):
         k = j + 1
     return blocks
 
-
-# -- polynomial text syntax ------------------------------------------------
-
-_TOKEN = re.compile(r"\s*(?:(\d+|[-+*/^()xy])|(\S))")
-
-
-def _tokenize(text):
-    out = []
-    for tok, bad in _TOKEN.findall(text):
-        if bad:
-            raise ParseError(f"unexpected character {bad!r} in polynomial")
-        out.append(tok)
-    return out
-
-
-class _PolyParser:
-    """Recursive descent over the tokens.  A polynomial is ``(nums, d)``:
-    ``{(i, j): integer numerator}`` of the coefficients of ``x^i y^j``
-    over one common denominator ``d``, with no zero numerator, so the
-    arithmetic is on integers and ``Fraction``s are made once, by
-    ``_parse_poly``."""
-
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        p = self.expr()
-        if self.peek() is not None:
-            raise ParseError(f"trailing input at token {self.peek()!r}")
-        return p
-
-    def expr(self):
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        p = self.term()
-        if sign < 0:
-            p = _negate(p)
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            q = self.term()
-            p = _add(p, _negate(q) if op == "-" else q)
-        return p
-
-    def term(self):
-        p = self.factor()
-        while True:
-            if self.peek() == "*":
-                self.take()
-                p = _mul(p, self.factor())
-            elif self.peek() == "/":
-                self.take()
-                tok = self.take()
-                if tok is None or not tok.isdigit() or int(tok) == 0:
-                    raise ParseError("division only by nonzero integers")
-                p = p[0], p[1] * int(tok)
-            elif self.peek() in ("(", "x", "y") or (
-                    self.peek() or "").isdigit():
-                p = _mul(p, self.factor())
-            else:
-                return p
-
-    def factor(self):
-        if self.peek() == "-":   # applies after "^", as a leading sign does
-            self.take()
-            return _negate(self.factor())
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            tok = self.take()
-            if tok is None or not tok.isdigit():
-                raise ParseError("exponent must be a nonnegative integer")
-            result = {(0, 0): 1}, 1
-            for _ in range(int(tok)):
-                result = _mul(result, base)
-            return result
-        return base
-
-    def atom(self):
-        tok = self.take()
-        if tok == "(":
-            p = self.expr()
-            if self.take() != ")":
-                raise ParseError("unbalanced parentheses")
-            return p
-        if tok == "x":
-            return {(1, 0): 1}, 1
-        if tok == "y":
-            return {(0, 1): 1}, 1
-        if tok is not None and tok.isdigit():
-            c = int(tok)
-            return ({(0, 0): c} if c else {}), 1
-        raise ParseError(f"unexpected token {tok!r} in polynomial")
-
-
-def _negate(p):
-    return {k: -v for k, v in p[0].items()}, p[1]
-
-
-def _add(p, q):
-    (a, da), (b, db) = p, q
-    d = math.lcm(da, db)
-    out = {k: v * (d // da) for k, v in a.items()}
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v * (d // db)
-    return {k: v for k, v in out.items() if v}, d
-
-
-def _mul(p, q):
-    (a, da), (b, db) = p, q
-    out = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            k = (i1 + i2, j1 + j2)
-            out[k] = out.get(k, 0) + c1 * c2
-    return {k: v for k, v in out.items() if v}, da * db
-
-
-def _parse_poly(text):
-    nums, d = _PolyParser(_tokenize(text)).parse()
-    if not nums:
-        raise ParseError("zero polynomial")
-    return {k: Fraction(v, d) for k, v in nums.items()}
-
-
-def format_poly(p):
-    terms = []
-    for (i, j) in sorted(p.coeffs, key=lambda k: (-k[1], -k[0])):
-        c = p.coeffs[(i, j)]
-        body = ""
-        if i:
-            body += "x" if i == 1 else f"x^{i}"
-        if j:
-            body += ("*" if body else "") + ("y" if j == 1 else f"y^{j}")
-        if not body:
-            terms.append(str(c))
-        elif c == 1:
-            terms.append(body)
-        elif c == -1:
-            terms.append(f"-{body}")
-        else:
-            terms.append(f"{c}*{body}")
-    return " + ".join(terms).replace("+ -", "- ")

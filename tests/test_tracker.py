@@ -17,32 +17,16 @@ from conicline.braids import (BraidWord, action_equal, braid_permutation,
                               full_twist)
 from conicline.errors import (AmbiguousMatching, CollisionOnLoop,
                               ConiclineError, LeadingCoefficientVanishes,
-                              NoConvergence, ParseError)
+                              NoConvergence)
 from conicline.local_models import get_model, list_models
+from conicline.polys import CurvePoly, format_poly
 from conicline.tracker import (_COS_D, _SIN_D, MATCH_SAFETY, MAX_REFINE,
-                               MAX_SAMPLES, CurvePoly, LoopSpec, _distances,
-                               _gaps, _match, _match_rows, _reversed_blocks,
-                               format_poly, singular_x_values, track,
-                               track_path)
+                               MAX_SAMPLES, LoopSpec, _distances, _gaps,
+                               _match, _match_rows, _reversed_blocks, fibers,
+                               singular_x_values, track, track_path,
+                               y_coefficients)
 
 UNIT = LoopSpec(center=0j, radius=Fraction(1), samples=64)
-
-
-def test_parse_and_format():
-    p = CurvePoly.parse("(y+x^2)*(y-x^2)")
-    assert p.degy == 2
-    q = CurvePoly.parse(format_poly(p))
-    assert format_poly(q) == format_poly(p)
-
-
-def test_parse_rational_coefficients():
-    p = CurvePoly.parse("y^2 - 3/4*x")
-    assert p.degy == 2
-
-
-def test_parse_rejects_garbage():
-    with pytest.raises(ParseError):
-        CurvePoly.parse("y^^2 - x")
 
 
 def test_singular_values_branch_point():
@@ -145,7 +129,7 @@ def test_doubling_samples_stable():
 
 def test_track_path_segments():
     p = CurvePoly.parse("y^2 - x")
-    arc = lambda t: cmath.exp(2j * cmath.pi * t)
+    arc = lambda t: np.exp(2j * np.pi * t)
     tb = track_path(p, arc, 0.0, 1.0, 64)
     assert action_equal(tb.braid, BraidWord(2, (1,)))
 
@@ -268,118 +252,21 @@ assert count_homs(conic, builtin_table("S3")) == 24
     assert done.returncode == 0, done.stderr
 
 
-def test_parse_tokens():
-    assert CurvePoly.parse(" y ^ 2-3/4 *x  ").coeffs == \
-        CurvePoly.parse("y^2 - 3/4*x").coeffs
-    # a unary minus applies after "^", as a leading sign does
-    for text, same in [("x*-y^2", "-x*y^2"), ("x - -y^2", "x + y^2"),
-                       ("(-y)^2", "y^2")]:
-        assert CurvePoly.parse(text).coeffs == CurvePoly.parse(same).coeffs
-    for text in ("y^2 - x;", "x/0 + y", "y^2 - x/"):
-        with pytest.raises(ParseError):
-            CurvePoly.parse(text)
-
-
-# -- the Fraction arithmetic the parser used before integer numerators,
-# kept as the reference for the fuzz below --------------------------------
-
-def _ref_add(p, q):
-    out = dict(p)
-    for k, v in q.items():
-        out[k] = out.get(k, 0) + v
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _ref_scale(p, c):
-    return {k: v * c for k, v in p.items() if v * c != 0}
-
-
-def _ref_mul(p, q):
-    out = {}
-    for (i1, j1), c1 in p.items():
-        for (i2, j2), c2 in q.items():
-            k = (i1 + i2, j1 + j2)
-            out[k] = out.get(k, 0) + c1 * c2
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _ref_power(p, e):
-    out = {(0, 0): Fraction(1)}
-    for _ in range(e):
-        out = _ref_mul(out, p)
-    return out
-
-
-def _random_factor(rng, depth):
-    """``(text, coeffs)`` of a factor: an atom, a power of one, or a unary
-    minus before a factor (which applies after ``^``)."""
-    roll = rng.random()
-    if roll < 0.15:
-        text, value = _random_factor(rng, depth)
-        return "-" + text, _ref_scale(value, -1)
-    if depth > 0 and roll < 0.35:
-        text, value = _random_expr(rng, depth - 1)
-        text = f"({text})"
-    else:
-        atom = rng.choice(["x", "y", str(rng.randint(0, 12))])
-        text = atom
-        value = ({(1, 0): Fraction(1)} if atom == "x" else
-                 {(0, 1): Fraction(1)} if atom == "y" else
-                 {(0, 0): Fraction(int(atom))})
-    if rng.random() < 0.3:
-        e = rng.randint(0, 3)
-        return f"{text}^{e}", _ref_power(value, e)
-    return text, value
-
-
-def _random_term(rng, depth):
-    """``(text, coeffs)`` of a product: factors joined by ``*``, by
-    juxtaposition (never before a unary minus) and divided by integers."""
-    text, value = _random_factor(rng, depth)
-    for _ in range(rng.randint(0, 3)):
-        roll = rng.random()
-        if roll < 0.3:
-            d = rng.randint(1, 30)
-            text, value = f"{text}/{d}", _ref_scale(value, Fraction(1, d))
-            continue
-        other, v = _random_factor(rng, depth)
-        if roll < 0.65 or other.startswith("-"):
-            text = f"{text}*{other}"
-        else:
-            text = f"{text} {other}"
-        value = _ref_mul(value, v)
-    return text, value
-
-
-def _random_expr(rng, depth):
-    """``(text, coeffs)`` of a sum, with leading signs."""
-    signs = "".join(rng.choice("+-") for _ in range(rng.choice([0, 0, 1, 2])))
-    text, value = _random_term(rng, depth)
-    value = _ref_scale(value, (-1) ** signs.count("-"))
-    text = signs + text
-    for _ in range(rng.randint(0, 3)):
-        op = rng.choice("+-")
-        other, v = _random_term(rng, depth)
-        text = f"{text} {op} {other}"
-        value = _ref_add(value, _ref_scale(v, -1 if op == "-" else 1))
-    return text, value
-
-
-def test_parse_equals_fraction_arithmetic():
-    rng = random.Random(2510)
-    parsed = zero = 0
-    for _ in range(3000):
-        text, want = _random_expr(rng, 2)
-        if not want:
-            with pytest.raises(ParseError, match="zero polynomial"):
-                CurvePoly.parse(text)
-            zero += 1
-            continue
-        got = CurvePoly.parse(text).coeffs
-        assert got == want, text
-        assert all(type(c) is Fraction for c in got.values())
-        parsed += 1
-    assert parsed > 2000 and zero > 20
+def test_exact_polynomials_and_local_models_run_without_numpy():
+    code = """
+import sys
+sys.modules["numpy"] = None
+from conicline.local_models import get_model, list_models
+from conicline.polys import CurvePoly, format_poly
+for name in list_models():
+    p = get_model(name).equation
+    assert CurvePoly.parse(format_poly(p)).coeffs == p.coeffs, name
+assert "conicline.tracker" not in sys.modules
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
 
 
 def test_loop_spec_rejects_non_finite_values():
@@ -397,10 +284,11 @@ def test_oversized_sample_count_is_refused_before_the_grid():
         raise AssertionError(f"grid started at t={t}")
 
     p = CurvePoly.parse("y^2 - x")
-    for samples in (MAX_SAMPLES + 1, 10 ** 20):
-        with pytest.raises(ConiclineError, match="at most"):
+    for samples in (MAX_SAMPLES + 1, 10 ** 20, 0, -1):
+        bound = "at most" if samples > 0 else "at least"
+        with pytest.raises(ConiclineError, match=bound):
             LoopSpec(0j, Fraction(1), samples)
-        with pytest.raises(ConiclineError, match="at most"):
+        with pytest.raises(ConiclineError, match=bound):
             track_path(p, never, 0.0, 1.0, samples)
     assert LoopSpec(0j, Fraction(1), MAX_SAMPLES).samples == MAX_SAMPLES
 
@@ -467,19 +355,19 @@ def _strand_order(roots):
 def test_batched_solve_equals_np_roots(name, equation, radius):
     p = CurvePoly.parse(equation)
     loop = LoopSpec(0j, Fraction(radius), samples=1024)
-    xs = [loop.point(k / 1024) for k in range(1025)]
-    fibers = p.fibers(xs)
-    for row, fiber in zip(p.y_coefficients(xs), fibers):
+    xs = loop.grid(np.arange(1025) / 1024)
+    solved = fibers(p, xs)
+    for row, fiber in zip(y_coefficients(p, xs), solved):
         want = _strand_order(np.roots(row[::-1]).tolist())
         assert repr(fiber) == repr(want)    # repr tells every bit apart
-    digest = hashlib.sha256(repr(fibers).encode()).hexdigest()
+    digest = hashlib.sha256(repr(solved).encode()).hexdigest()
     assert digest == GOLDEN_FIBERS[name]
-    assert repr(p.fibers([xs[1]])[0]) == repr(fibers[1])
+    assert repr(fibers(p, xs[1:2])[0]) == repr(solved[1])
 
 
 def test_zero_constant_coefficient_at_one_grid_point():
     p = CurvePoly.parse(ZERO_CONSTANT)
-    assert p.fibers([1 + 0j]) == [[-1 + 0j, 0j]]
+    assert fibers(p, [1 + 0j]) == [[-1 + 0j, 0j]]
     for samples in (64, 1024):
         tb = track(p, LoopSpec(0j, Fraction(1), samples))
         assert (tb.braid.letters, tb.permutation, tb.refinements,
@@ -623,27 +511,41 @@ def test_loop_about_a_non_real_center_solves_every_fiber(monkeypatch):
     p = CurvePoly.parse(CONIC_PAIR + "*(10*y-20*x-1)*(10*y+30*x-7)")
     loop = LoopSpec(0.1j, Fraction(3), samples=1024)
     rows = _count_eigvals_rows(monkeypatch)
-    fibers = p.fibers([loop.point(k / 1024) for k in range(1025)])
+    solved = fibers(p, loop.grid(np.arange(1025) / 1024))
     assert sum(rows) == 1025
-    digest = hashlib.sha256(repr(fibers).encode()).hexdigest()
+    digest = hashlib.sha256(repr(solved).encode()).hexdigest()
     assert digest == NON_REAL_CENTER_FIBERS
+
+
+def _point(loop, t):
+    """The loop's point at ``t`` computed alone: ``c + r exp(2 pi i t)``,
+    and about a real center, past t = 1/2, the conjugate of the point at
+    ``1 - t``."""
+    c, r = complex(loop.center), float(loop.radius)
+    if t > 0.5 and not c.imag:
+        return (c + r * cmath.exp(2j * cmath.pi * (1 - t))).conjugate()
+    return c + r * cmath.exp(2j * cmath.pi * t)
 
 
 @pytest.mark.parametrize("center", [0j, 1.5 + 0j, -0.1 + 0j,
                                     complex(-1.3, -0.0)])
 def test_loop_about_a_real_center_mirrors_its_dyadic_points(center):
     loop = LoopSpec(center, Fraction(7, 10), samples=8)
+    scale = sys.float_info.epsilon * (abs(center) + 0.7)
     for m in range(11):
-        for k in range(2 ** m + 1):
-            t = k / 2 ** m
+        ts = np.arange(2 ** m + 1) / 2 ** m
+        grid = loop.grid(ts).tolist()
+        assert repr(grid) == repr([_point(loop, t) for t in ts.tolist()])
+        # the full loop's grid is mirrored by index, any other batch (such
+        # as bisection midpoints) by 1 - t: at dyadic t the two agree
+        assert repr(loop.grid(ts[1:]).tolist()) == repr(grid[1:])
+        for k, t in enumerate(ts.tolist()):
             # t = 1/2 is its own mirror, a point just off the real axis
             if t != 0.5:
-                mirror = loop.point(t).conjugate()
-                assert repr(loop.point(1 - t)) == repr(mirror)
+                assert repr(grid[-1 - k]) == repr(grid[k].conjugate())
             # and still on the circle, to a few units in the last place
             circle = center + 0.7 * cmath.exp(2j * cmath.pi * t)
-            scale = sys.float_info.epsilon * (abs(center) + 0.7)
-            assert abs(loop.point(t) - circle) < 8 * scale
+            assert abs(grid[k] - circle) < 8 * scale
 
 
 _GRID_CENTERS = [0j, 1.5 + 0j, -0.1 + 0j, complex(-1.3, -0.0), 0.1j]
@@ -660,14 +562,19 @@ def test_batch_grid_equals_point(center):
     for samples in (8, 64, 256, 1024, 4096):
         for t0, t1 in ((0.0, 1.0), (0.5, 1.0), (0.0, 0.5), (0.25, 2.0)):
             ts = _grid_times(t0, t1, samples)
-            want = [loop.point(t) for t in ts.tolist()]
+            want = [_point(loop, t) for t in ts.tolist()]
             assert repr(loop.grid(ts).tolist()) == repr(want), (samples, t0)
+    # so is a batch from 0 to 1 that is not the full loop's grid, as the
+    # midpoints of an arc past [0, 1] can be
+    ts = np.array([0.0, 0.3, 0.7, 1.0])
+    want = [_point(loop, t) for t in ts.tolist()]
+    assert repr(loop.grid(ts).tolist()) == repr(want)
     # elsewhere arcs stay bit for bit, and the full loop about a real
     # center is exactly conjugate by index, a few units in the last place
-    # from ``point``
+    # from the points alone
     for samples in (300, 1000):
         ts = _grid_times(0.5, 1.0, samples)
-        want = [loop.point(t) for t in ts.tolist()]
+        want = [_point(loop, t) for t in ts.tolist()]
         assert repr(loop.grid(ts).tolist()) == repr(want)
         ts = _grid_times(0.0, 1.0, samples)
         grid = loop.grid(ts).tolist()
@@ -677,30 +584,35 @@ def test_batch_grid_equals_point(center):
                     == repr([grid[k].conjugate() for k in mirrored]))
         scale = sys.float_info.epsilon * (abs(center) + 0.7)
         for x, t in zip(grid, ts.tolist()):
-            assert abs(x - loop.point(t)) <= 4 * scale, (samples, t)
+            assert abs(x - _point(loop, t)) <= 4 * scale, (samples, t)
 
 
 def test_grid_of_any_count_solves_each_conjugate_pair_once(
         monkeypatch, cold_discriminants):
     # a 1000-sample loop about the real center 0 has 499 conjugate pairs
     # of points and x = 3 (at t = 0 and 1) and x = -3 (at t = 1/2); each
-    # pair is solved once, as at power-of-two counts
+    # pair is solved once, as at power-of-two counts, by ``track`` and by
+    # ``track_path`` along the loop
     rows = _count_eigvals_rows(monkeypatch)
+    solve, grid_rows = tracker.fiber_rows, []
+
+    def first_solve(p, xs):
+        before = sum(rows)
+        out = solve(p, xs)
+        if not grid_rows:
+            grid_rows.append(sum(rows) - before)
+        return out
+
+    monkeypatch.setattr(tracker, "fiber_rows", first_solve)
+    p = CurvePoly.parse(CONIC_PAIR)
     for samples, want in ((1000, 502), (300, 152), (1024, 514)):
-        p = CurvePoly.parse(CONIC_PAIR)
-        solve, grid_rows = p.fiber_rows, []
-
-        def first_solve(xs):
-            before = sum(rows)
-            out = solve(xs)
-            if not grid_rows:
-                grid_rows.append(sum(rows) - before)
-            return out
-
-        p.fiber_rows = first_solve
-        tb = track(p, LoopSpec(0j, Fraction(3), samples))
-        assert grid_rows == [want], samples
-        assert action_equal(tb.braid, full_twist(4, 1, 4)), samples
+        loop = LoopSpec(0j, Fraction(3), samples)
+        for tracked in (lambda: track(p, loop),
+                        lambda: track_path(p, loop.grid, 0.0, 1.0, samples)):
+            grid_rows.clear()
+            tb = tracked()
+            assert grid_rows == [want], samples
+            assert action_equal(tb.braid, full_twist(4, 1, 4)), samples
 
 
 def test_loop_about_a_real_center_solves_each_conjugate_pair_once(
@@ -710,7 +622,7 @@ def test_loop_about_a_real_center_solves_each_conjugate_pair_once(
     p = CurvePoly.parse(CONIC_PAIR)
     loop = LoopSpec(0j, Fraction(3), samples=1024)
     rows = _count_eigvals_rows(monkeypatch)
-    tb = track_path(p, loop.point, 0.0, 1.0, loop.samples)
+    tb = track_path(p, loop.grid, 0.0, 1.0, loop.samples)
     assert sum(rows) <= 514
     key = repr((tb.braid.letters, tb.permutation, tb.refinements))
     want = GOLDEN_BRAIDS["conic-pair"][1]
@@ -733,9 +645,9 @@ def test_batch_with_conjugate_pairs_equals_each_x_alone(equation,
     x = 0.3 + 0.4j
     batch = [x, 0.75 + 0j, 1j, 2 - 1j, x.conjugate(), -1j, 0j, x, 2 + 1j]
     p = CurvePoly.parse(equation)
-    alone = [_fiber_or_error(p.fibers([z])[0]) for z in batch]
+    alone = [_fiber_or_error(fibers(p, [z])[0]) for z in batch]
     rows = _count_eigvals_rows(monkeypatch)
-    assert [_fiber_or_error(f) for f in p.fibers(batch)] == alone
+    assert [_fiber_or_error(f) for f in fibers(p, batch)] == alone
     # four rows make no solve: x-bar and 2 + i copy their mirrors, and -i
     # copies i, or both are refused where the leading coefficient vanishes;
     # the second x is solved again, as its mirror is a copy
@@ -772,8 +684,8 @@ def test_conjugate_mirrors_equal_the_ordered_walk():
         assert got.tolist() == _walked_mirrors(xs), xs
     loop = LoopSpec(0.3 + 0j, Fraction(2), samples=8)
     for samples in (300, 1000, 1024):
-        xs = [loop.point(k / samples) for k in range(samples + 1)]
-        xs += [loop.point((k + 0.5) / samples) for k in range(samples)]
+        xs = loop.grid(np.arange(samples + 1) / samples).tolist()
+        xs += loop.grid((np.arange(samples) + 0.5) / samples).tolist()
         got = tracker._conjugate_mirrors(np.array(xs, dtype=complex))
         assert got.tolist() == _walked_mirrors(xs)
 
@@ -791,11 +703,11 @@ def test_shared_fibers_are_the_conjugates_of_their_mirrors():
         coeffs[(0, degy)] = Fraction(rng.randint(1, 5))
         p = CurvePoly(coeffs)
         x = complex(rng.gauss(0, 2), rng.gauss(0, 2))
-        mirror, shared = p.fibers([x, x.conjugate()])
+        mirror, shared = fibers(p, [x, x.conjugate()])
         if isinstance(mirror, ConiclineError):
             continue
         assert shared == _strand_order([r.conjugate() for r in mirror])
-        own = np.roots(p.y_coefficients([x.conjugate()])[0][::-1])
+        own = np.roots(y_coefficients(p, [x.conjugate()])[0][::-1])
         scale = max(1.0, *np.abs(own))
         for r in shared:
             assert np.abs(own - r).min() < 1e-6 * scale, (p, x)
@@ -805,27 +717,27 @@ def test_refused_grid_fiber_raises_only_when_reached():
     # along x = 1 - t on 8 steps: a double root over x = 1/2 (t = 1/2)
     # and a vanishing leading coefficient over x = 0 (t = 1)
     p = CurvePoly.parse("x*y^2 - (2*x - 1)^2")
-    line = lambda t: complex(1 - t)
-    fibers = p.fibers([line(k / 8) for k in range(9)])
-    assert isinstance(fibers[-1], LeadingCoefficientVanishes)
+    line = lambda t: 1 - t
+    assert isinstance(fibers(p, line(np.arange(9) / 8))[-1],
+                      LeadingCoefficientVanishes)
     with pytest.raises(AmbiguousMatching):
         track_path(p, line, 0.0, 1.0, 8)
     assert track_path(p, line, 0.0, 0.25, 8).braid.letters == ()
     with pytest.raises(LeadingCoefficientVanishes):
         track_path(CurvePoly.parse("x*y^2 - 1"), line, 0.0, 1.0, 8)
-    assert isinstance(CurvePoly.parse("x*y^2 - 1").fibers([0j])[0],
+    assert isinstance(fibers(CurvePoly.parse("x*y^2 - 1"), [0j])[0],
                       LeadingCoefficientVanishes)
 
 
 def test_residual_check_matches_scalar_reference(monkeypatch):
     p = CurvePoly.parse("(y - 1/3)*(y - 2/7)*(y + 5/11)*(y - x)")
     xs = [0.3 + 0.1j, -1.2 + 0.7j, 2j, 1.5 - 0.25j]
-    rows = p.y_coefficients(xs).tolist()
-    roots = p.fibers(xs)
+    rows = y_coefficients(p, xs).tolist()
+    roots = fibers(p, xs)
     refusals = 0
     for tol in [10.0 ** -e for e in range(10, 31)]:
         monkeypatch.setattr(tracker, "RESIDUAL_TOL", tol)
-        for a, fiber, got in zip(rows, roots, p.fibers(xs)):
+        for a, fiber, got in zip(rows, roots, fibers(p, xs)):
             want = any(
                 abs(sum(c * r ** j for j, c in enumerate(a)))
                 > 1e4 * tol * max(sum(abs(c) * max(1.0, abs(r)) ** j
@@ -835,18 +747,18 @@ def test_residual_check_matches_scalar_reference(monkeypatch):
             refusals += want
     assert 0 < refusals < 21 * len(xs)
     monkeypatch.setattr(tracker, "RESIDUAL_TOL", 1e-300)
-    assert isinstance(p.fibers([xs[0]])[0], NoConvergence)
+    assert isinstance(fibers(p, [xs[0]])[0], NoConvergence)
 
 
 def test_overflowing_power_of_x_is_a_typed_error():
     p = CurvePoly.parse("y^2 - x^2")
     with pytest.raises(ConiclineError, match=r"x=\(1e\+200\+0j\)"):
-        p.fibers([1 + 0j, 1e200 + 0j])
+        fibers(p, [1 + 0j, 1e200 + 0j])
     with pytest.raises(ConiclineError, match="overflows"):
         track(p, LoopSpec(0j, Fraction(10) ** 200, samples=8))
     # a NaN power is no overflow: the fiber is refused by its coefficients
     for x in (complex("nan"), complex(1.5e154, 1.5e154)):
-        fiber, = p.fibers([x])
+        fiber, = fibers(p, [x])
         assert isinstance(fiber, LeadingCoefficientVanishes), (x, fiber)
 
 
@@ -888,7 +800,7 @@ def test_y_coefficients_equal_python_powers(equation):
     xs += [complex(a, b) for a in signs + (1.5, -2.0) for b in signs]
     xs += [complex(10.0 ** rng.uniform(-150, 0), rng.choice(signs))
            for _ in range(20)]
-    assert (_rows_or_error(CurvePoly.y_coefficients, p, xs)
+    assert (_rows_or_error(y_coefficients, p, xs)
             == _rows_or_error(_python_y_coefficients, p, xs))
     # finite |x| just under and just over the overflow edge of x^degx,
     # and in the range where x * x overflows to NaN + inf j
@@ -899,7 +811,7 @@ def test_y_coefficients_equal_python_powers(equation):
         for x in (cmath.rect(r, rng.uniform(-cmath.pi, cmath.pi)),
                   complex(r, rng.choice(signs)), complex(0.0, -r),
                   complex(1.5e154, 1.5e154) * rng.uniform(1, 2)):
-            assert (_rows_or_error(CurvePoly.y_coefficients, p, [x])
+            assert (_rows_or_error(y_coefficients, p, [x])
                     == _rows_or_error(_python_y_coefficients, p, [x])), x
 
 
@@ -922,12 +834,12 @@ def _reference_match(roots, new_roots):
     return perm
 
 
-def _depth_first_track(p, xfun, t0, t1, samples):
+def _depth_first_track(p, path, t0, t1, samples):
     """``track_path`` as the recursive walk it replaced: each step is
     matched on its own and bisected at once, one batch of one per
     midpoint, so letters and the first error come in path order."""
     ts = [t0 + (t1 - t0) * k / samples for k in range(samples + 1)]
-    fibers = p.fibers([xfun(t) for t in ts])
+    grid = fibers(p, [path(np.array([t]))[0] for t in ts])
     letters, refinements, gaps = [], [0], []
 
     def reached(fiber):
@@ -944,7 +856,8 @@ def _depth_first_track(p, xfun, t0, t1, samples):
             if depth < MAX_REFINE:
                 refinements[0] += 1
                 tm = (ta + tb) / 2
-                mid = advance(roots, ta, tm, p.fibers([xfun(tm)])[0],
+                mid = advance(roots, ta, tm,
+                              fibers(p, [path(np.array([tm]))[0]])[0],
                               depth + 1)
                 return advance(mid, tm, tb, fiber, depth + 1)
             if perm is None:
@@ -961,8 +874,8 @@ def _depth_first_track(p, xfun, t0, t1, samples):
                 letters.extend(sign * s for s in range(k + 1, top + 2))
         return new_roots
 
-    roots = reached(fibers[0])
-    for ta, tb, fiber in zip(ts, ts[1:], fibers[1:]):
+    roots = reached(grid[0])
+    for ta, tb, fiber in zip(ts, ts[1:], grid[1:]):
         roots = advance(roots, ta, tb, fiber, 0)
     braid = BraidWord(p.degy, letters)
     return braid.letters, braid_permutation(braid), refinements[0], min(gaps)
@@ -980,9 +893,9 @@ def _outcome(fn, *args):
     return repr(out)
 
 
-def _assert_same_as_depth_first(p, xfun, t0, t1, samples):
-    want = _outcome(_depth_first_track, p, xfun, t0, t1, samples)
-    assert _outcome(track_path, p, xfun, t0, t1, samples) == want
+def _assert_same_as_depth_first(p, path, t0, t1, samples):
+    want = _outcome(_depth_first_track, p, path, t0, t1, samples)
+    assert _outcome(track_path, p, path, t0, t1, samples) == want
     return want
 
 
@@ -1002,7 +915,7 @@ def test_breadth_first_equals_depth_first_on_local_models():
                         Fraction(rng.randint(1, 9), rng.randint(1, 9)))
             radius = rng.uniform(0.3, 3.0)
             phase = rng.random()
-            loop = lambda t: radius * cmath.exp(2j * cmath.pi * (t + phase))
+            loop = lambda t: radius * np.exp(2j * np.pi * (t + phase))
             samples = rng.choice([8, 24, 64])
             t0, t1 = sorted([rng.random(), rng.random() + 0.5])
             outcomes.append(_assert_same_as_depth_first(
@@ -1018,13 +931,13 @@ def test_breadth_first_equals_depth_first_on_simultaneous_crossings():
         p = get_model(name).equation
         for samples in (16, 256):
             loop = LoopSpec(0j, Fraction(1), samples)
-            got = _assert_same_as_depth_first(p, loop.point, 0.0, 1.0,
+            got = _assert_same_as_depth_first(p, loop.grid, 0.0, 1.0,
                                               samples)
             assert track(p, loop).refinements >= MAX_REFINE, got
 
 
 def test_breadth_first_raises_the_first_error_on_the_path():
-    line = lambda t: complex(1 - t)
+    line = lambda t: 1 - t
     # an ambiguous double root over x = 1/2 before a refused grid fiber
     p = CurvePoly.parse("x*y^2 - (2*x - 1)^2")
     for samples in (7, 8, 10):
@@ -1033,7 +946,7 @@ def test_breadth_first_raises_the_first_error_on_the_path():
     # a refused midpoint (x = 0 at t = 1/2) before a refused grid fiber
     # (x = 1 at t = 2), each a vanishing leading coefficient
     p = CurvePoly.parse("x*(x - 1)*y^2 - 1")
-    path = lambda t: complex((t - 0.5) / 1.5)
+    path = lambda t: (t - 0.5) / 1.5
     want = _assert_same_as_depth_first(p, path, 0.0, 3.0, 3)
     assert want == repr(("LeadingCoefficientVanishes",
                          "leading y-coefficient vanishes at x=0j"))
@@ -1050,28 +963,28 @@ def test_path_through_a_singular_fiber_is_refused(samples):
     # no braid is right, so only a typed error will do
     p = CurvePoly.parse("x*y^2 - (2*x - 1)^2")
     with pytest.raises(ConiclineError):
-        track_path(p, lambda t: complex(1 - t), 0.0, 0.99, samples)
+        track_path(p, lambda t: 1 - t, 0.0, 0.99, samples)
 
 
-def test_coincident_roots_fail_without_bisecting_the_whole_loop():
+def test_coincident_roots_fail_without_bisecting_the_whole_loop(monkeypatch):
     # a repeated component fails every step at every level; a walk along
     # the path stops at the first step's last level, and the batches may
     # solve at most one grid's worth of midpoints per level before that
     samples = 64
     loop = LoopSpec(0j, Fraction(1), samples)
     want = _outcome(_depth_first_track, CurvePoly.parse("(y - x)^2*(y + 2)"),
-                    loop.point, 0.0, 1.0, samples)
+                    loop.grid, 0.0, 1.0, samples)
     assert "AmbiguousMatching" in want
     p = CurvePoly.parse("(y - x)^2*(y + 2)")
-    solve, solved = p.fiber_rows, []
+    solve, solved = tracker.fiber_rows, []
 
-    def counted(xs, *args):
+    def counted(p, xs):
         solved.append(len(xs))
         assert sum(solved) <= samples + 1 + (MAX_REFINE + 1) * samples
-        return solve(xs, *args)
+        return solve(p, xs)
 
-    p.fiber_rows = counted
-    assert _outcome(track_path, p, loop.point, 0.0, 1.0, samples) == want
+    monkeypatch.setattr(tracker, "fiber_rows", counted)
+    assert _outcome(track_path, p, loop.grid, 0.0, 1.0, samples) == want
     # a level with nothing to halve solves nothing
     assert len(solved) > MAX_REFINE and all(solved), solved
 
