@@ -32,36 +32,42 @@ time, and treats a level as a set: its classes are sorted by ``(len,
 word)`` and cut to the beam, and an empty word anywhere in it ends the
 search, so the order in which a level is expanded never matters.
 
-Work is memoised by value, never by identity, and each memo has one
-scope:
+Work is memoised by value, never by identity, at three scopes:
 
-* per process: each relator's piece index, its cyclic normal form (the
-  pass-1 key), the first pass-3 rewrite of ``r`` by ``s`` (or none) for
-  each pair ``(r, s)`` seen, so a step pays only for the pairs that the
-  last move changed, and :func:`simplify` itself on ``(ngen, relators,
+* per process: :func:`simplify` itself on ``(ngen, relators,
   SIMPLIFY_BUDGET)``, the budget as read at the call, so a patched
-  constant never meets a stale result; the moves never depend on the
-  input's trace, so each call appends the stored moves to its own;
-* per consequence step (one call of pass 4): the classes that each
-  ``(state, rule)`` pair reaches, and the class of each rewrite, shared
-  by the searches of every target: where ``r_i`` and ``r_j`` have one
-  length, the rewrites of ``r_i`` by ``r_j`` are the inverses of those
-  of ``r_j`` by ``r_i``, so the two searches meet the same states;
-* per pass-3 relator in one step: its window index, shared by the
-  misses of ``r`` against every ``s``;
+  constant never meets a stale result (the moves never depend on the
+  input's trace, so each call appends the stored moves to its own), and
+  two pure memos of one word, each relator's piece index and its cyclic
+  normal form (the pass-1 key), whose reuse crosses runs: 65 of 352 and
+  424 of 1104 lookups in a ``catalog`` benchmark pass hit an entry made
+  by an earlier run;
+* per run (a :class:`_Run`, made for each engine run of
+  :func:`simplify` and shared by its steps): each relator's window
+  index, the first pass-3 rewrite of ``r`` by ``s`` (or none) for each
+  pair ``(r, s)``, so a step pays only for the pairs that the last move
+  changed, and pass 4's classes that each ``(rule, state)`` pair reaches
+  and the class of each rewrite, shared by the searches of every target:
+  where ``r_i`` and ``r_j`` have one length, the rewrites of ``r_i`` by
+  ``r_j`` are the inverses of those of ``r_j`` by ``r_i``, so the two
+  searches meet the same states.  These die with the run: only 11 of
+  348 first-rewrite lookups in a ``catalog`` pass, and none of 210 in a
+  ``tangency`` pass, hit an entry of an earlier run, and a memo kept per
+  process would grow with every presentation simplified.  Kept for one
+  step only, a relator's window index was rebuilt 35 times of the 70
+  builds of a ``tangency`` pass;
 * per pass-4 state visit: its window index, shared by every rule that
-  the state meets for the first time.
-
-No search state outlives its step: building a window index is a pass
-over the word per piece length, and a cache of the search states'
-indexes keyed by value only adds to peak memory (0.55 MB on the
-``tangency`` benchmark).
+  the state meets for the first time.  Building one is a pass over the
+  word per piece length, and a cache of the search states' indexes keyed
+  by value only adds to peak memory (0.55 MB on the ``tangency``
+  benchmark).
 
 Every move is recorded in the presentation trace, so the output replays
 bit-for-bit from the input.  The engine never claims non-equivalence:
 running out of budget only means failure-to-match within budget.
 """
 
+import collections
 import functools
 from dataclasses import dataclass
 
@@ -102,17 +108,18 @@ def simplify(p):
 @functools.lru_cache(maxsize=None)
 def _simplified(ngen, relators, budget):
     """:func:`simplify` by value: ``(ngen, relators, moves, exhausted)``."""
+    run = _Run()
     p = _build(ngen, relators, ())
-    q = _one_step(p)
+    q = _one_step(p, run)
     for _ in range(budget):
         if q is None:
             break
-        p, q = q, _one_step(q)
+        p, q = q, _one_step(q, run)
     # a move still applicable means the budget, not a fixpoint, stopped it
     return p.ngen, p.relators, p.trace, q is not None
 
 
-def _one_step(p):
+def _one_step(p, run):
     """Apply the first applicable move in the fixed pass order."""
     step = _dedup_step(p)
     if step is not None:
@@ -120,10 +127,10 @@ def _one_step(p):
     step = _elimination_step(p)
     if step is not None:
         return step
-    step = _shorten_step(p)
+    step = _shorten_step(p, run)
     if step is not None:
         return step
-    return _consequence_step(p)
+    return _consequence_step(p, run)
 
 
 # -- pass 1: trivial and duplicate relators --------------------------------
@@ -201,8 +208,8 @@ def _piece_index(s):
 
 
 class _Windows(dict):
-    """The window index of cyclic word ``r``, for one pass-3 relator or
-    pass-4 state.
+    """The window index of cyclic word ``r``: a relator's, for one run,
+    or a pass-4 state's, for one visit.
 
     Maps each length ``h`` asked for to ``(starts, keys)``: a dict from
     each length-``h`` window of ``r r`` to its starts in
@@ -261,25 +268,42 @@ def _rewrites(windows, piece_index, shortest):
                            doubled[k - minus:k + n])
 
 
-# per process: the first rewrite of r by s that shortens r, or None, for
-# each pair (r, s) seen
-_first_rewrites = {}
-_UNSEEN = object()
+class _Memo(collections.defaultdict):
+    """A dict that fills each missing key ``k`` with
+    ``default_factory(k)``."""
+
+    def __missing__(self, key):
+        self[key] = value = self.default_factory(key)
+        return value
 
 
-def _shorten_step(p):
+class _Run:
+    """The memos of one engine run of :func:`simplify`, shared by its
+    steps.
+
+    ``first_rewrites[r, s]`` is the first rewrite of ``r`` by ``s`` that
+    shortens ``r``, or None; the window index of each relator ``r`` that
+    it reads is built once.  ``expansions[s][w]`` is the set of classes
+    that pass-4 state ``w`` reaches by rule ``s``, and ``classes[w]`` the
+    class of rewrite ``w``.
+    """
+
+    def __init__(self):
+        windows = _Memo(_Windows)
+        # a piece longer than half of s strictly shortens r
+        self.first_rewrites = _Memo(lambda rs: next(_rewrites(
+            windows[rs[0]], _piece_index(rs[1]), len(rs[1]) // 2 + 1), None))
+        self.expansions = {}
+        self.classes = _Memo(words.cyclic_normal_form)
+
+
+def _shorten_step(p, run):
     """Rewrite the first relator ``r`` that another relator ``s`` shortens."""
     for i, r in enumerate(p.relators):
-        windows = _Windows(r)     # shared by the misses of r in this step
         for j, s in enumerate(p.relators):
             if i == j or len(s) > len(r):
                 continue
-            new = _first_rewrites.get((r, s), _UNSEEN)
-            if new is _UNSEEN:
-                # a piece longer than half of s strictly shortens r
-                new = _first_rewrites[r, s] = next(
-                    _rewrites(windows, _piece_index(s), len(s) // 2 + 1),
-                    None)
+            new = run.first_rewrites[r, s]
             if new is not None:
                 return p.replace_relator(i, new, f"rewritten with relator {j}")
     return None
@@ -287,18 +311,16 @@ def _shorten_step(p):
 
 # -- pass 4: bounded consequence detection ---------------------------------
 
-def _trivializes(target, others, expansions, classes):
+def _trivializes(target, others, run):
     """Bounded search showing ``target`` is a consequence of ``others``.
 
     Breadth-limited rewriting that also admits length-preserving steps;
     states are deduplicated by cyclic normal form.  A level is searched
     as a set: its classes, sorted by ``(len, word)``, are cut to the beam,
-    and an empty word anywhere in it is the answer.  The searches of one
-    consequence step share two memos: ``expansions`` maps each rule to
-    the classes that each state it expanded reaches, and ``classes`` maps
-    each rewrite to its class.
+    and an empty word anywhere in it is the answer.  The searches share
+    the expansions and rewrite classes of ``run``, a :class:`_Run`.
     """
-    rules = [(len(s), _piece_index(s), expansions.setdefault(s, {}))
+    rules = [(len(s), _piece_index(s), run.expansions.setdefault(s, {}))
              for s in others if s]
     if not rules:
         return False
@@ -316,12 +338,9 @@ def _trivializes(target, others, expansions, classes):
                     continue
                 found = expanded.get(w)
                 if found is None:
-                    found = expanded[w] = set()
-                    for new in _rewrites(windows, piece_index, (m + 1) // 2):
-                        key = classes.get(new)
-                        if key is None:
-                            key = classes[new] = words.cyclic_normal_form(new)
-                        found.add(key)
+                    found = expanded[w] = set(map(
+                        run.classes.__getitem__,
+                        _rewrites(windows, piece_index, (m + 1) // 2)))
                 if () in found:
                     return True
                 reached |= found
@@ -333,14 +352,11 @@ def _trivializes(target, others, expansions, classes):
     return False
 
 
-def _consequence_step(p):
-    if len(p.relators) < 2:
-        return None
+def _consequence_step(p, run):
     order = sorted(range(len(p.relators)),
                    key=lambda i: (-len(p.relators[i]), i))
-    expansions, classes = {}, {}  # per step: see _trivializes
     for i in order:
         others = p.relators[:i] + p.relators[i + 1:]
-        if _trivializes(p.relators[i], others, expansions, classes):
+        if _trivializes(p.relators[i], others, run):
             return p.remove_relator(i, "consequence of the others")
     return None

@@ -28,6 +28,7 @@ real part.
 
 import cmath
 import functools
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,6 +55,19 @@ MAX_REFINE = 20
 # the workloads use, and refused before the grid is built, so that a
 # mistyped count fails at once instead of filling memory.
 MAX_SAMPLES = 2 ** 20
+
+
+def _check_samples(samples, least):
+    """Refuse a sample count that is not an integer from ``least`` to
+    ``MAX_SAMPLES``: a count with a fraction would run the grid past its
+    end."""
+    if not isinstance(samples, numbers.Integral):
+        raise ConiclineError(f"need a whole number of samples, not "
+                             f"{samples!r}")
+    if samples < least:
+        raise ConiclineError(f"need at least {least} samples")
+    if samples > MAX_SAMPLES:
+        raise ConiclineError(f"need at most {MAX_SAMPLES} samples")
 
 
 def y_coefficients(p, xs):
@@ -217,10 +231,7 @@ class LoopSpec:
         if not (0 < self.radius <= sys.float_info.max
                 and cmath.isfinite(complex(self.center))):
             raise ConiclineError("need a finite center and a finite radius > 0")
-        if self.samples < 8:
-            raise ConiclineError("need at least 8 samples")
-        if self.samples > MAX_SAMPLES:
-            raise ConiclineError(f"need at most {MAX_SAMPLES} samples")
+        _check_samples(self.samples, 8)
 
     def grid(self, ts):
         """The loop's points ``center + radius * exp(2 pi i t)`` at the
@@ -289,11 +300,12 @@ def track_path(p, path, t0=0.0, t1=1.0, samples=256):
     1`` batches more than a walk along the path.
     """
     # the checks that come before any fiber, then the grid's t as floats
+    if not all(abs(t) <= sys.float_info.max for t in (t0, t1, t1 - t0)):
+        raise ConiclineError("need t0, t1 and t1 - t0 finite and within "
+                             "the float range")
     if t1 <= t0:
         raise ConiclineError("need t1 > t0")
-    if not 1 <= samples <= MAX_SAMPLES:
-        raise ConiclineError(f"need at least 1 and at most {MAX_SAMPLES} "
-                             f"samples")
+    _check_samples(samples, 1)
     if p.degy == 0:
         raise ConiclineError("the curve has no strands: it has no y term")
     ts = float(t0) + float(t1 - t0) * np.arange(samples + 1) / samples

@@ -326,7 +326,7 @@ def test_consequence_search_matches_nested_scan():
             target = _conjugates_product(rng, ngen, rules)
         else:
             target = _random_cyclic_word(rng, ngen, rng.randint(1, 8))
-        found = tietze._trivializes(target, rules, {}, {})
+        found = tietze._trivializes(target, rules, tietze._Run())
         assert found == _trivializes_by_nested_scan(target, rules), \
             (target, rules)
         outcomes.append(found)
@@ -345,7 +345,7 @@ _PAST_THE_BEAM = [
 @pytest.mark.parametrize("target, rules, expected", _PAST_THE_BEAM)
 def test_consequence_search_matches_nested_scan_past_the_beam(
         target, rules, expected):
-    assert tietze._trivializes(target, rules, {}, {}) is expected
+    assert tietze._trivializes(target, rules, tietze._Run()) is expected
     assert _trivializes_by_nested_scan(target, rules) is expected
 
 
@@ -362,9 +362,10 @@ def _consequence_by_nested_scan(p):
 
 
 def test_consequence_step_memo_matches_a_search_per_target():
-    # the searches of one step share their expansions and classes: on
-    # each presentation, the step removes the relator that a fresh
-    # nested-scan search per target finds first, or none
+    # the searches of one run share their expansions and classes, and
+    # here one run serves every step: on each presentation, the step
+    # removes the relator that a fresh nested-scan search per target
+    # finds first, or none, whatever the earlier steps left in the memos
     rng = random.Random(20261022)
     cases = [(words.max_generator(target), [target, *rules])
              for target, rules, _ in _PAST_THE_BEAM]
@@ -378,12 +379,13 @@ def test_consequence_step_memo_matches_a_search_per_target():
                  for _ in range(rng.randint(1, 2))]
         cases.append((ngen, rules + extra))
     removed = kept = 0
+    run = tietze._Run()
     for ngen, relators in cases:
         p = Presentation(ngen, relators)
         if len(p.relators) < 2:
             continue
         want = _consequence_by_nested_scan(p)
-        step = tietze._consequence_step(p)
+        step = tietze._consequence_step(p, run)
         if want is None:
             assert step is None, p.relators
             kept += 1
@@ -434,17 +436,61 @@ CATALOG_DIGESTS = {
 }
 
 
+def _process_memos():
+    """Every per-process memo of ``tietze``, by name: found by scanning
+    the module, so that one added later is cleared too."""
+    return {name: value for name, value in vars(tietze).items()
+            if hasattr(value, "cache_clear")}
+
+
 def _clear_process_memos():
-    for memo in (tietze._simplified, tietze._piece_index,
-                 tietze._relator_class):
+    for memo in _process_memos().values():
         memo.cache_clear()
-    tietze._first_rewrites.clear()
+
+
+def test_process_memos_are_the_pure_ones():
+    # what a run reuses lives in its _Run; only the simplify memo and the
+    # two pure memos of one word outlive a run, and no module-level dict
+    # serves as a memo
+    assert sorted(_process_memos()) == [
+        "_piece_index", "_relator_class", "_simplified"]
+    assert not [name for name, value in vars(tietze).items()
+                if isinstance(value, (dict, set, list))
+                and not name.startswith("__")]
+
+
+def test_pass_3_indexes_each_relator_once_per_run(monkeypatch):
+    # a relator's window index lives for the whole run: in a cold run,
+    # pass 3 never indexes one (relator, length) pair twice
+    builds, in_pass_3 = [], []
+    missing, shorten = _Windows.__missing__, tietze._shorten_step
+
+    def counted_missing(windows, h):
+        if in_pass_3:
+            builds.append((windows.word, h))
+        return missing(windows, h)
+
+    def flagged_shorten(*args):
+        in_pass_3.append(True)
+        try:
+            return shorten(*args)
+        finally:
+            in_pass_3.pop()
+
+    monkeypatch.setattr(_Windows, "__missing__", counted_missing)
+    monkeypatch.setattr(tietze, "_shorten_step", flagged_shorten)
+    for n in range(3, 8):
+        g = present(Factorization(n, (generalized_tangency(n)[0],)))
+        _clear_process_memos()
+        builds.clear()
+        simplify(g)
+        assert builds, n
+        assert len(set(builds)) == len(builds), n
 
 
 def test_traces_do_not_depend_on_warm_memos():
-    # every memo is keyed by value: a run whose piece indexes, relator
-    # classes and first rewrites were filled by other groups makes the
-    # moves of a cold run
+    # every memo is keyed by value: a run whose piece indexes and relator
+    # classes were filled by other groups makes the moves of a cold run
     groups = dict(expected_groups())
     for n in sorted(TANGENCY_DIGESTS):
         groups[f"tangency-{n}"] = present(

@@ -284,13 +284,32 @@ def test_oversized_sample_count_is_refused_before_the_grid():
         raise AssertionError(f"grid started at t={t}")
 
     p = CurvePoly.parse("y^2 - x")
-    for samples in (MAX_SAMPLES + 1, 10 ** 20, 0, -1):
-        bound = "at most" if samples > 0 else "at least"
+    # 8.5 samples would run the grid to t = 9.5 / 8.5, past its end
+    for samples, bound in ((MAX_SAMPLES + 1, "at most"),
+                           (10 ** 20, "at most"), (0, "at least"),
+                           (-1, "at least"), (8.5, "whole number")):
         with pytest.raises(ConiclineError, match=bound):
             LoopSpec(0j, Fraction(1), samples)
         with pytest.raises(ConiclineError, match=bound):
             track_path(p, never, 0.0, 1.0, samples)
     assert LoopSpec(0j, Fraction(1), MAX_SAMPLES).samples == MAX_SAMPLES
+
+
+@pytest.mark.parametrize("t0, t1", [
+    (0.0, float("inf")), (float("-inf"), 1.0), (0.0, float("nan")),
+    (float("nan"), 1.0), (-1e308, 1e308), (Fraction(0), Fraction(10) ** 400)])
+def test_non_finite_range_is_refused_before_the_grid(t0, t1):
+    # t0, t1 and their difference are checked before any grid point: at
+    # an infinite end the grid is NaN, a NaN end passes t1 > t0, and an
+    # exact end past the float range fails as a float
+    def never(t):
+        raise AssertionError(f"grid started at t={t}")
+
+    p = CurvePoly.parse("y^2 - x")
+    with pytest.raises(ConiclineError, match="t0, t1 and t1 - t0 finite"):
+        track_path(p, never, t0, t1, 8)
+    with pytest.raises(ConiclineError, match="t0, t1 and t1 - t0 finite"):
+        track(p, LoopSpec(0j, Fraction(1), 8), t0, t1)
 
 
 ZERO_CONSTANT = "y^2 + y + 1 - x"   # constant coefficient 0 only at x = 1
