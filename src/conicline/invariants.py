@@ -204,18 +204,19 @@ def _hom_rows(ngen, table):
     refining one more image would take an array of ``#orbits * |G|``
     entries past ``_CHUNK_ROWS``.  Raises :class:`BudgetExceeded` when
     the ``#orbits * |G| ** (ngen - k)`` rows exceed ``HOM_BUDGET``, read
-    at the call.
+    at the call.  The power is never built: past ``HOM_BUDGET.bit_length()``
+    free generators any target of two or more elements is over budget,
+    and on many generators the power alone would take seconds.
     """
     k = 0
     while (k < min(ngen, 3) and len(_conjugation_orbits(table, k)[1])
            * table.size <= _CHUNK_ROWS):
         k += 1
     reps, weights = _conjugation_orbits(table, k)
-    rows = len(weights) * table.size ** (ngen - k)
-    if rows > HOM_BUDGET:
+    free = min(ngen - k, HOM_BUDGET.bit_length())
+    if len(weights) * table.size ** free > HOM_BUDGET:
         raise BudgetExceeded(f"{len(weights)} orbits x {table.size}^"
-                             f"{ngen - k} = {rows} rows "
-                             f"exceed budget {HOM_BUDGET}")
+                             f"{ngen - k} rows exceed budget {HOM_BUDGET}")
     return k, reps, weights
 
 

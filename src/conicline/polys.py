@@ -8,6 +8,13 @@ from fractions import Fraction
 
 from .errors import ConiclineError, ParseError
 
+# The largest exponent of a power, and the largest degree it may give: a
+# power is expanded one multiplication at a time, and the tracker holds
+# every power of x up to the degree at each sample.  Far above the
+# y^3 - x^200 and the 10^400 of the tests, and checked before a power is
+# expanded.
+MAX_DEGREE = 1000
+
 
 class CurvePoly:
     """A polynomial in x and y with exact rational coefficients."""
@@ -118,8 +125,14 @@ class _PolyParser:
             tok = self.take()
             if tok is None or not tok.isdigit():
                 raise ParseError("exponent must be a nonnegative integer")
+            exp = int(tok)
+            degree = max((i + j for i, j in base[0]), default=0)
+            if exp * max(degree, 1) > MAX_DEGREE:
+                raise ParseError(f"exponent {exp} on a base of degree "
+                                 f"{degree}: a power's exponent and degree "
+                                 f"must be at most {MAX_DEGREE}")
             result = {(0, 0): 1}, 1
-            for _ in range(int(tok)):
+            for _ in range(exp):
                 result = _mul(result, base)
             return result
         return base

@@ -13,6 +13,10 @@ from . import words
 from .errors import (ConiclineError, DefinitionContainsTarget, MapsNotInverse,
                      ParseError)
 
+# The largest count of a text header, generators or strands: each
+# generator or strand costs work before any relator or factor is read.
+MAX_HEADER_COUNT = 1000
+
 
 @dataclass(frozen=True)
 class TietzeMove:
@@ -192,7 +196,8 @@ def read_header(text, key, what):
 
     Shared by every text format: lines are stripped, and blank lines and
     ``#`` comments dropped.  A missing header or a count that is not an
-    integer is a :class:`ParseError` naming ``what``, the format read.
+    integer is a :class:`ParseError` naming ``what``, the format read,
+    and so is a count above ``MAX_HEADER_COUNT``.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -202,6 +207,9 @@ def read_header(text, key, what):
         n = int(lines[0].split(":", 1)[1])
     except ValueError:
         raise ParseError(f"bad '{key}:' count in {what}") from None
+    if n > MAX_HEADER_COUNT:
+        raise ParseError(f"'{key}:' count {n} in {what} is above "
+                         f"{MAX_HEADER_COUNT}")
     return n, lines[1:]
 
 

@@ -7,10 +7,11 @@ matching consecutive fibers, and emitting an Artin letter whenever two
 strands adjacent in the real-part order exchange places.  A path maps an
 array of ``t`` to the array of its ``x``, and ``track_path`` calls it
 once for the grid and once per batch of bisection midpoints.  The fibers
-of a batch are solved at once into an array (``fiber_rows``), and all
-steps of the grid are matched at once (``_match_rows``); steps that fail
-are bisected level by level, each level's midpoints solved in one batch
-and its half-steps matched at once.  A loop about a real center is
+of a batch are solved at once into an array (``fiber_rows``), and its
+steps are matched at once (``_match_rows``).  The grid is the first
+batch; the steps of a batch that fail are bisected with one solve of
+their midpoints, and their halves are resolved by recursion, in path
+order, as the next batches.  A loop about a real center is
 mirror-symmetric, so a batch solves only one fiber of each conjugate
 pair of its points (``_conjugate_mirrors``).
 
@@ -291,13 +292,15 @@ def track_path(p, path, t0=0.0, t1=1.0, samples=256):
     is accepted at once.  Any other step is bisected, up to
     ``MAX_REFINE`` times; a step still unresolved at that depth is
     accepted only as an exactly simultaneous symmetric crossing (see
-    ``_reversed_blocks``).  Steps are matched in batches: the whole grid,
-    then per level of bisection the pending steps of least path key (grid
-    index, then 0 or 1 per bisection), at most as many as the grid has,
-    with one solve of their midpoints.  Letters and the error raised
-    follow the path in key order, and steps past the first error are
-    dropped, so a region that keeps failing costs at most ``MAX_REFINE +
-    1`` batches more than a walk along the path.
+    ``_reversed_blocks``).  Steps are matched in batches of at most as
+    many as the grid has, the grid first.  The failing steps of a batch
+    are bisected with one solve of their midpoints, and their halves are
+    resolved by recursion, in path order, before the batch returns.  The
+    letters follow the path, and the error raised is the first on it: a
+    batch stops at its first unresolvable step, its halves stop at their
+    first refused midpoint, and an error is raised only after every step
+    before it is resolved.  So a region that keeps failing costs at most
+    ``MAX_REFINE + 1`` batches more than a walk along the path.
     """
     # the checks that come before any fiber, then the grid's t as floats
     if not all(abs(t) <= sys.float_info.max for t in (t0, t1, t1 - t0)):
@@ -313,72 +316,64 @@ def track_path(p, path, t0=0.0, t1=1.0, samples=256):
     ts = ts.tolist()
     # no step goes past the first refused fiber
     stop = min(refused, default=len(ts))
-    if stop == 0:
-        raise refused[0]
-    # the first error on the path so far and its key (or a key past all
-    # steps), and the letters of each resolved step by its key
-    limit, error, words = (stop - 1,), refused.get(stop), []
-    # the batch being matched: step(i) is the (key, start t, end t) of its
-    # row i, a_now and b_now its end fibers; the first batch is the grid,
-    # grid step k running from ts[k] to ts[k + 1]
-    def step(k):
-        return (k,), ts[k], ts[k + 1]
-
-    a_now, b_now = grid[:stop - 1], grid[1:stop]
-    # the pending halves (key, start t, end t) in key order; ends: their
-    # fibers
-    steps, ends = [], np.empty((0, 2, p.degy), dtype=complex)
     batch = max(stop - 1, 1)
     min_gap, refinements = _gaps(grid[:1])[0], 0
-    while len(a_now):
-        gaps = _gaps(b_now)
+
+    def resolve(ta, tb, a, b, depth):
+        """The letters of each step, in path order: step i runs from
+        fiber a[i] at ta[i] to fiber b[i] at tb[i], bisected ``depth``
+        times so far."""
+        nonlocal min_gap, refinements
+        gaps = _gaps(b)
         min_gap = gaps.min(initial=min_gap)
-        perms, accepted = _match_rows(a_now, b_now, gaps)
-        halve = []
+        perms, accepted = _match_rows(a, b, gaps)
+        words, halve, error = [()] * len(ta), [], None
         for i in np.flatnonzero(
                 ~accepted | (perms != np.arange(p.degy)).any(1)).tolist():
-            key, ta, _ = step(i)
             blocks = _reversed_blocks(perms[i].tolist()) if accepted[i] else None
-            if len(key) <= MAX_REFINE and (
+            if depth < MAX_REFINE and (
                     blocks is None or any(j > k + 1 for k, j in blocks)):
                 halve.append(i)
             elif blocks is not None:
-                word = []
                 for k, j in blocks:
                     # block k..j turns over and its end strands trade places;
                     # and the upper one moves right-to-left iff it starts right
-                    sign = (1 if a_now[i, j].imag + b_now[i, k].imag
-                            > a_now[i, k].imag + b_now[i, j].imag else -1)
-                    word.extend(sign * s for s in
-                                half_twist(p.degy, k + 1, j + 1).letters)
-                words.append((key, word))
-            elif key < limit:
-                limit, error = key, (CollisionOnLoop(
-                    f"unresolvable crossing cluster near t={ta}")
+                    sign = (1 if a[i, j].imag + b[i, k].imag
+                            > a[i, k].imag + b[i, j].imag else -1)
+                    words[i] += tuple(sign * s for s in
+                                      half_twist(p.degy, k + 1, j + 1).letters)
+            else:
+                error = (CollisionOnLoop(
+                    f"unresolvable crossing cluster near t={ta[i]}")
                     if accepted[i] else AmbiguousMatching(
-                    f"matching stayed ambiguous near t={ta}"))
+                    f"matching stayed ambiguous near t={ta[i]}"))
+                break
         if halve:
             refinements += len(halve)
-            halved = [step(i) for i in halve]
-            tm = [(ta + tb) / 2 for _, ta, tb in halved]
+            tm = [(ta[i] + tb[i]) / 2 for i in halve]
             mid, refused = fiber_rows(p, path(np.array(tm)))
-            for r, exc in refused.items():   # its halves lie past the limit
-                if halved[r][0] < limit:
-                    limit, error = halved[r][0], exc
-            # a step's halves precede every later pending step in key order
-            steps = [half for (key, ta, tb), t in zip(halved, tm) for half in (
-                (key + (0,), ta, t), (key + (1,), t, tb))] + steps
-            amb = np.stack([a_now[halve], mid, b_now[halve]], axis=1)
-            ends = np.concatenate([amb[:, [[0, 1], [1, 2]]].reshape(
-                -1, 2, p.degy), ends])   # a to mid, mid to b
-        steps = [half for half in steps if half[0] < limit]   # a prefix
-        now, steps = steps[:batch], steps[batch:]
-        step = now.__getitem__
-        a_now, b_now = ends[:len(now)].swapaxes(0, 1)
-        ends = ends[len(now):len(now) + len(steps)]
-    if error is not None:
-        raise error
-    braid = BraidWord(p.degy, [s for _, word in sorted(words) for s in word])
+            if refused:   # an earlier error: stop at its midpoint
+                halve, error = halve[:min(refused)], refused[min(refused)]
+            # a to mid, then mid to b, for each halved step
+            t_a = [t for i, m in zip(halve, tm) for t in (ta[i], m)]
+            t_b = [t for i, m in zip(halve, tm) for t in (m, tb[i])]
+            f = np.stack([a[halve], mid[:len(halve)], b[halve]], axis=1)
+            f_a, f_b = (f[:, :2].reshape(-1, p.degy),
+                        f[:, 1:].reshape(-1, p.degy))
+            halves = [word for s in range(0, len(t_a), batch) for word in
+                      resolve(t_a[s:s + batch], t_b[s:s + batch],
+                              f_a[s:s + batch], f_b[s:s + batch], depth + 1)]
+            for k, i in enumerate(halve):
+                words[i] = halves[2 * k] + halves[2 * k + 1]
+        if error is not None:
+            raise error
+        return words
+
+    words = (resolve(ts[:stop - 1], ts[1:stop], grid[:stop - 1],
+                     grid[1:stop], 0) if stop > 1 else [])
+    if refused:
+        raise refused[stop]
+    braid = BraidWord(p.degy, [s for word in words for s in word])
     return TrackedBraid(braid, braid_permutation(braid), float(min_gap),
                         refinements)
 

@@ -10,6 +10,10 @@ import re
 
 from .errors import ParseError
 
+# The largest exponent of a letter in the text syntax: a power such as
+# ``x1^5`` is expanded into its letters, so the bound is checked before.
+MAX_EXPONENT = 1000
+
 
 def _is_reduced(w):
     """No letter of ``w`` is 0 or next to its inverse."""
@@ -180,6 +184,9 @@ def parse_word(text, names=None):
             exp = 1
         if exp == 0:
             raise ParseError(f"zero exponent in {token!r}")
+        if abs(exp) > MAX_EXPONENT:
+            raise ParseError(f"exponent of {token!r} is beyond "
+                             f"{MAX_EXPONENT} in absolute value")
         if names is not None and base in names:
             idx = names.index(base) + 1
         else:

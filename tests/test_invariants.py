@@ -489,6 +489,19 @@ def test_count_homs_budget_counts_rows_of_three_images(monkeypatch):
         count_homs(p, s3)
 
 
+def test_budget_check_on_many_generators_builds_no_power():
+    # 6^4998 rows would print past Python's 4300-digit limit for an int,
+    # so a message or check that builds the power raises ValueError
+    free = Presentation(5000, [])
+    assert dict(invariant_bundle(free).hom_counts) == {"S3": None,
+                                                       "S4": None}
+    with pytest.raises(BudgetExceeded, match=r"orbits x 6\^4997 rows"):
+        count_homs(free, builtin_table("S3"))
+    # compare skips both counts and still gives a verdict
+    assert compare(free, free).kind in ("equivalent", "inconclusive")
+    assert compare(free, Presentation(4999, [])).kind == "distinct"
+
+
 def test_symmetric_group_tables_are_groups():
     for k in (3, 4):
         t = symmetric_group_table(k)

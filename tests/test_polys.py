@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from conicline import polys
 from conicline.errors import ParseError
-from conicline.polys import CurvePoly, format_poly
+from conicline.polys import MAX_DEGREE, CurvePoly, format_poly
 
 
 def test_parse_and_format():
@@ -22,6 +23,25 @@ def test_parse_rational_coefficients():
 def test_parse_rejects_garbage():
     with pytest.raises(ParseError):
         CurvePoly.parse("y^^2 - x")
+
+
+def test_oversized_power_is_refused_before_it_is_expanded(monkeypatch):
+    # the bound is checked before the power's first multiplication: the
+    # product fails the test if it is ever called
+    def never(p, q):
+        raise AssertionError("a power was expanded")
+
+    monkeypatch.setattr(polys, "_mul", never)
+    for text in (f"x^{MAX_DEGREE + 1}", "y^100000000", f"2^{MAX_DEGREE + 1}"):
+        with pytest.raises(ParseError, match=f"at most {MAX_DEGREE}"):
+            CurvePoly.parse(text)
+    monkeypatch.undo()
+    # the degree of a power counts the degree of its base
+    for text in (f"(x^{MAX_DEGREE // 2})^3", f"(x*y)^{MAX_DEGREE // 2 + 1}"):
+        with pytest.raises(ParseError, match=f"at most {MAX_DEGREE}"):
+            CurvePoly.parse(text)
+    assert CurvePoly.parse(f"y - x^{MAX_DEGREE}").degx == MAX_DEGREE
+    assert CurvePoly.parse(f"(x*y)^{MAX_DEGREE // 2}").degy == MAX_DEGREE // 2
 
 
 def test_parse_tokens():

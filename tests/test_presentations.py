@@ -154,3 +154,21 @@ def _sweep_before_table_rows(text):
 def test_text_formats_refuse_a_bad_header(parse, key, what, text):
     with pytest.raises(ParseError, match=what):
         parse(text.format(key=key))
+
+
+def test_oversized_header_count_is_refused_before_the_rows(monkeypatch):
+    # the bound is checked before any row is read: the word parser fails
+    # the test if it is ever called
+    def never(text, names=None):
+        raise AssertionError(f"row {text!r} was read")
+
+    monkeypatch.setattr(words, "parse_word", never)
+    bound = presentations.MAX_HEADER_COUNT
+    for n in (bound + 1, 1000000000):
+        for parse, key in ((parse_presentation, "gens"),
+                           (parse_sweep, "strands")):
+            with pytest.raises(ParseError, match=f"above {bound}"):
+                parse(f"{key}: {n}\nx1\n")
+    monkeypatch.undo()
+    assert parse_presentation(f"gens: {bound}\n").ngen == bound
+    assert parse_sweep(f"strands: {bound}\ns1\n").strands == bound

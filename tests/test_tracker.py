@@ -1008,6 +1008,27 @@ def test_coincident_roots_fail_without_bisecting_the_whole_loop(monkeypatch):
     assert len(solved) > MAX_REFINE and all(solved), solved
 
 
+@pytest.mark.parametrize("samples", [256, 1024])
+def test_each_level_of_bisection_is_one_solve(monkeypatch, samples):
+    # on the benchmark's curves no level of bisection outgrows the grid,
+    # so each track solves the grid and then one batch per level: every
+    # midpoint once, in at most 1 + MAX_REFINE calls, where a walk that
+    # solves each midpoint alone makes one call per refinement
+    solve, solved = tracker.fiber_rows, []
+
+    def counted(p, xs):
+        solved.append(len(xs))
+        return solve(p, xs)
+
+    monkeypatch.setattr(tracker, "fiber_rows", counted)
+    for name, equation, radius, _ in GOLDEN_TRACKS:
+        solved.clear()
+        tb = track(CurvePoly.parse(equation),
+                   LoopSpec(0j, Fraction(radius), samples))
+        assert sum(solved) == samples + 1 + tb.refinements, name
+        assert len(solved) <= 1 + MAX_REFINE, (name, solved)
+
+
 # The braids that 256 samples give on the unit loop; at 8 samples a step
 # can skip whole turns of a strand and still pass the MATCH_SAFETY test,
 # because the roots land next to other roots.

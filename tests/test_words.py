@@ -159,6 +159,22 @@ def test_parse_identity_spellings():
     assert words.parse_word("1") == ()
 
 
+def test_oversized_exponent_is_refused_before_its_letters(monkeypatch):
+    # the bound is checked before a power's letters are reduced: the
+    # reduction fails the test if it is ever called
+    def never(letters):
+        raise AssertionError(f"{len(letters)} letters were built")
+
+    monkeypatch.setattr(words, "reduce", never)
+    bound = words.MAX_EXPONENT
+    for text in (f"x1^{bound + 1}", f"x2^-{bound + 1}", "x1^1000000000",
+                 f"x1 s1^{bound + 1}"):
+        with pytest.raises(ParseError, match=f"beyond {bound}"):
+            words.parse_word(text, ("s1",))
+    monkeypatch.undo()
+    assert words.parse_word(f"x1^-{bound}") == (-1,) * bound
+
+
 def test_format_collapses_powers():
     assert words.format_word((1, 1, 1)) == "x1^3"
     assert words.format_word((-2, -2)) == "x2^-2"
