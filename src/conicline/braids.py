@@ -13,7 +13,14 @@ the product that appears as the projective relator ``x_n ... x_1``.
 """
 
 from . import words
-from .errors import BadBlock, NonAdjacentMover, ParseError, StrandMismatch
+from .errors import (BadBlock, BudgetExceeded, NonAdjacentMover, ParseError,
+                     StrandMismatch)
+
+# The most letters that the image words of a base may hold together,
+# checked before each letter's images are built: a short braid such as
+# (s1 s2^-1)^k grows its images exponentially in k.  Far above the 16869
+# of the random braids of the tests and the 269 of the benchmark.
+MAX_BASE_LETTERS = 10 ** 6
 
 
 class BraidWord:
@@ -83,21 +90,29 @@ def artin_apply(b, g):
 
     ``s_i`` sends entry ``i+1`` to ``e_{i+1} e_i e_{i+1}^-1`` and entry
     ``i`` to ``e_{i+1}``; the inverse letter undoes this.  Both fix the
-    descending ordered product.
+    descending ordered product.  Raises :class:`BudgetExceeded` before a
+    letter whose images, before cancellation, would take the base past
+    ``MAX_BASE_LETTERS`` letters.
     """
     if b.strands != len(g):
         raise StrandMismatch(f"braid on {b.strands} strands applied to a "
                              f"base of {len(g)}")
     entries = list(g)
+    size = sum(map(len, entries))
     for a in b.letters:
         i = abs(a) - 1  # 0-based position
         ei, ej = entries[i], entries[i + 1]
+        # the conjugated entry gains twice the conjugator's letters
+        if size + 2 * len(ej if a > 0 else ei) > MAX_BASE_LETTERS:
+            raise BudgetExceeded(f"the images of the base would exceed "
+                                 f"{MAX_BASE_LETTERS} letters")
         if a > 0:
             entries[i] = ej
             entries[i + 1] = words.concat(ej, ei, words.inverse(ej))
         else:
             entries[i] = words.concat(words.inverse(ei), ej, ei)
             entries[i + 1] = ei
+        size += len(entries[i]) + len(entries[i + 1]) - len(ei) - len(ej)
     return tuple(entries)
 
 

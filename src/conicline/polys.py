@@ -8,12 +8,19 @@ from fractions import Fraction
 
 from .errors import ConiclineError, ParseError
 
-# The largest exponent of a power, and the largest degree it may give: a
-# power is expanded one multiplication at a time, and the tracker holds
-# every power of x up to the degree at each sample.  Far above the
-# y^3 - x^200 and the 10^400 of the tests, and checked before a power is
-# expanded.
+# The largest exponent of a power, and the largest degree a power or a
+# product may give: a power is expanded one multiplication at a time, and
+# the tracker holds every power of x up to the degree at each sample.  Far
+# above the y^3 - x^200 and the 10^400 of the tests, and checked before a
+# power or a product is expanded.
 MAX_DEGREE = 1000
+
+# The most pairs of terms that one product may multiply, checked before
+# it is expanded: expanding a power of a dense base takes time cubic in its
+# exponent ((x+y+1)^150 has 11476 terms), and the tracker loops over the
+# terms in Python.  Far above the 63 of the benchmark's curves and the
+# 3267 of the random expressions of the tests.
+MAX_PRODUCT_TERMS = 10000
 
 
 class CurvePoly:
@@ -126,7 +133,7 @@ class _PolyParser:
             if tok is None or not tok.isdigit():
                 raise ParseError("exponent must be a nonnegative integer")
             exp = int(tok)
-            degree = max((i + j for i, j in base[0]), default=0)
+            degree = _degree(base[0])
             if exp * max(degree, 1) > MAX_DEGREE:
                 raise ParseError(f"exponent {exp} on a base of degree "
                                  f"{degree}: a power's exponent and degree "
@@ -167,8 +174,20 @@ def _add(p, q):
     return {k: v for k, v in out.items() if v}, d
 
 
+def _degree(nums):
+    return max(map(sum, nums), default=0)
+
+
 def _mul(p, q):
     (a, da), (b, db) = p, q
+    if len(a) * len(b) > MAX_PRODUCT_TERMS:
+        raise ParseError(f"a product of {len(a)} by {len(b)} terms: a "
+                         f"product may multiply at most "
+                         f"{MAX_PRODUCT_TERMS} pairs of terms")
+    degree = _degree(a) + _degree(b)
+    if degree > MAX_DEGREE:
+        raise ParseError(f"a product of degree {degree}: a product's "
+                         f"degree must be at most {MAX_DEGREE}")
     out = {}
     for (i1, j1), c1 in a.items():
         for (i2, j2), c2 in b.items():
@@ -178,7 +197,12 @@ def _mul(p, q):
 
 
 def _parse_poly(text):
-    nums, d = _PolyParser(_tokenize(text)).parse()
+    try:
+        nums, d = _PolyParser(_tokenize(text)).parse()
+    except RecursionError:
+        # the parser recurses once per bracket or sign: refuse deep nesting
+        # as malformed text rather than crash
+        raise ParseError("polynomial nested too deeply") from None
     if not nums:
         raise ParseError("zero polynomial")
     return {k: Fraction(v, d) for k, v in nums.items()}

@@ -1,6 +1,6 @@
 """Budgeted greedy simplification of finite presentations.
 
-The engine repeats four deterministic passes until nothing changes or
+The engine repeats three deterministic passes until nothing changes or
 the move budget, the constant ``SIMPLIFY_BUDGET``, runs out:
 
 1. drop trivial and duplicate relators (duplicates up to cyclic
@@ -8,66 +8,48 @@ the move budget, the constant ``SIMPLIFY_BUDGET``, runs out:
 2. eliminate a generator that occurs exactly once in some relator
    (candidates tried by ascending generator index),
 3. shorten a relator by rewriting it against another relator whenever
-   they share more than half of the shorter one,
-4. remove a relator that a bounded rewrite search proves to be a
-   consequence of the remaining ones.
+   they share more than half of the shorter one.
 
-Passes 3 and 4 share one piece finder.  A piece of relator ``r`` is a
-prefix, at least half as long as ``s``, of a rotation of relator ``s``
-or of ``s^-1``; rewriting replaces it by the inverse of the rest of that
-rotation.  The rotations of ``s`` and ``s^-1`` are indexed by their
-prefix of length ``h = (len(s) + 1) // 2``, the shortest admissible
-piece, read as the length-``h`` windows of ``s s`` and ``s^-1 s^-1``,
-and the word ``r`` by its windows: each length-``h`` window of ``r r``
-maps to its starts.  One intersection of the two key sets, each a set
-that keeps its keys' hashes, finds every start where a piece can begin,
-and each hit is extended letter by letter along the doubled relator; a
-rotation is sliced out only for a rewrite that is read, and the rewrite
-cancels letters only where its two parts meet.  Pass 3 takes the first
-rewrite, in scan order, whose piece is longer than half of ``s``; pass 4
-takes them all.
+Pass 3 reads one piece finder.  A piece of relator ``r`` is a prefix,
+longer than half of ``s``, of a rotation of relator ``s`` or of
+``s^-1``; rewriting replaces it by the inverse of the rest of that
+rotation, so ``r`` gets shorter.  The rotations of ``s`` and ``s^-1``
+are indexed by their prefix of length ``h = (len(s) + 1) // 2``, read
+as the length-``h`` windows of ``s s`` and ``s^-1 s^-1``, and the word
+``r`` by its windows: each length-``h`` window of ``r r`` maps to its
+starts.  One intersection of the two key sets, each a set that keeps
+its keys' hashes, finds every start where a piece can begin, and each
+hit is extended letter by letter along the doubled relator.  The first
+rewrite in scan order (by rotation, longer pieces first, then by start
+in ``r``) is the least hit; only its rotation is sliced out, and the
+rewrite cancels letters only where its two parts meet.
 
-The consequence search of pass 4 runs breadth first, one level at a
-time, and treats a level as a set: its classes are sorted by ``(len,
-word)`` and cut to the beam, and an empty word anywhere in it ends the
-search, so the order in which a level is expanded never matters.
-
-Work is memoised by value, never by identity, at three scopes:
+Work is memoised by value, never by identity, at two scopes:
 
 * per process: :func:`simplify` itself on ``(ngen, relators,
   SIMPLIFY_BUDGET)``, the budget as read at the call, so a patched
   constant never meets a stale result (the moves never depend on the
   input's trace, so each call appends the stored moves to its own), and
   two pure memos of one word, each relator's piece index and its cyclic
-  normal form (the pass-1 key), whose reuse crosses runs: 65 of 352 and
-  424 of 1104 lookups in a ``catalog`` benchmark pass hit an entry made
+  normal form (the pass-1 key), whose reuse crosses runs: 39 of 233 and
+  400 of 1053 lookups in a ``catalog`` benchmark pass hit an entry made
   by an earlier run;
-* per run (a :class:`_Run`, made for each engine run of
-  :func:`simplify` and shared by its steps): each relator's window
-  index, the first pass-3 rewrite of ``r`` by ``s`` (or none) for each
-  pair ``(r, s)``, so a step pays only for the pairs that the last move
-  changed, and pass 4's classes that each ``(rule, state)`` pair reaches
-  and the class of each rewrite, shared by the searches of every target:
-  where ``r_i`` and ``r_j`` have one length, the rewrites of ``r_i`` by
-  ``r_j`` are the inverses of those of ``r_j`` by ``r_i``, so the two
-  searches meet the same states.  These die with the run: only 11 of
-  348 first-rewrite lookups in a ``catalog`` pass, and none of 210 in a
-  ``tangency`` pass, hit an entry of an earlier run, and a memo kept per
-  process would grow with every presentation simplified.  Kept for one
-  step only, a relator's window index was rebuilt 35 times of the 70
-  builds of a ``tangency`` pass;
-* per pass-4 state visit: its window index, shared by every rule that
-  the state meets for the first time.  Building one is a pass over the
-  word per piece length, and a cache of the search states' indexes keyed
-  by value only adds to peak memory (0.55 MB on the ``tangency``
-  benchmark).
+* per run (a :class:`_FirstRewrites`, made for each engine run of
+  :func:`simplify` and shared by its steps): the first pass-3 rewrite
+  of ``r`` by ``s`` (or none) for each pair ``(r, s)``, so a step pays
+  only for the pairs that the last move changed, and the window index of
+  each relator that it reads.  These die with the run: only 11 of the
+  233 first rewrites found in a ``catalog`` pass, and none of 120 in a
+  ``tangency`` pass, had been found by an earlier run, and a memo kept
+  per process would grow with every presentation simplified.  Kept for
+  one step only, a relator's window index was rebuilt 35 times of the
+  70 builds of a ``tangency`` pass.
 
 Every move is recorded in the presentation trace, so the output replays
 bit-for-bit from the input.  The engine never claims non-equivalence:
 running out of budget only means failure-to-match within budget.
 """
 
-import collections
 import functools
 from dataclasses import dataclass
 
@@ -77,10 +59,6 @@ from .presentations import Presentation, _build
 # Steps per ``simplify`` call, read at each call: every caller's budget,
 # verification and ``conicline simplify`` included.
 SIMPLIFY_BUDGET = 20000
-
-# Bounds of the pass-4 consequence search; fixed so traces reproduce.
-_SEARCH_BEAM = 600
-_SEARCH_DEPTH = 24
 
 
 @dataclass
@@ -108,18 +86,18 @@ def simplify(p):
 @functools.lru_cache(maxsize=None)
 def _simplified(ngen, relators, budget):
     """:func:`simplify` by value: ``(ngen, relators, moves, exhausted)``."""
-    run = _Run()
+    first_rewrites = _FirstRewrites()
     p = _build(ngen, relators, ())
-    q = _one_step(p, run)
+    q = _one_step(p, first_rewrites)
     for _ in range(budget):
         if q is None:
             break
-        p, q = q, _one_step(q, run)
+        p, q = q, _one_step(q, first_rewrites)
     # a move still applicable means the budget, not a fixpoint, stopped it
     return p.ngen, p.relators, p.trace, q is not None
 
 
-def _one_step(p, run):
+def _one_step(p, first_rewrites):
     """Apply the first applicable move in the fixed pass order."""
     step = _dedup_step(p)
     if step is not None:
@@ -127,10 +105,7 @@ def _one_step(p, run):
     step = _elimination_step(p)
     if step is not None:
         return step
-    step = _shorten_step(p, run)
-    if step is not None:
-        return step
-    return _consequence_step(p, run)
+    return _shorten_step(p, first_rewrites)
 
 
 # -- pass 1: trivial and duplicate relators --------------------------------
@@ -184,19 +159,19 @@ def _elimination_step(p):
     return p.remove_relator(i, f"defines x{g}").substitute(g, definition)
 
 
-# -- passes 3 and 4: the piece finder ---------------------------------------
+# -- pass 3: the piece finder ----------------------------------------------
 
 @functools.lru_cache(maxsize=None)
 def _piece_index(s):
     """The rotations of ``s`` and of ``s^-1``, indexed by prefix.
 
     Returns ``(doubles, index, prefixes)``: ``(s s, s^-1 s^-1)``, a
-    dict from each prefix of length ``(len(s) + 1) // 2`` (the shortest
-    admissible piece) to the rotations that start with it, in scan
-    order, and the set of those prefixes.  Rotation ``zi`` of the ``2
-    len(s)`` is the length-``len(s)`` window of ``doubles[zi // len(s)]``
-    at ``zi % len(s)``; only the prefix windows are copied here, and a
-    rotation is read only on a hit.
+    dict from each prefix of length ``(len(s) + 1) // 2`` (no longer
+    than the shortest admissible piece) to the rotations that start with
+    it, in scan order, and the set of those prefixes.  Rotation ``zi`` of
+    the ``2 len(s)`` is the length-``len(s)`` window of ``doubles[zi //
+    len(s)]`` at ``zi % len(s)``; only the prefix windows are copied
+    here, and a rotation is read only on a hit.
     """
     m, h = len(s), (len(s) + 1) // 2
     doubles = (s + s, words.inverse(s) * 2)
@@ -208,8 +183,7 @@ def _piece_index(s):
 
 
 class _Windows(dict):
-    """The window index of cyclic word ``r``: a relator's, for one run,
-    or a pass-4 state's, for one visit.
+    """The window index of relator ``r``, built once per run.
 
     Maps each length ``h`` asked for to ``(starts, keys)``: a dict from
     each length-``h`` window of ``r r`` to its starts in
@@ -231,24 +205,24 @@ class _Windows(dict):
         return self[h]
 
 
-def _rewrites(windows, piece_index, shortest):
-    """Rewrites of cyclic word ``r = windows.word`` by the indexed
-    relator ``s``.
+def _first_rewrite(windows, piece_index):
+    """The first rewrite of cyclic word ``r = windows.word`` by the
+    indexed relator ``s`` that shortens ``r``, or None.
 
-    Each replaces a piece of ``r`` that is a prefix of length ``L`` of a
-    rotation ``z`` of ``s^±1``, ``shortest <= L < len(s)``, by the
-    inverse of the rest of ``z``; ``shortest`` is at least half of
-    ``len(s)``.  Rewrites come in scan order: by rotation, longer pieces
-    first, then by start in ``r``.
+    It replaces a piece of ``r`` that is a prefix of length ``L`` of a
+    rotation ``z`` of ``s^±1``, ``len(s) / 2 < L < len(s)``, by the
+    inverse of the rest of ``z``.  The first in scan order is the least
+    ``(rotation, -L, start in r)`` over the hits, each hit extended to
+    its longest piece.
     """
     doubles, index, prefixes = piece_index
     r, doubled = windows.word, windows.doubled
     m = len(doubles[0]) // 2
     h, cap = (m + 1) // 2, min(m - 1, len(r))
     if h > cap:
-        return
+        return None
     starts, keys = windows[h]
-    hits = []
+    best = None
     for window in keys & prefixes:
         for zi in index[window]:
             z, at = doubles[zi // m], zi % m  # rotation zi is z[at:at + m]
@@ -256,107 +230,45 @@ def _rewrites(windows, piece_index, shortest):
                 top = h
                 while top < cap and z[at + top] == doubled[k + top]:
                     top += 1
-                # as (zi, -piece, k), which sorts in scan order
-                hits += [(zi, -piece, k) for piece in range(shortest, top + 1)]
-    hits.sort()
-    n = len(r)
-    for zi, minus, k in hits:
-        # the inverse of the rest z[at + piece:at + m] of rotation zi, read
-        # off the other double
-        at = zi % m
-        yield words.concat(doubles[1 - zi // m][m - at:2 * m - at + minus],
-                           doubled[k - minus:k + n])
+                # a piece longer than half of s strictly shortens r
+                if 2 * top > m and (best is None or (zi, -top, k) < best):
+                    best = zi, -top, k
+    if best is None:
+        return None
+    # the inverse of the rest z[at + piece:at + m] of rotation zi, read off
+    # the other double
+    zi, minus, k = best
+    at = zi % m
+    return words.concat(doubles[1 - zi // m][m - at:2 * m - at + minus],
+                        doubled[k - minus:k + len(r)])
 
 
-class _Memo(collections.defaultdict):
-    """A dict that fills each missing key ``k`` with
-    ``default_factory(k)``."""
-
-    def __missing__(self, key):
-        self[key] = value = self.default_factory(key)
-        return value
-
-
-class _Run:
-    """The memos of one engine run of :func:`simplify`, shared by its
-    steps.
-
-    ``first_rewrites[r, s]`` is the first rewrite of ``r`` by ``s`` that
-    shortens ``r``, or None; the window index of each relator ``r`` that
-    it reads is built once.  ``expansions[s][w]`` is the set of classes
-    that pass-4 state ``w`` reaches by rule ``s``, and ``classes[w]`` the
-    class of rewrite ``w``.
+class _FirstRewrites(dict):
+    """The memo of one engine run of :func:`simplify`, shared by its
+    steps: ``self[r, s]`` is the first rewrite of ``r`` by ``s`` that
+    shortens ``r``, or None.  The window index of each relator ``r``
+    that it reads is built once.
     """
 
     def __init__(self):
-        windows = _Memo(_Windows)
-        # a piece longer than half of s strictly shortens r
-        self.first_rewrites = _Memo(lambda rs: next(_rewrites(
-            windows[rs[0]], _piece_index(rs[1]), len(rs[1]) // 2 + 1), None))
-        self.expansions = {}
-        self.classes = _Memo(words.cyclic_normal_form)
+        self.windows = {}
+
+    def __missing__(self, rs):
+        r, s = rs
+        windows = self.windows.get(r)
+        if windows is None:
+            windows = self.windows[r] = _Windows(r)
+        self[rs] = new = _first_rewrite(windows, _piece_index(s))
+        return new
 
 
-def _shorten_step(p, run):
+def _shorten_step(p, first_rewrites):
     """Rewrite the first relator ``r`` that another relator ``s`` shortens."""
     for i, r in enumerate(p.relators):
         for j, s in enumerate(p.relators):
             if i == j or len(s) > len(r):
                 continue
-            new = run.first_rewrites[r, s]
+            new = first_rewrites[r, s]
             if new is not None:
                 return p.replace_relator(i, new, f"rewritten with relator {j}")
-    return None
-
-
-# -- pass 4: bounded consequence detection ---------------------------------
-
-def _trivializes(target, others, run):
-    """Bounded search showing ``target`` is a consequence of ``others``.
-
-    Breadth-limited rewriting that also admits length-preserving steps;
-    states are deduplicated by cyclic normal form.  A level is searched
-    as a set: its classes, sorted by ``(len, word)``, are cut to the beam,
-    and an empty word anywhere in it is the answer.  The searches share
-    the expansions and rewrite classes of ``run``, a :class:`_Run`.
-    """
-    rules = [(len(s), _piece_index(s), run.expansions.setdefault(s, {}))
-             for s in others if s]
-    if not rules:
-        return False
-    start = _relator_class(target)
-    if not start:
-        return True
-    frontier = [start]
-    seen = {start}
-    for _ in range(_SEARCH_DEPTH):
-        reached = set()
-        for w in frontier:
-            windows = _Windows(w)
-            for m, piece_index, expanded in rules:
-                if m > 2 * len(w):
-                    continue
-                found = expanded.get(w)
-                if found is None:
-                    found = expanded[w] = set(map(
-                        run.classes.__getitem__,
-                        _rewrites(windows, piece_index, (m + 1) // 2)))
-                if () in found:
-                    return True
-                reached |= found
-        reached -= seen
-        seen |= reached
-        frontier = sorted(reached, key=lambda u: (len(u), u))[:_SEARCH_BEAM]
-        if not frontier:
-            return False
-    return False
-
-
-def _consequence_step(p, run):
-    order = sorted(range(len(p.relators)),
-                   key=lambda i: (-len(p.relators[i]), i))
-    for i in order:
-        others = p.relators[:i] + p.relators[i + 1:]
-        if _trivializes(p.relators[i], others, run):
-            return p.remove_relator(i, "consequence of the others")
     return None

@@ -5,7 +5,8 @@ import pytest
 
 from conicline import polys
 from conicline.errors import ParseError
-from conicline.polys import MAX_DEGREE, CurvePoly, format_poly
+from conicline.polys import (MAX_DEGREE, MAX_PRODUCT_TERMS, CurvePoly,
+                             format_poly)
 
 
 def test_parse_and_format():
@@ -42,6 +43,48 @@ def test_oversized_power_is_refused_before_it_is_expanded(monkeypatch):
             CurvePoly.parse(text)
     assert CurvePoly.parse(f"y - x^{MAX_DEGREE}").degx == MAX_DEGREE
     assert CurvePoly.parse(f"(x*y)^{MAX_DEGREE // 2}").degy == MAX_DEGREE // 2
+
+
+class _Unexpandable(dict):
+    """Polynomial numerators whose terms fail the test if a product
+    reads them."""
+
+    def items(self):
+        raise AssertionError("a product was expanded")
+
+
+def test_oversized_product_is_refused_before_it_is_expanded():
+    # the degree and the work of a product are checked from its factors'
+    # sizes and keys, before any pair of terms is multiplied
+    xs = _Unexpandable({(i, 0): 1 for i in range(100)})
+    ys = {(0, j): 1 for j in range(MAX_PRODUCT_TERMS // 100 + 1)}
+    with pytest.raises(ParseError, match=f"at most {MAX_PRODUCT_TERMS}"):
+        polys._mul((xs, 1), (_Unexpandable(ys), 1))
+    with pytest.raises(ParseError, match=f"at most {MAX_DEGREE}"):
+        polys._mul((_Unexpandable({(MAX_DEGREE, 0): 1}), 1),
+                   (_Unexpandable({(0, 1): 1}), 1))
+    # the bounds themselves are accepted
+    ys.pop((0, MAX_PRODUCT_TERMS // 100))
+    nums, _ = polys._mul((dict(xs), 1), (ys, 1))
+    assert len(nums) == MAX_PRODUCT_TERMS
+    nums, _ = polys._mul(({(MAX_DEGREE - 1, 0): 1}, 1), ({(0, 1): 1}, 1))
+    assert nums == {(MAX_DEGREE - 1, 1): 1}
+    # through the text: a product of many factors, and a power of a dense
+    # base, whose exponent and degree pass the power's own check
+    for text in ("y^2-" + "x" * 5000, "(x+y+1)^1000"):
+        with pytest.raises(ParseError, match="a product"):
+            CurvePoly.parse(text)
+    assert CurvePoly.parse("y^2-" + "x" * MAX_DEGREE).degx == MAX_DEGREE
+
+
+def test_deep_nesting_is_a_parse_error():
+    # the parser recurses once per bracket or sign; past the interpreter's
+    # recursion limit the text is refused as malformed, not a crash
+    for text in ("(" * 3000 + "y" + ")" * 3000, "y^2-x*" + "-" * 3000 + "1"):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            CurvePoly.parse(text)
+    assert CurvePoly.parse("(" * 50 + "y" + ")" * 50).degy == 1
+    assert CurvePoly.parse("y^2-x*" + "-" * 50 + "1").degx == 1
 
 
 def test_parse_tokens():

@@ -7,10 +7,10 @@ from conicline import catalog, words
 from conicline.catalog import expected_groups
 from conicline.invariants import invariant_bundle
 from conicline.local_models import generalized_tangency
-from conicline.presentations import Presentation, TietzeMove, replay
+from conicline.presentations import Presentation, replay
 from conicline import tietze
-from conicline.tietze import (_Windows, _elimination_candidate, _piece_index,
-                              _rewrites, simplify)
+from conicline.tietze import (_Windows, _elimination_candidate,
+                              _first_rewrite, _piece_index, simplify)
 from conicline.van_kampen import Factorization, present
 
 CONIC = Presentation(2, [(1, 2, 1, 2), (2, 1, 2, 1)])
@@ -29,14 +29,6 @@ def test_removes_duplicate_relators():
                          (-2, -1, -2, -1)])
     s = simplify(p).presentation
     assert len(s.relators) == 1
-
-
-def test_removes_a_relator_that_the_others_imply():
-    # x1^4 is (x1^2)^2: no earlier pass applies, pass 4 removes it
-    res = simplify(Presentation(1, [(1, 1), (1, 1, 1, 1)]))
-    assert res.presentation == Presentation(1, [(1, 1)])
-    assert res.trace == (TietzeMove("remove_relator",
-                                    (1, "consequence of the others")),)
 
 
 def test_trace_replays_to_same_output():
@@ -153,24 +145,6 @@ def _scan_once(r, s):
     return None
 
 
-def _scan_variants(r, s):
-    """All shortening or length-preserving rewrites, by the nested scan."""
-    m = len(s)
-    out = []
-    if m < 2 or not r:
-        return out
-    doubled = r + r
-    for z in _rotations(s) + _rotations(words.inverse(s)):
-        for piece_len in range(min(m - 1, len(r)), (m - 1) // 2, -1):
-            piece = z[:piece_len]
-            for k in range(len(r)):
-                if doubled[k:k + piece_len] == piece:
-                    rest = doubled[k + piece_len:k + len(r)]
-                    out.append(words.concat(words.inverse(z[piece_len:]),
-                                            rest))
-    return out
-
-
 def _random_cyclic_word(rng, ngen, length):
     w = []
     while len(w) < length:
@@ -182,20 +156,17 @@ def _random_cyclic_word(rng, ngen, length):
 
 
 def _check_piece_finder(r, s):
-    """Both readers of the piece finder agree with the nested scan on
-    ``r`` and ``s``, reusing one window index of ``r`` for both."""
+    """The piece finder agrees with the nested scan on ``r`` and ``s``."""
     assert words.cyclic_reduce(r) == r and words.cyclic_reduce(s) == s
-    index, windows = _piece_index(s), _Windows(r)
-    once = next(_rewrites(windows, index, len(s) // 2 + 1), None)
+    windows = _Windows(r)
+    once = _first_rewrite(windows, _piece_index(s))
     assert once == _scan_once(r, s), (r, s)
-    found = list(_rewrites(windows, index, (len(s) + 1) // 2))
-    assert found == _scan_variants(r, s), (r, s)
-    return once, found, windows
+    return once, windows
 
 
 def test_piece_finder_matches_nested_scan():
     rng = random.Random(20261018)
-    shortened = variants = 0
+    shortened = 0
     for _ in range(2500):
         ngen = rng.randint(1, 3)
         s = _random_cyclic_word(rng, ngen, rng.randint(0, 14))
@@ -205,14 +176,13 @@ def test_piece_finder_matches_nested_scan():
             z = rng.choice(_rotations(s) + _rotations(words.inverse(s)))
             r = words.cyclic_reduce(z[:rng.randint(1, len(s))] + r)[:14]
             r = words.cyclic_reduce(r)
-        once, found, _ = _check_piece_finder(r, s)
+        once, _ = _check_piece_finder(r, s)
         shortened += once is not None
-        variants += len(found)
-    # the planted pieces make both readers do real work
-    assert shortened > 500 and variants > 5000
+    # the planted pieces make the finder do real work
+    assert shortened > 500
     # words of up to 30 letters with several planted pieces, so that one
     # window of r r has several starts for the same rotation of s^±1
-    repeated = variants = 0
+    repeated = 0
     for _ in range(600):
         ngen = rng.randint(1, 3)
         s = _random_cyclic_word(rng, ngen, rng.randint(2, 10))
@@ -223,12 +193,11 @@ def test_piece_finder_matches_nested_scan():
             parts += z[:rng.randint((len(s) + 1) // 2, len(s))]
             parts += _random_cyclic_word(rng, ngen, rng.randint(0, 3))
         r = words.cyclic_reduce(words.cyclic_reduce(parts)[:30])
-        _, found, windows = _check_piece_finder(r, s)
-        variants += len(found)
+        _, windows = _check_piece_finder(r, s)
         repeated += any(len(starts) > 1 and window in _piece_index(s)[1]
                         for starts_of, _ in windows.values()
                         for window, starts in starts_of.items())
-    assert repeated > 300 and variants > 20000
+    assert repeated > 300
 
 
 # -- generator elimination against the per-generator scan it replaced -----
@@ -272,129 +241,6 @@ def test_elimination_candidate_matches_nested_scan():
         assert _elimination_candidate(p) == expected, p.relators
         found += expected is not None
     assert 500 < found < 1900
-
-
-# -- the consequence search against a breadth-first search on the scan -----
-
-def _trivializes_by_nested_scan(target, others):
-    """:func:`tietze._trivializes` with the nested scan as piece finder:
-    the same beam, depth, dedup by cyclic normal form and frontier order."""
-    rules = [s for s in others if s]
-    if not rules:
-        return False
-    start = words.cyclic_normal_form(target)
-    if not start:
-        return True
-    frontier, seen = [start], {start}
-    for _ in range(tietze._SEARCH_DEPTH):
-        next_frontier = []
-        for w in frontier:
-            for s in rules:
-                for new in _scan_variants(w, s):
-                    key = words.cyclic_normal_form(new)
-                    if not key:
-                        return True
-                    if key not in seen:
-                        seen.add(key)
-                        next_frontier.append(key)
-        next_frontier.sort(key=lambda u: (len(u), u))
-        frontier = next_frontier[:tietze._SEARCH_BEAM]
-        if not frontier:
-            return False
-    return False
-
-
-def _conjugates_product(rng, ngen, rules):
-    """A cyclically reduced product of conjugates of ``rules^±1``."""
-    w = ()
-    for _ in range(rng.randint(1, 2)):
-        s = rng.choice(rules)
-        c = _random_cyclic_word(rng, ngen, rng.randint(0, 2))
-        w = words.concat(w, c, s if rng.random() < 0.5 else words.inverse(s),
-                         words.inverse(c))
-    return words.cyclic_reduce(w)
-
-
-def test_consequence_search_matches_nested_scan():
-    rng = random.Random(1)
-    outcomes = []
-    for _ in range(200):
-        ngen = rng.randint(2, 3)
-        rules = [_random_cyclic_word(rng, ngen, rng.randint(2, 6))
-                 for _ in range(rng.randint(1, 3))]
-        if rng.random() < 0.5:
-            target = _conjugates_product(rng, ngen, rules)
-        else:
-            target = _random_cyclic_word(rng, ngen, rng.randint(1, 8))
-        found = tietze._trivializes(target, rules, tietze._Run())
-        assert found == _trivializes_by_nested_scan(target, rules), \
-            (target, rules)
-        outcomes.append(found)
-    assert outcomes.count(True) > 50 and outcomes.count(False) > 50
-
-
-# both searches fill the beam on the way to their answer
-_PAST_THE_BEAM = [
-    ((-1, -2, 1, 2, 1, 1, -2, -1, 2, 1, 1, -2, -2, -2),
-     [(1, -2), (-2, -1, -1)], True),
-    ((-2, -2, 3, 3, 1, 2, 1, 2, 2, 2, 3, -2, 1, 1, 3),
-     [(2, 2, -3), (1, -2)], False),
-]
-
-
-@pytest.mark.parametrize("target, rules, expected", _PAST_THE_BEAM)
-def test_consequence_search_matches_nested_scan_past_the_beam(
-        target, rules, expected):
-    assert tietze._trivializes(target, rules, tietze._Run()) is expected
-    assert _trivializes_by_nested_scan(target, rules) is expected
-
-
-def _consequence_by_nested_scan(p):
-    """The relator that pass 4 removes, by a fresh nested-scan search per
-    target in pass-4 order (longest first), or None."""
-    order = sorted(range(len(p.relators)),
-                   key=lambda i: (-len(p.relators[i]), i))
-    for i in order:
-        others = p.relators[:i] + p.relators[i + 1:]
-        if _trivializes_by_nested_scan(p.relators[i], others):
-            return i
-    return None
-
-
-def test_consequence_step_memo_matches_a_search_per_target():
-    # the searches of one run share their expansions and classes, and
-    # here one run serves every step: on each presentation, the step
-    # removes the relator that a fresh nested-scan search per target
-    # finds first, or none, whatever the earlier steps left in the memos
-    rng = random.Random(20261022)
-    cases = [(words.max_generator(target), [target, *rules])
-             for target, rules, _ in _PAST_THE_BEAM]
-    for _ in range(40):
-        ngen = rng.randint(2, 3)
-        rules = [_random_cyclic_word(rng, ngen, rng.randint(2, 6))
-                 for _ in range(rng.randint(2, 3))]
-        extra = [_conjugates_product(rng, ngen, rules)
-                 if rng.random() < 0.5
-                 else _random_cyclic_word(rng, ngen, rng.randint(1, 8))
-                 for _ in range(rng.randint(1, 2))]
-        cases.append((ngen, rules + extra))
-    removed = kept = 0
-    run = tietze._Run()
-    for ngen, relators in cases:
-        p = Presentation(ngen, relators)
-        if len(p.relators) < 2:
-            continue
-        want = _consequence_by_nested_scan(p)
-        step = tietze._consequence_step(p, run)
-        if want is None:
-            assert step is None, p.relators
-            kept += 1
-        else:
-            assert step == p.remove_relator(want), p.relators
-            assert step.trace == (TietzeMove(
-                "remove_relator", (want, "consequence of the others")),)
-            removed += 1
-    assert removed > 15 and kept > 10
 
 
 # -- traces replay bit-for-bit: digests recorded before the piece finder ----
@@ -449,9 +295,9 @@ def _clear_process_memos():
 
 
 def test_process_memos_are_the_pure_ones():
-    # what a run reuses lives in its _Run; only the simplify memo and the
-    # two pure memos of one word outlive a run, and no module-level dict
-    # serves as a memo
+    # what a run reuses lives in its _FirstRewrites; only the simplify
+    # memo and the two pure memos of one word outlive a run, and no
+    # module-level dict serves as a memo
     assert sorted(_process_memos()) == [
         "_piece_index", "_relator_class", "_simplified"]
     assert not [name for name, value in vars(tietze).items()

@@ -1,9 +1,11 @@
 import pytest
 
-from conicline import words
-from conicline.braids import BraidWord, action_equal, full_twist, half_twist
+from conicline import braids, words
+from conicline.braids import (BraidWord, action_equal, artin_apply,
+                              full_twist, half_twist, standard_gbase)
 from conicline.catalog import CONIC_PAIR_TABLE
-from conicline.errors import BadPair, ParseError, StrandMismatch
+from conicline.errors import (BadPair, BudgetExceeded, ParseError,
+                              StrandMismatch)
 from conicline.invariants import invariant_bundle
 from conicline.presentations import Presentation
 from conicline.tietze import simplify
@@ -100,3 +102,27 @@ def test_product_of_assembled_factors_for_conic_pair_is_full_twist():
     for factor in f.factors:
         prod = prod * factor
     assert action_equal(prod, full_twist(f.strands, 1, f.strands))
+
+
+def test_growing_base_is_refused_before_its_images_are_built(monkeypatch):
+    # s1 s2 on three strands builds images of 5, then 7 letters, with no
+    # cancellation: the bound is checked before each letter's images
+    b = BraidWord(3, (1, 2))
+    base = standard_gbase(3)
+    assert sum(map(len, artin_apply(b, base))) == 7
+    monkeypatch.setattr(braids, "MAX_BASE_LETTERS", 7)
+    assert sum(map(len, artin_apply(b, base))) == 7
+
+    def never(*parts):
+        raise AssertionError("an image was built")
+
+    monkeypatch.setattr(braids, "MAX_BASE_LETTERS", 4)
+    monkeypatch.setattr(words, "concat", never)
+    with pytest.raises(BudgetExceeded, match="exceed 4 letters"):
+        artin_apply(b, base)
+    monkeypatch.undo()
+    # twenty factors s1 s2^-1 ask for images that grow about sevenfold per
+    # two factors; the default bound refuses them
+    text = "strands: 3\n" + " ".join(["s1 s2^-1"] * 20) + "\n"
+    with pytest.raises(BudgetExceeded, match=f"{braids.MAX_BASE_LETTERS}"):
+        present(parse_sweep(text))
