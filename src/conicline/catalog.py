@@ -12,12 +12,10 @@ two tangent conics with up to two extra lines; :func:`expected_groups`
 exposes them by name.
 """
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .errors import ConiclineError, UnknownModel
 from .invariants import bigness_certificate, compare
 from .presentations import Presentation
+from .records import FrozenRecord, Record
 from .van_kampen import parse_sweep, present
 from .words import relator
 
@@ -172,8 +170,7 @@ _PUB_TWO_LINES_TANGENT_PAIR = Presentation(6, [
 
 # -- entries ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ArrangementEntry:
+class ArrangementEntry(FrozenRecord):
     """One arrangement with its verification data.
 
     ``description`` names the arrangement in the ``verify-paper`` report.
@@ -185,11 +182,10 @@ class ArrangementEntry:
     derived presentation, or in the expected group when there is none.
     """
 
-    id: str
-    description: str
-    source: Optional[tuple]
-    expected: Presentation
-    bigness_kill: tuple = ()
+    __slots__ = ("id", "description", "source", "expected", "bigness_kill")
+
+    def __init__(self, id, description, source, expected, bigness_kill=()):
+        self._fill(id, description, source, expected, bigness_kill)
 
 
 _ENTRIES = [
@@ -312,16 +308,19 @@ def get_entry(id):
 
 # -- verification -----------------------------------------------------------
 
-@dataclass
-class VerificationReport:
-    entry_id: str
-    description: str
-    stages: tuple            # names of the pipeline stages that ran
-    verdict: str             # "equivalent" | "distinct" | "inconclusive"
-    computed_bundle: Optional[dict]
-    expected_bundle: dict
-    bigness: Optional[tuple]
-    detail: str = ""
+class VerificationReport(Record):
+    """One entry's outcome: the names of the pipeline ``stages`` that ran,
+    the ``verdict`` (``equivalent``, ``distinct`` or ``inconclusive``),
+    the computed bundle as a dict (``None`` without derivation data), the
+    expected bundle, and the bigness step names (``None`` on failure)."""
+
+    __slots__ = ("entry_id", "description", "stages", "verdict",
+                 "computed_bundle", "expected_bundle", "bigness", "detail")
+
+    def __init__(self, entry_id, description, stages, verdict,
+                 computed_bundle, expected_bundle, bigness, detail=""):
+        self._fill(entry_id, description, stages, verdict, computed_bundle,
+                   expected_bundle, bigness, detail)
 
     @property
     def passed(self):

@@ -14,14 +14,13 @@
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import words
 from .errors import BudgetExceeded, ScriptStepFailed
 from .presentations import Presentation, replay
+from .records import FrozenRecord, Record
 from .tietze import simplify
 
 # Rows a hom count may enumerate before its target is skipped, read at
@@ -76,10 +75,13 @@ def smith_normal_form(matrix):
     return diag + [0] * (size - len(diag))
 
 
-@dataclass(frozen=True)
-class Abelianization:
-    free_rank: int
-    torsion: tuple
+class Abelianization(FrozenRecord):
+    """The free rank and the torsion coefficients, each above 1."""
+
+    __slots__ = ("free_rank", "torsion")
+
+    def __init__(self, free_rank, torsion):
+        self._fill(free_rank, torsion)
 
     def as_dict(self):
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
@@ -108,17 +110,14 @@ def abelianization(p):
 # -- finite target groups --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupTable:
-    """A finite group as a multiplication table over ``0 .. size-1``."""
+class GroupTable(FrozenRecord):
+    """A finite group as a multiplication table over ``0 .. size-1``:
+    ``mult[a][b]`` is ``a b``, and ``inverse[a]`` is ``a^-1``."""
 
-    name: str
-    size: int
-    mult: tuple      # mult[a][b]
-    inverse: tuple
-    identity: int = 0
+    __slots__ = ("name", "size", "mult", "inverse", "identity")
 
-    def __post_init__(self):
+    def __init__(self, name, size, mult, inverse, identity=0):
+        self._fill(name, size, mult, inverse, identity)
         for a in range(self.size):
             if self.mult[self.identity][a] != a or self.mult[a][self.identity] != a:
                 raise ValueError("identity element is wrong")
@@ -392,10 +391,14 @@ def count_homs(p, table):
 # -- bundles and comparison ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvariantBundle:
-    abelianization: Abelianization
-    hom_counts: tuple  # ((target name, count), ...)
+class InvariantBundle(FrozenRecord):
+    """An :class:`Abelianization` and ``hom_counts``, a tuple of
+    ``(target name, count)``."""
+
+    __slots__ = ("abelianization", "hom_counts")
+
+    def __init__(self, abelianization, hom_counts):
+        self._fill(abelianization, hom_counts)
 
     def as_dict(self):
         return {"abelianization": self.abelianization.as_dict(),
@@ -437,14 +440,15 @@ def _canonical_multiset(relators):
     return tuple(sorted(filter(None, map(words.cyclic_normal_form, relators))))
 
 
-@dataclass
-class ComparisonVerdict:
-    kind: str                      # "equivalent" | "distinct" | "inconclusive"
-    witness: Optional[tuple] = None
-    trace1: tuple = ()
-    trace2: tuple = ()
-    bundle1: Optional[InvariantBundle] = None
-    bundle2: Optional[InvariantBundle] = None
+class ComparisonVerdict(Record):
+    """``kind`` is ``equivalent``, ``distinct`` or ``inconclusive``;
+    ``witness`` is ``(invariant, left, right)`` for ``distinct``."""
+
+    __slots__ = ("kind", "witness", "trace1", "trace2", "bundle1", "bundle2")
+
+    def __init__(self, kind, witness=None, trace1=(), trace2=(), bundle1=None,
+                 bundle2=None):
+        self._fill(kind, witness, trace1, trace2, bundle1, bundle2)
 
     def as_dict(self):
         out = {"kind": self.kind}
@@ -459,15 +463,39 @@ class ComparisonVerdict:
         return out
 
 
+def _signatures(relators, n):
+    """Each generator's signature over canonical relators: the sorted
+    ``(relator length, count of letters +-g, |exponent sum of g|)`` per
+    relator, which a signed relabelling carries to its image's."""
+    sigs = [[] for _ in range(n + 1)]
+    for r in relators:
+        count, total = [0] * (n + 1), [0] * (n + 1)
+        for a in r:
+            count[abs(a)] += 1
+            total[abs(a)] += 1 if a > 0 else -1
+        for g in range(1, n + 1):
+            sigs[g].append((len(r), count[g], abs(total[g])))
+    return [sorted(s) for s in sigs]
+
+
 def _relabel_moves(q1, q2):
-    """A relabelling of ``q1`` onto ``q2``'s relator multiset, as moves."""
+    """A relabelling of ``q1`` onto ``q2``'s relator multiset, as moves.
+
+    Signed relabellings are tried in ``itertools`` order, and a
+    permutation that sends a generator to one of another signature is
+    skipped with all its signs: none of them can match.
+    """
     if q1.ngen != q2.ngen or len(q1.relators) != len(q2.relators):
         return None
     n = q1.ngen
     if n > 7:
         return None
     target = _canonical_multiset(q2.relators)
+    sig1 = _signatures(_canonical_multiset(q1.relators), n)
+    sig2 = _signatures(target, n)
     for perm in itertools.permutations(range(1, n + 1)):
+        if any(sig1[g] != sig2[perm[g - 1]] for g in range(1, n + 1)):
+            continue
         for signs in itertools.product((1, -1), repeat=n):
             old_in_new = {g: (signs[g - 1] * perm[g - 1],)
                           for g in range(1, n + 1)}
@@ -529,11 +557,14 @@ _CONIC_RELATOR = words.cyclic_normal_form((1, 2, 1, 2))
 _BRAID_RELATOR = words.cyclic_normal_form((1, 2, 1, 2, -1, -2, -1, -2))
 
 
-@dataclass
-class BignessReport:
-    steps: tuple
-    final: Presentation
-    trace: tuple
+class BignessReport(Record):
+    """The certificate's ``(step, detail)`` pairs, its final
+    presentation and the moves that reached it."""
+
+    __slots__ = ("steps", "final", "trace")
+
+    def __init__(self, steps, final, trace):
+        self._fill(steps, final, trace)
 
     def as_dict(self):
         return {"steps": [{"step": s, "detail": d} for s, d in self.steps],

@@ -12,32 +12,46 @@ re-tracked from their equation; their relation sets are still checked
 against the catalog braid at the group level.
 """
 
-from dataclasses import dataclass
-
 from . import words
 from .braids import (BraidWord, block_around, full_twist, half_block_around,
                      half_twist)
 from .errors import UnknownModel
 from .polys import CurvePoly
+from .records import FrozenRecord
 
 
-@dataclass(frozen=True)
-class LocalModel:
-    id: str
-    equation: CurvePoly
-    strands: int
-    braid: BraidWord
-    half_braid: BraidWord
-    paper_relations: tuple
-    provenance: str  # "formula" | "tracked"
+class LocalModel(FrozenRecord):
+    """One local model; ``provenance`` is ``formula`` or ``tracked``.
+
+    ``equation`` is given as text, kept as ``equation_text``, and parsed
+    into a :class:`CurvePoly` on first use of ``.equation``: the catalog
+    is built at import, and most commands never read an equation.
+    """
+
+    _fields = ("id", "equation", "strands", "braid", "half_braid",
+               "paper_relations", "provenance")
+    __slots__ = ("id", "equation_text", "strands", "braid", "half_braid",
+                 "paper_relations", "provenance", "_equation")
+
+    def __init__(self, id, equation, strands, braid, half_braid,
+                 paper_relations, provenance):
+        self._fill(id, equation, strands, braid, half_braid, paper_relations,
+                   provenance, None)
+
+    @property
+    def equation(self):
+        if self._equation is None:
+            object.__setattr__(self, "_equation",
+                               CurvePoly.parse(self.equation_text))
+        return self._equation
 
 
 def _build_catalog():
     models = []
 
     def add(id, eq, strands, braid, half, relations, provenance="formula"):
-        models.append(LocalModel(id, CurvePoly.parse(eq), strands, braid,
-                                 half, tuple(relations), provenance))
+        models.append(LocalModel(id, eq, strands, braid, half,
+                                 tuple(relations), provenance))
 
     s1 = BraidWord(2, (1,))
     add("branch-point", "y^2 - x", 2, s1, s1, [words.relator((1,), (2,))])

@@ -7,19 +7,17 @@ Presentations are immutable; each move returns a new presentation whose
 :func:`replay` reapplies a trace deterministically.
 """
 
-from dataclasses import dataclass
-
 from . import words
 from .errors import (ConiclineError, DefinitionContainsTarget, MapsNotInverse,
                      ParseError)
+from .records import FrozenRecord
 
 # The largest count of a text header, generators or strands: each
 # generator or strand costs work before any relator or factor is read.
 MAX_HEADER_COUNT = 1000
 
 
-@dataclass(frozen=True)
-class TietzeMove:
+class TietzeMove(FrozenRecord):
     """One invertible presentation move.
 
     ``kind`` is one of ``eliminate``, ``remove_relator``,
@@ -28,8 +26,10 @@ class TietzeMove:
     arguments of the method that replays it.
     """
 
-    kind: str
-    data: tuple
+    __slots__ = ("kind", "data")
+
+    def __init__(self, kind, data):
+        self._fill(kind, data)
 
     def __repr__(self):
         return f"TietzeMove({self.kind}, {self.data!r})"

@@ -51,21 +51,24 @@ running out of budget only means failure-to-match within budget.
 """
 
 import functools
-from dataclasses import dataclass
 
 from . import words
-from .presentations import Presentation, _build
+from .presentations import _build
+from .records import Record
 
 # Steps per ``simplify`` call, read at each call: every caller's budget,
 # verification and ``conicline simplify`` included.
 SIMPLIFY_BUDGET = 20000
 
 
-@dataclass
-class SimplifyResult:
-    presentation: Presentation
-    trace: tuple
-    exhausted: bool
+class SimplifyResult(Record):
+    """The simplified presentation, the moves that made it, and whether
+    the budget ran out."""
+
+    __slots__ = ("presentation", "trace", "exhausted")
+
+    def __init__(self, presentation, trace, exhausted):
+        self._fill(presentation, trace, exhausted)
 
 
 def simplify(p):

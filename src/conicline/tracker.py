@@ -31,7 +31,6 @@ import cmath
 import functools
 import numbers
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +40,7 @@ from .errors import (AmbiguousMatching, CollisionOnLoop, ConiclineError,
                      LeadingCoefficientVanishes, NoConvergence)
 # the benchmark workloads read format_poly from this module
 from .polys import CurvePoly, format_poly  # noqa: F401
+from .records import FrozenRecord, Record
 
 # order key rotation; breaks real-part ties by imaginary part
 _TIE_DELTA = 1e-3
@@ -222,13 +222,14 @@ def _discriminant_roots(coeffs):
     return tuple(np.roots(disc[:deg + 1][::-1]).tolist())
 
 
-@dataclass(frozen=True)
-class LoopSpec:
-    center: complex = 0j
-    radius: Fraction = Fraction(1)
-    samples: int = 256
+class LoopSpec(FrozenRecord):
+    """The loop ``center + radius * exp(2 pi i t)``, sampled at
+    ``samples`` points."""
 
-    def __post_init__(self):
+    __slots__ = ("center", "radius", "samples")
+
+    def __init__(self, center=0j, radius=Fraction(1), samples=256):
+        self._fill(center, radius, samples)
         if not (0 < self.radius <= sys.float_info.max
                 and cmath.isfinite(complex(self.center))):
             raise ConiclineError("need a finite center and a finite radius > 0")
@@ -258,12 +259,14 @@ class LoopSpec:
         return np.where(past, x.conj(), x)
 
 
-@dataclass
-class TrackedBraid:
-    braid: BraidWord
-    permutation: tuple
-    min_gap: float
-    refinements: int
+class TrackedBraid(Record):
+    """A tracked braid, its permutation, the least gap between strands
+    seen, and the count of bisections."""
+
+    __slots__ = ("braid", "permutation", "min_gap", "refinements")
+
+    def __init__(self, braid, permutation, min_gap, refinements):
+        self._fill(braid, permutation, min_gap, refinements)
 
 
 def track(p, loop, t0=0.0, t1=1.0):

@@ -14,37 +14,35 @@ factorization row with a braid generator.  :func:`parse_sweep` reads
 either, and :func:`format_factorization` writes the factorization form.
 """
 
-from dataclasses import dataclass
-
 from . import words
 from .braids import (BraidWord, artin_apply, half_twist, parse_braid,
                      format_braid, standard_gbase)
 from .errors import BadPair, ParseError, StrandMismatch
 from .presentations import Presentation, read_header
+from .records import FrozenRecord
 
 
-@dataclass(frozen=True)
-class Factorization:
-    strands: int
-    factors: tuple
+class Factorization(FrozenRecord):
+    """One braid per singular fiber, in sweep order, on ``strands``."""
 
-    def __post_init__(self):
+    __slots__ = ("strands", "factors")
+
+    def __init__(self, strands, factors):
+        self._fill(strands, factors)
         for f in self.factors:
             if f.strands != self.strands:
                 raise StrandMismatch("factor strand count differs from "
                                      "factorization")
 
 
-@dataclass(frozen=True)
-class MTRow:
-    """One table row: a Lefschetz pair, its degree and diffeomorphism."""
+class MTRow(FrozenRecord):
+    """One table row: a Lefschetz pair ``(a, b)`` of 1-based strand
+    positions, its degree ``epsilon`` and its diffeomorphism ``delta``."""
 
-    index: int
-    pair: tuple        # (a, b), 1-based strand positions
-    epsilon: int
-    delta: BraidWord
+    __slots__ = ("index", "pair", "epsilon", "delta")
 
-    def __post_init__(self):
+    def __init__(self, index, pair, epsilon, delta):
+        self._fill(index, pair, epsilon, delta)
         a, b = self.pair
         if not 1 <= a < b:
             raise BadPair(f"bad Lefschetz pair {self.pair}")

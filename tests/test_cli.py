@@ -136,6 +136,31 @@ def test_invariants_of_ten_random_relators_finish(tmp_path):
     assert "abelianization torsion: []" in proc.stdout
 
 
+def test_import_generates_no_code_and_parses_no_equation():
+    code = """
+import sys
+from conicline.polys import CurvePoly, format_poly
+parsed = []
+parse = CurvePoly.parse.__func__
+CurvePoly.parse = classmethod(
+    lambda cls, text: parsed.append(text) or parse(cls, text))
+import conicline.cli
+assert "dataclasses" not in sys.modules
+assert parsed == [], parsed
+from conicline.local_models import get_model, list_models
+for name in list_models():
+    model = get_model(name)
+    text = format_poly(model.equation)
+    assert model.equation is model.equation, name
+    assert format_poly(CurvePoly.parse(model.equation_text)) == text, name
+    assert CurvePoly.parse(text).coeffs == model.equation.coeffs, name
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+
+
 def test_bigness(tmp_path, capsys):
     conic = tmp_path / "conic.pres"
     conic.write_text("gens: 2\nx1 x2 x1 x2\nx2 x1 x2 x1\n")

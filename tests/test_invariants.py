@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from conicline import catalog, invariants
+from conicline import catalog, invariants, words
 from conicline.errors import BudgetExceeded, ScriptStepFailed
 from conicline.invariants import (GroupTable,
                                   _cached_straight_line,
@@ -542,6 +542,95 @@ def test_compare_is_inconclusive_when_no_relabelling_matches():
     assert invariant_bundle(p).abelianization.free_rank == 1
     assert invariant_bundle(p).hom_counts == (("S3", 12), ("S4", 96))
     assert compare(p, q).kind == "inconclusive"
+
+
+def _brute_relabel_moves(q1, q2):
+    """The reference: every signed relabelling in ``itertools`` order."""
+    if q1.ngen != q2.ngen or len(q1.relators) != len(q2.relators):
+        return None
+    n = q1.ngen
+    target = invariants._canonical_multiset(q2.relators)
+    for perm in itertools.permutations(range(1, n + 1)):
+        for signs in itertools.product((1, -1), repeat=n):
+            old_in_new = {g: (signs[g - 1] * perm[g - 1],)
+                          for g in range(1, n + 1)}
+            mapped = [words.substitute_letters(r, old_in_new)
+                      for r in q1.relators]
+            if invariants._canonical_multiset(mapped) == target:
+                new_in_old = {perm[g - 1]: (signs[g - 1] * g,)
+                              for g in range(1, n + 1)}
+                return (q1.change_generators(new_in_old,
+                                             old_in_new).trace[-1],)
+    return None
+
+
+def _candidates_substituted(monkeypatch, q1, q2):
+    """``_relabel_moves(q1, q2)`` and the count of relabellings it
+    substituted into ``q1``'s relators."""
+    calls = []
+    real = words.substitute_letters
+
+    def counted(w, images):
+        calls.append(w)
+        return real(w, images)
+
+    monkeypatch.setattr(words, "substitute_letters", counted)
+    moves = invariants._relabel_moves(q1, q2)
+    monkeypatch.undo()
+    # a match substitutes the relators once more, in change_generators
+    return moves, sum(w == q1.relators[0] for w in calls) - bool(moves)
+
+
+def test_relabelling_skips_permutations_of_other_signatures(monkeypatch):
+    def comm(a, b):
+        return relator((a, b), (b, a))
+
+    # three commutators against two and x5 x6 x5 x6^-1: every one of the
+    # 6! * 2^6 = 46080 signed relabellings was substituted, and none can
+    # match, as x5 of the second occurs twice with exponent sum 2
+    q1 = Presentation(6, [comm(1, 2), comm(3, 4), comm(5, 6)])
+    q2 = Presentation(6, [comm(1, 2), comm(3, 4), (5, 6, 5, -6)])
+    assert _candidates_substituted(monkeypatch, q1, q2) == (None, 0)
+    # the same relators relabelled: only permutations that send x5 to x4,
+    # the one generator of its signature, are tried (2881 relabellings
+    # where every one tries 14529), and the first match is still the
+    # first in itertools order
+    q3 = Presentation(6, [(5, 6, 5, -6), comm(3, 4), comm(1, 2)])
+    q4 = Presentation(6, [comm(6, 2), (-4, 1, -4, -1), comm(5, 3)])
+    moves, tried = _candidates_substituted(monkeypatch, q3, q4)
+    assert moves == _brute_relabel_moves(q3, q4) is not None
+    assert tried == 2881
+
+
+def test_relabelling_finds_the_brute_force_first_match():
+    rng = random.Random(20)
+    cases = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        rels = [tuple(rng.choice((1, -1)) * rng.randint(1, n)
+                      for _ in range(rng.randint(1, 6)))
+                for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:  # symmetric relators share signatures
+            rels = [(1, 2, -1, -2)] * 2 + rels[:1] if n >= 2 else rels
+        q1 = Presentation(n, rels)
+        perm = rng.sample(range(1, n + 1), n)
+        images = {g: (rng.choice((1, -1)) * perm[g - 1],)
+                  for g in range(1, n + 1)}
+        mapped = []
+        for r in q1.relators:
+            r = words.substitute_letters(r, images)
+            if r and rng.random() < 0.5:
+                r = words.inverse(r)
+            k = rng.randrange(len(r)) if r else 0
+            mapped.append(r[k:] + r[:k])
+        rng.shuffle(mapped)
+        q2 = Presentation(n, mapped)
+        if rng.random() < 0.3:  # mostly no match
+            q2 = Presentation(n, mapped[1:] + [(1,) * (len(mapped[0]) or 1)])
+        moves = invariants._relabel_moves(q1, q2)
+        assert moves == _brute_relabel_moves(q1, q2)
+        cases += moves is not None
+    assert cases >= 30
 
 
 def test_skipped_hom_counts_are_never_witnesses(monkeypatch):
