@@ -19,7 +19,9 @@ from .errors import (BadBlock, BudgetExceeded, NonAdjacentMover, ParseError,
 # The most letters that the image words of a base may hold together,
 # checked before each letter's images are built: a short braid such as
 # (s1 s2^-1)^k grows its images exponentially in k.  Far above the 16869
-# of the random braids of the tests and the 269 of the benchmark.
+# of the random braids of the tests and the 269 of the benchmark; one CLI
+# test builds 134207 on purpose, to hand simplify relators too long to
+# index.
 MAX_BASE_LETTERS = 10 ** 6
 
 

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import words
 from .errors import BudgetExceeded, ScriptStepFailed
-from .presentations import Presentation, replay
+from .presentations import Presentation, generator_change, replay
 from .records import FrozenRecord, Record
-from .tietze import simplify
+from .tietze import _relator_class, simplify
 
 # Rows a hom count may enumerate before its target is skipped, read at
 # each call: ``count_homs`` and ``invariant_bundle``.
@@ -437,7 +437,8 @@ def invariant_bundle(p, targets=("S3", "S4")):
 
 
 def _canonical_multiset(relators):
-    return tuple(sorted(filter(None, map(words.cyclic_normal_form, relators))))
+    # the classes of simplified relators, mostly found by Tietze pass 1
+    return tuple(sorted(filter(None, map(_relator_class, relators))))
 
 
 class ComparisonVerdict(Record):
@@ -483,7 +484,10 @@ def _relabel_moves(q1, q2):
 
     Signed relabellings are tried in ``itertools`` order, and a
     permutation that sends a generator to one of another signature is
-    skipped with all its signs: none of them can match.
+    skipped with all its signs: none of them can match.  A relabelling
+    is dropped at the first relator whose image is in no class of
+    ``q2``'s relators.  The match is a signed permutation and its
+    inverse, so its move is recorded without rewriting ``q1`` again.
     """
     if q1.ngen != q2.ngen or len(q1.relators) != len(q2.relators):
         return None
@@ -491,6 +495,7 @@ def _relabel_moves(q1, q2):
     if n > 7:
         return None
     target = _canonical_multiset(q2.relators)
+    classes = set(target)
     sig1 = _signatures(_canonical_multiset(q1.relators), n)
     sig2 = _signatures(target, n)
     for perm in itertools.permutations(range(1, n + 1)):
@@ -499,14 +504,24 @@ def _relabel_moves(q1, q2):
         for signs in itertools.product((1, -1), repeat=n):
             old_in_new = {g: (signs[g - 1] * perm[g - 1],)
                           for g in range(1, n + 1)}
-            mapped = [words.substitute_letters(r, old_in_new)
-                      for r in q1.relators]
-            if _canonical_multiset(mapped) == target:
+            if _relabelled(q1.relators, old_in_new, classes) == target:
                 new_in_old = {perm[g - 1]: (signs[g - 1] * g,)
                               for g in range(1, n + 1)}
-                return (q1.change_generators(new_in_old,
-                                             old_in_new).trace[-1],)
+                return (generator_change(new_in_old, old_in_new),)
     return None
+
+
+def _relabelled(relators, images, classes):
+    """The canonical multiset of ``relators`` relabelled by ``images``,
+    or None at the first image in none of ``classes``.  Each image's
+    class is computed afresh, so no memo keeps the images tried."""
+    mapped = []
+    for r in relators:
+        c = words.cyclic_normal_form(words.substitute_letters(r, images))
+        if c and c not in classes:
+            return None
+        mapped.append(c)
+    return tuple(sorted(filter(None, mapped)))
 
 
 def compare(p1, p2):

@@ -82,8 +82,12 @@ class Presentation:
         images = {h: (h,) if h < g else (h - 1,)
                   for h in range(1, self.ngen + 1) if h != g}
         images[g] = words.substitute_letters(definition, images)
+        # a relator without x_g only renumbers, and stays reduced
         rels = tuple(_relator(words.substitute_letters(r, images),
-                              self.ngen - 1) for r in self.relators)
+                              self.ngen - 1) if g in r or -g in r
+                     else tuple([a - 1 if a > g else a + 1 if a < -g else a
+                                 for a in r])
+                     for r in self.relators)
         move = TietzeMove("eliminate", (g, definition))
         return _build(self.ngen - 1, rels, self.trace + (move,))
 
@@ -138,9 +142,15 @@ class Presentation:
                     f"new generator {h} does not round-trip")
         rels = tuple(_relator(words.substitute_letters(r, old_in_new),
                               self.ngen) for r in self.relators)
-        move = TietzeMove("change_generators",
-                          (_freeze_map(new_in_old), _freeze_map(old_in_new)))
+        move = generator_change(new_in_old, old_in_new)
         return _build(self.ngen, rels, self.trace + (move,))
+
+
+def generator_change(new_in_old, old_in_new):
+    """The move that :meth:`Presentation.change_generators` records for
+    these two dicts, made without checking or applying it."""
+    return TietzeMove("change_generators",
+                      (_freeze_map(new_in_old), _freeze_map(old_in_new)))
 
 
 def _build(ngen, relators, trace):

@@ -22,7 +22,10 @@ its keys' hashes, finds every start where a piece can begin, and each
 hit is extended letter by letter along the doubled relator.  The first
 rewrite in scan order (by rotation, longer pieces first, then by start
 in ``r``) is the least hit; only its rotation is sliced out, and the
-rewrite cancels letters only where its two parts meet.
+rewrite cancels letters only where its two parts meet.  Both indexes
+grow with the square of a relator's length, so a pair whose indexes
+would copy more than ``MAX_INDEX_LETTERS`` letters is refused with
+:class:`BudgetExceeded` before either is built.
 
 Work is memoised by value, never by identity, at two scopes:
 
@@ -31,15 +34,17 @@ Work is memoised by value, never by identity, at two scopes:
   constant never meets a stale result (the moves never depend on the
   input's trace, so each call appends the stored moves to its own), and
   two pure memos of one word, each relator's piece index and its cyclic
-  normal form (the pass-1 key), whose reuse crosses runs: 39 of 233 and
-  400 of 1053 lookups in a ``catalog`` benchmark pass hit an entry made
-  by an earlier run;
+  normal form (the pass-1 key), whose reuse crosses runs: 39 of 210 and
+  398 of 908 lookups in a ``catalog`` benchmark pass hit an entry made
+  by an earlier run.  :func:`invariants.compare` reads the class memo
+  too, for the relators of simplified presentations: each of its 80
+  lookups in that pass hits a class that a run found;
 * per run (a :class:`_FirstRewrites`, made for each engine run of
   :func:`simplify` and shared by its steps): the first pass-3 rewrite
   of ``r`` by ``s`` (or none) for each pair ``(r, s)``, so a step pays
   only for the pairs that the last move changed, and the window index of
   each relator that it reads.  These die with the run: only 11 of the
-  233 first rewrites found in a ``catalog`` pass, and none of 120 in a
+  210 first rewrites found in a ``catalog`` pass, and none of 120 in a
   ``tangency`` pass, had been found by an earlier run, and a memo kept
   per process would grow with every presentation simplified.  Kept for
   one step only, a relator's window index was rebuilt 35 times of the
@@ -53,12 +58,21 @@ running out of budget only means failure-to-match within budget.
 import functools
 
 from . import words
+from .errors import BudgetExceeded
 from .presentations import _build
 from .records import Record
 
 # Steps per ``simplify`` call, read at each call: every caller's budget,
 # verification and ``conicline simplify`` included.
 SIMPLIFY_BUDGET = 20000
+
+# The most letters that one pass-3 index of a pair of relators may copy,
+# checked before either index is built: the piece index of ``s`` holds
+# ``2 len(s)`` prefixes of ``(len(s) + 1) // 2`` letters, and the window
+# index of ``r`` ``len(r)`` windows as long, so both grow with the square
+# of a relator's length.  Far above the largest index that the tests
+# build, 121104 letters, and the 784 of the benchmark.
+MAX_INDEX_LETTERS = 10 ** 7
 
 
 class SimplifyResult(Record):
@@ -258,6 +272,10 @@ class _FirstRewrites(dict):
 
     def __missing__(self, rs):
         r, s = rs
+        if max(2 * len(s), len(r)) * ((len(s) + 1) // 2) > MAX_INDEX_LETTERS:
+            raise BudgetExceeded(f"the pass-3 indexes of a relator of "
+                                 f"{len(r)} letters and one of {len(s)} "
+                                 f"would exceed {MAX_INDEX_LETTERS} letters")
         windows = self.windows.get(r)
         if windows is None:
             windows = self.windows[r] = _Windows(r)

@@ -139,11 +139,11 @@ def _least_rotation(w):
 
 
 def generators_of(w):
-    return {abs(a) for a in w}
+    return set(map(abs, w))
 
 
 def max_generator(w):
-    return max((abs(a) for a in w), default=0)
+    return max(map(abs, w), default=0)
 
 
 def substitute_letters(w, images):

@@ -118,7 +118,7 @@ def _digest(x):
 # compare(subject, expected) and bigness certificate
 ENTRY_TRACE_DIGESTS = {
     "conic-pair":
-        "1226b19bd69b1eac9683a2b01e83b5558829d7320f884b1239cada5d1ca6ed2a",
+        "e88bdc68b0de4dea99ccade9b51f58b475ffb6eb2ecab1aec294efcd3c5ad9e5",
     "listing-triple-square":
         "90da00cf6ea982dbf3c40d199b21f98b3c2917a5303655c65f27745d62db7325",
     "listing-z-plus-free":

@@ -225,6 +225,22 @@ def test_present_reads_lefschetz_table_without_flag(tmp_path, capsys):
     assert plain.split() == ["gens:", "3", "x2", "x1^-1", "x1", "x2^-1"]
 
 
+def test_simplify_refuses_a_relator_too_long_to_index(tmp_path, capsys):
+    # the factor u^-1 s1 u with u = (s1 s2^-1)^6, written as a bare word:
+    # its relators of up to 67104 letters would need pass-3 indexes of
+    # billions of letters
+    fact = tmp_path / "f.txt"
+    fact.write_text("strands: 3\n" + " ".join(["s2 s1^-1"] * 6 + ["s1"]
+                                              + ["s1 s2^-1"] * 6) + "\n")
+    code, out, _ = run(capsys, "present", "--factorization", str(fact))
+    assert code == 0
+    pres = tmp_path / "raw.pres"
+    pres.write_text(out)
+    code, out, err = run(capsys, "simplify", "--presentation", str(pres))
+    assert code == 2 and out == ""
+    assert "pass-3 indexes" in err
+
+
 def test_present_reports_a_factorization_error_as_one(tmp_path, capsys):
     # the first row is a braid, so the file is read as a factorization
     # only, and the error names its generator, not a table row

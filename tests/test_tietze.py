@@ -5,6 +5,7 @@ import pytest
 
 from conicline import catalog, words
 from conicline.catalog import expected_groups
+from conicline.errors import BudgetExceeded
 from conicline.invariants import invariant_bundle
 from conicline.local_models import generalized_tangency
 from conicline.presentations import Presentation, replay
@@ -332,6 +333,27 @@ def test_pass_3_indexes_each_relator_once_per_run(monkeypatch):
         simplify(g)
         assert builds, n
         assert len(set(builds)) == len(builds), n
+
+
+def test_pass_3_index_past_its_bound_is_refused_unbuilt(monkeypatch):
+    # no relator is a duplicate or defines a generator, so pass 3 rewrites
+    # r by s first: the piece index of s holds 8 prefixes of 2 letters,
+    # and r's window index 8 windows of 2 letters
+    s, r = (1, 1, 2, 2), (1, 1, 2, 2, 1, 2, 1, 2)
+    p = Presentation(2, [s, r])
+    _clear_process_memos()
+    monkeypatch.setattr(tietze, "MAX_INDEX_LETTERS", 16)
+    assert simplify(p).trace[0].kind == "replace_relator"
+
+    def never(*args):
+        raise AssertionError("an index was built")
+
+    _clear_process_memos()
+    monkeypatch.setattr(tietze, "MAX_INDEX_LETTERS", 15)
+    monkeypatch.setattr(tietze, "_piece_index", never)
+    monkeypatch.setattr(tietze, "_Windows", never)
+    with pytest.raises(BudgetExceeded, match="exceed 15 letters"):
+        simplify(p)
 
 
 def test_traces_do_not_depend_on_warm_memos():
