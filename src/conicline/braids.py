@@ -15,6 +15,7 @@ the product that appears as the projective relator ``x_n ... x_1``.
 from . import words
 from .errors import (BadBlock, BudgetExceeded, NonAdjacentMover, ParseError,
                      StrandMismatch)
+from .records import Record
 
 # The most letters that the image words of a base may hold together,
 # checked before each letter's images are built: a short braid such as
@@ -25,7 +26,7 @@ from .errors import (BadBlock, BudgetExceeded, NonAdjacentMover, ParseError,
 MAX_BASE_LETTERS = 10 ** 6
 
 
-class BraidWord:
+class BraidWord(Record):
     """A word in the Artin generators on a fixed number of strands."""
 
     __slots__ = ("strands", "letters")
@@ -38,19 +39,7 @@ class BraidWord:
             if not 1 <= abs(a) <= strands - 1:
                 raise ValueError(f"generator s{abs(a)} out of range for "
                                  f"{strands} strands")
-        object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "letters", letters)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BraidWord is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, BraidWord)
-                and self.strands == other.strands
-                and self.letters == other.letters)
-
-    def __hash__(self):
-        return hash((self.strands, self.letters))
+        self._fill(strands, letters)
 
     def __mul__(self, other):
         """Concatenation; the left factor is applied first."""

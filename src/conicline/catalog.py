@@ -15,7 +15,7 @@ exposes them by name.
 from .errors import ConiclineError, UnknownModel
 from .invariants import bigness_certificate, compare
 from .presentations import Presentation
-from .records import FrozenRecord, Record
+from .records import Record
 from .van_kampen import parse_sweep, present
 from .words import relator
 
@@ -170,7 +170,7 @@ _PUB_TWO_LINES_TANGENT_PAIR = Presentation(6, [
 
 # -- entries ----------------------------------------------------------------
 
-class ArrangementEntry(FrozenRecord):
+class ArrangementEntry(Record):
     """One arrangement with its verification data.
 
     ``description`` names the arrangement in the ``verify-paper`` report.
@@ -312,7 +312,8 @@ class VerificationReport(Record):
     """One entry's outcome: the names of the pipeline ``stages`` that ran,
     the ``verdict`` (``equivalent``, ``distinct`` or ``inconclusive``),
     the computed bundle as a dict (``None`` without derivation data), the
-    expected bundle, and the bigness step names (``None`` on failure)."""
+    expected bundle (each ``None`` when ``simplify`` refused its side),
+    and the bigness step names (``None`` on failure)."""
 
     __slots__ = ("entry_id", "description", "stages", "verdict",
                  "computed_bundle", "expected_bundle", "bigness", "detail")
@@ -372,10 +373,16 @@ def verify(entry):
         bigness = tuple(name for name, _ in report.steps)
     except ConiclineError as exc:
         detail = (detail + "; " if detail else "") + f"bigness failed: {exc}"
-    computed = None if derived is None else verdict.bundle1.as_dict()
+    computed = None if derived is None else _as_dict(verdict.bundle1)
     return VerificationReport(entry.id, entry.description, stages,
                               verdict.kind, computed,
-                              verdict.bundle2.as_dict(), bigness, detail)
+                              _as_dict(verdict.bundle2), bigness, detail)
+
+
+def _as_dict(bundle):
+    """A verdict's bundle as a dict; ``None`` for a side that ``simplify``
+    refused."""
+    return None if bundle is None else bundle.as_dict()
 
 
 def verify_all():

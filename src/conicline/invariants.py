@@ -20,7 +20,7 @@ import numpy as np
 from . import words
 from .errors import BudgetExceeded, ScriptStepFailed
 from .presentations import Presentation, generator_change, replay
-from .records import FrozenRecord, Record
+from .records import Record
 from .tietze import _relator_class, simplify
 
 # Rows a hom count may enumerate before its target is skipped, read at
@@ -75,7 +75,7 @@ def smith_normal_form(matrix):
     return diag + [0] * (size - len(diag))
 
 
-class Abelianization(FrozenRecord):
+class Abelianization(Record):
     """The free rank and the torsion coefficients, each above 1."""
 
     __slots__ = ("free_rank", "torsion")
@@ -110,7 +110,7 @@ def abelianization(p):
 # -- finite target groups --------------------------------------------------
 
 
-class GroupTable(FrozenRecord):
+class GroupTable(Record):
     """A finite group as a multiplication table over ``0 .. size-1``:
     ``mult[a][b]`` is ``a b``, and ``inverse[a]`` is ``a^-1``."""
 
@@ -391,7 +391,7 @@ def count_homs(p, table):
 # -- bundles and comparison ------------------------------------------------
 
 
-class InvariantBundle(FrozenRecord):
+class InvariantBundle(Record):
     """An :class:`Abelianization` and ``hom_counts``, a tuple of
     ``(target name, count)``."""
 
@@ -530,29 +530,38 @@ def compare(p1, p2):
     ``distinct`` comes with an invariant witness, ``equivalent`` with
     replayable traces whose ends agree up to relator order; anything the
     budgets cannot settle is ``inconclusive`` (never a guess).  A hom
-    count skipped for its budget is never a witness.
+    count skipped for its budget is never a witness.  A side that
+    ``simplify`` refuses for its budget gets an empty trace and no bundle
+    (``None``), and the verdict is ``inconclusive``.
     """
-    r1 = simplify(p1)
-    r2 = simplify(p2)
-    q1, q2 = r1.presentation, r2.presentation
-    b1 = invariant_bundle(q1)
-    b2 = invariant_bundle(q2)
+    (t1, q1, b1), (t2, q2, b2) = _side(p1), _side(p2)
+    if b1 is None or b2 is None:
+        return ComparisonVerdict("inconclusive", None, t1, t2, b1, b2)
     if b1.abelianization != b2.abelianization:
         return ComparisonVerdict("distinct",
                                  ("abelianization",
                                   b1.abelianization.as_dict(),
                                   b2.abelianization.as_dict()),
-                                 r1.trace, r2.trace, b1, b2)
+                                 t1, t2, b1, b2)
     for (name1, c1), (_, c2) in zip(b1.hom_counts, b2.hom_counts):
         if None not in (c1, c2) and c1 != c2:
             return ComparisonVerdict("distinct", (f"hom_count_{name1}", c1, c2),
-                                     r1.trace, r2.trace, b1, b2)
+                                     t1, t2, b1, b2)
     relabel = _relabel_moves(q1, q2)
     if relabel is not None:
-        return ComparisonVerdict("equivalent", None,
-                                 r1.trace + relabel, r2.trace, b1, b2)
-    return ComparisonVerdict("inconclusive", None, r1.trace, r2.trace,
-                             b1, b2)
+        return ComparisonVerdict("equivalent", None, t1 + relabel, t2, b1, b2)
+    return ComparisonVerdict("inconclusive", None, t1, t2, b1, b2)
+
+
+def _side(p):
+    """The trace, presentation and invariant bundle of ``simplify(p)``,
+    or ``((), None, None)`` when ``simplify`` refuses ``p`` for its
+    budget."""
+    try:
+        r = simplify(p)
+    except BudgetExceeded:
+        return (), None, None
+    return r.trace, r.presentation, invariant_bundle(r.presentation)
 
 
 def verdict_sound(p1, p2, verdict):

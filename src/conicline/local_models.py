@@ -17,10 +17,10 @@ from .braids import (BraidWord, block_around, full_twist, half_block_around,
                      half_twist)
 from .errors import UnknownModel
 from .polys import CurvePoly
-from .records import FrozenRecord
+from .records import Record
 
 
-class LocalModel(FrozenRecord):
+class LocalModel(Record):
     """One local model; ``provenance`` is ``formula`` or ``tracked``.
 
     ``equation`` is given as text, kept as ``equation_text``, and parsed

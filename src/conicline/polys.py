@@ -7,6 +7,7 @@ import re
 from fractions import Fraction
 
 from .errors import ConiclineError, ParseError
+from .records import Record
 
 # The largest exponent of a power, and the largest degree a power or a
 # product may give: a power is expanded one multiplication at a time, and
@@ -23,21 +24,27 @@ MAX_DEGREE = 1000
 MAX_PRODUCT_TERMS = 10000
 
 
-class CurvePoly:
-    """A polynomial in x and y with exact rational coefficients."""
+class CurvePoly(Record):
+    """A polynomial in x and y with exact rational coefficients, equal to
+    another with the same coefficients."""
+
+    _fields = ("coeffs",)
+    __slots__ = ("coeffs", "degy", "degx", "terms")
 
     def __init__(self, coeffs):
         # coeffs: {(i, j): Fraction} for x^i y^j
-        self.coeffs = {k: Fraction(v) for k, v in coeffs.items() if v != 0}
-        self.degy = max((j for _, j in self.coeffs), default=0)
-        self.degx = max((i for i, _ in self.coeffs), default=0)
+        coeffs = {k: Fraction(v) for k, v in coeffs.items() if v != 0}
         # the terms as (power of x, power of y, complex coefficient)
         try:
-            self.terms = [(i, j, complex(c))
-                          for (i, j), c in self.coeffs.items()]
+            terms = [(i, j, complex(c)) for (i, j), c in coeffs.items()]
         except OverflowError:
             raise ConiclineError("a coefficient is beyond the float "
                                  "range") from None
+        self._fill(coeffs, max((j for _, j in coeffs), default=0),
+                   max((i for i, _ in coeffs), default=0), terms)
+
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
 
     @classmethod
     def parse(cls, text):

@@ -10,14 +10,14 @@ Presentations are immutable; each move returns a new presentation whose
 from . import words
 from .errors import (ConiclineError, DefinitionContainsTarget, MapsNotInverse,
                      ParseError)
-from .records import FrozenRecord
+from .records import Record
 
 # The largest count of a text header, generators or strands: each
 # generator or strand costs work before any relator or factor is read.
 MAX_HEADER_COUNT = 1000
 
 
-class TietzeMove(FrozenRecord):
+class TietzeMove(Record):
     """One invertible presentation move.
 
     ``kind`` is one of ``eliminate``, ``remove_relator``,
@@ -35,29 +35,17 @@ class TietzeMove(FrozenRecord):
         return f"TietzeMove({self.kind}, {self.data!r})"
 
 
-class Presentation:
-    """A finite presentation ``<ngen generators | relators>``."""
+class Presentation(Record):
+    """A finite presentation ``<ngen generators | relators>``; equality
+    and hashing ignore the trace."""
 
+    _fields = ("ngen", "relators")
     __slots__ = ("ngen", "relators", "trace")
 
     def __init__(self, ngen, relators=()):
         if ngen < 0:
             raise ConiclineError("generator count must be >= 0")
-        rels = tuple(_relator(r, ngen) for r in relators)
-        object.__setattr__(self, "ngen", ngen)
-        object.__setattr__(self, "relators", rels)
-        object.__setattr__(self, "trace", ())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Presentation is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, Presentation)
-                and self.ngen == other.ngen
-                and self.relators == other.relators)
-
-    def __hash__(self):
-        return hash((self.ngen, self.relators))
+        self._fill(ngen, tuple(_relator(r, ngen) for r in relators), ())
 
     def __repr__(self):
         rels = ", ".join(words.format_word(r) for r in self.relators)
@@ -157,8 +145,7 @@ def _build(ngen, relators, trace):
     """The presentation with these fields, checking nothing: ``relators``
     is a tuple of words already made by :func:`_relator`."""
     p = object.__new__(Presentation)
-    for name, value in zip(Presentation.__slots__, (ngen, relators, trace)):
-        object.__setattr__(p, name, value)
+    p._fill(ngen, relators, trace)
     return p
 
 

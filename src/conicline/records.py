@@ -1,11 +1,10 @@
-"""Plain record classes, with no generated code.
+"""One immutable record class, with no generated code.
 
 A record lists its fields in ``__slots__``, in the order of its
 ``__init__`` parameters, and its hand-written ``__init__`` sets them with
-:meth:`Record._fill`.  Its ``repr`` is ``Name(field=value, ...)``, and two
+:meth:`Record._fill`.  Its ``repr`` is ``Name(field=value, ...)``, two
 records are equal when they are of one class and their fields are equal
-in order.  A :class:`Record` is mutable and unhashable; a
-:class:`FrozenRecord` refuses assignment and hashes its fields.
+in order, and a record hashes its fields.  Assignment is refused.
 
 A class whose slots hold more than its fields, such as a value computed
 on first use, names its fields in ``_fields``.
@@ -15,7 +14,7 @@ from operator import attrgetter
 
 
 class Record:
-    """A mutable record: ``repr`` and equality by field."""
+    """An immutable record: ``repr``, equality and hashing by field."""
 
     __slots__ = ()
 
@@ -24,13 +23,20 @@ class Record:
         if "_fields" not in vars(cls):
             cls._fields = cls.__slots__
         if cls._fields:
-            # the field values as a tuple, for equality and hashing
+            # the field values (a tuple for two or more fields), for
+            # equality and hashing
             cls._values = attrgetter(*cls._fields)
 
     def _fill(self, *values):
         """Set the slots, in order, to ``values``."""
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
@@ -41,20 +47,6 @@ class Record:
         if other.__class__ is self.__class__:
             return self._values(self) == self._values(other)
         return NotImplemented
-
-    __hash__ = None
-
-
-class FrozenRecord(Record):
-    """An immutable record, hashable by its fields."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __hash__(self):
         return hash(self._values(self))

@@ -17,9 +17,10 @@ pair of its points (``_conjugate_mirrors``).
 
 The memos are per process and keyed by value: the root index pairs of
 each strand count (``_pairs``), and the discriminant roots of
-``singular_x_values`` by the exact coefficients, bounded to 256 curves,
-so a curve tracked along several loops is solved once; ``track`` still
-checks the loop against them on every call.
+``singular_x_values`` by the curve, a ``CurvePoly`` equal to any other
+with the same coefficients, bounded to 256 curves, so a curve tracked
+along several loops is solved once; ``track`` still checks the loop
+against them on every call.
 
 Strand order is by ``Re(y)`` with ties broken by ``Im(y)``; this is
 implemented as the order of ``Re(exp(-i*delta) * y)`` for a tiny fixed
@@ -38,9 +39,9 @@ import numpy as np
 from .braids import BraidWord, braid_permutation, half_twist
 from .errors import (AmbiguousMatching, CollisionOnLoop, ConiclineError,
                      LeadingCoefficientVanishes, NoConvergence)
-# the benchmark workloads read format_poly from this module
+# the benchmark workloads read CurvePoly and format_poly from this module
 from .polys import CurvePoly, format_poly  # noqa: F401
-from .records import FrozenRecord, Record
+from .records import Record
 
 # order key rotation; breaks real-part ties by imaginary part
 _TIE_DELTA = 1e-3
@@ -184,6 +185,7 @@ def _conjugate_mirrors(xs):
                     first, np.arange(n))
 
 
+@functools.lru_cache(maxsize=256)
 def singular_x_values(p):
     """Approximate x where the fiber degenerates (discriminant roots), as a
     tuple.
@@ -191,15 +193,10 @@ def singular_x_values(p):
     The discriminant in y is recovered by evaluating the Sylvester
     determinant of ``p`` and ``dp/dy`` at roots of unity and
     interpolating its coefficients, then solved numerically.  The roots
-    are memoised per process by the exact coefficients, so a curve
-    tracked along several loops is solved once.
+    are memoised per process by the curve, which is equal to any curve
+    with the same coefficients, so a curve tracked along several loops
+    is solved once.
     """
-    return _discriminant_roots(frozenset(p.coeffs.items()))
-
-
-@functools.lru_cache(maxsize=256)
-def _discriminant_roots(coeffs):
-    p = CurvePoly(dict(coeffs))
     q = p.derivative_y()
     n, m = p.degy, q.degy
     if n < 1 or m < 0:
@@ -222,7 +219,7 @@ def _discriminant_roots(coeffs):
     return tuple(np.roots(disc[:deg + 1][::-1]).tolist())
 
 
-class LoopSpec(FrozenRecord):
+class LoopSpec(Record):
     """The loop ``center + radius * exp(2 pi i t)``, sampled at
     ``samples`` points."""
 

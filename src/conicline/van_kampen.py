@@ -28,10 +28,10 @@ from .braids import (BraidWord, artin_apply, half_twist, parse_braid,
                      format_braid, standard_gbase)
 from .errors import BadPair, ParseError, StrandMismatch
 from .presentations import Presentation, read_header
-from .records import FrozenRecord
+from .records import Record
 
 
-class Factor(FrozenRecord):
+class Factor(Record):
     """The braid ``h^-1 L h`` of one singular fiber: the local braid
     ``local`` (L) carried to the base fiber by ``conjugator`` (h)."""
 
@@ -57,7 +57,7 @@ class Factor(FrozenRecord):
             (h.inverse() * self.local * h).letters))
 
 
-class Factorization(FrozenRecord):
+class Factorization(Record):
     """One :class:`Factor` per singular fiber, in sweep order, on
     ``strands``; a :class:`BraidWord` given as a factor is the factor
     with the identity as its conjugator."""
@@ -75,7 +75,7 @@ class Factorization(FrozenRecord):
                                      "factorization")
 
 
-class MTRow(FrozenRecord):
+class MTRow(Record):
     """One table row: a Lefschetz pair ``(a, b)`` of 1-based strand
     positions, its degree ``epsilon`` and its diffeomorphism ``delta``."""
 

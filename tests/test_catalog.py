@@ -4,11 +4,13 @@ import json
 import pytest
 
 from conicline import catalog
+from conicline.braids import parse_braid
 from conicline.errors import ScriptStepFailed, UnknownModel
 from conicline.invariants import (bigness_certificate, compare,
                                   invariant_bundle, verdict_sound)
 from conicline.presentations import (format_presentation, parse_presentation)
 from conicline.tietze import simplify
+from conicline.van_kampen import Factorization, present
 
 # sha256 of the JSON of (entry, verdict, passed, bigness_steps,
 # expected_invariants) over verify_all(): pins every entry's outcome
@@ -88,6 +90,23 @@ def test_verify_fails_an_entry_with_a_wrong_expected_group():
     derived = simplify(entry.source[1]).presentation
     assert r.computed_bundle == invariant_bundle(derived).as_dict()
     assert r.computed_bundle != r.expected_bundle
+
+
+def test_verify_reads_a_side_that_simplify_refuses():
+    # a bare factor u^-1 s1 u with u = (s1 s2^-1)^6, whose relators are
+    # too long for simplify to index: no computed bundle, no bigness
+    text = " ".join(["s2 s1^-1"] * 6 + ["s1"] + ["s1 s2^-1"] * 6)
+    derived = present(Factorization(3, (parse_braid(text, 3),)))
+    free2 = catalog.expected_groups()["free-2"]
+    r = catalog.verify(catalog.ArrangementEntry(
+        "bare-factor", "a factor too long to simplify",
+        ("presentation", derived), free2))
+    assert (r.verdict, r.computed_bundle, r.bigness) == (
+        "inconclusive", None, None)
+    assert not r.passed
+    assert r.expected_bundle == invariant_bundle(
+        simplify(free2).presentation).as_dict()
+    assert "bigness failed" in r.detail and "pass-3 indexes" in r.detail
 
 
 def test_verify_reports_a_failed_bigness_step(monkeypatch):

@@ -241,6 +241,28 @@ def test_simplify_refuses_a_relator_too_long_to_index(tmp_path, capsys):
     assert "pass-3 indexes" in err
 
 
+def test_compare_is_inconclusive_when_simplify_refuses_a_side(tmp_path,
+                                                              capsys):
+    # the presentation that simplify refuses above, against the conic pair
+    fact = tmp_path / "f.txt"
+    fact.write_text("strands: 3\n" + " ".join(["s2 s1^-1"] * 6 + ["s1"]
+                                              + ["s1 s2^-1"] * 6) + "\n")
+    code, out, _ = run(capsys, "present", "--factorization", str(fact))
+    assert code == 0
+    raw = tmp_path / "raw.pres"
+    raw.write_text(out)
+    conic = tmp_path / "conic.pres"
+    conic.write_text("gens: 2\nx1 x2 x1 x2\nx2 x1 x2 x1\n")
+    code, out, err = run(capsys, "--format", "json", "compare", str(raw),
+                         str(conic))
+    assert code == 0 and err == ""
+    data = _strict_json(out)
+    assert data["kind"] == "inconclusive"
+    assert "left_invariants" not in data and "right_invariants" in data
+    code, out, _ = run(capsys, "simplify", "--presentation", str(raw))
+    assert code == 2 and out == ""
+
+
 def test_present_reports_a_factorization_error_as_one(tmp_path, capsys):
     # the first row is a braid, so the file is read as a factorization
     # only, and the error names its generator, not a table row

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conicline import catalog, invariants, words
+from conicline.braids import parse_braid
 from conicline.errors import BudgetExceeded, ScriptStepFailed
 from conicline.invariants import (GroupTable,
                                   _cached_straight_line,
@@ -542,6 +543,28 @@ def test_compare_is_inconclusive_when_no_relabelling_matches():
     assert invariant_bundle(p).abelianization.free_rank == 1
     assert invariant_bundle(p).hom_counts == (("S3", 12), ("S4", 96))
     assert compare(p, q).kind == "inconclusive"
+
+
+def test_compare_is_inconclusive_when_simplify_refuses_a_side():
+    # the factor u^-1 s1 u with u = (s1 s2^-1)^6, written as a bare word:
+    # simplify refuses its relators of up to 67104 letters before building
+    # their pass-3 indexes
+    text = " ".join(["s2 s1^-1"] * 6 + ["s1"] + ["s1 s2^-1"] * 6)
+    p = present(Factorization(3, (parse_braid(text, 3),)))
+    with pytest.raises(BudgetExceeded):
+        simplify(p)
+    free2 = catalog.expected_groups()["free-2"]
+    r = simplify(free2)
+    bundle = invariant_bundle(r.presentation)
+    v = compare(p, free2)
+    assert (v.kind, v.witness, v.trace1, v.bundle1) == (
+        "inconclusive", None, (), None)
+    assert (v.trace2, v.bundle2) == (r.trace, bundle)
+    assert v.as_dict() == {"kind": "inconclusive",
+                           "right_invariants": bundle.as_dict()}
+    w = compare(free2, p)
+    assert (w.kind, w.trace1, w.bundle1, w.trace2, w.bundle2) == (
+        "inconclusive", r.trace, bundle, (), None)
 
 
 def _brute_relabel_moves(q1, q2):

@@ -1,11 +1,17 @@
 import pytest
 
 from conicline import presentations, words
+from conicline.braids import BraidWord
+from conicline.catalog import VerificationReport
 from conicline.errors import (ConiclineError, DefinitionContainsTarget,
                               MapsNotInverse, ParseError)
+from conicline.invariants import BignessReport, ComparisonVerdict
+from conicline.polys import CurvePoly
 from conicline.presentations import (Presentation, TietzeMove, apply_move,
                                      format_presentation, parse_presentation,
                                      replay)
+from conicline.tietze import SimplifyResult
+from conicline.tracker import TrackedBraid
 from conicline.van_kampen import parse_sweep
 
 CONIC = Presentation(2, [(1, 2, 1, 2), (2, 1, 2, 1)])
@@ -18,9 +24,53 @@ def test_relators_are_reduced_and_cyclically_reduced():
     assert (2,) in p.relators
 
 
-def test_immutable():
+# Two makers of distinct objects with equal fields, one pair per value
+# type of the pipeline; most build one record twice from equal values.
+_TRACED = CONIC.add_relators([(1, 1)], "x1^2").remove_relator(2)
+
+
+def _twice(make):
+    return make, make
+
+
+EQUAL_PAIRS = {
+    "BraidWord": _twice(lambda: BraidWord(3, [1, -2, 1])),
+    # the trace is not a field: a traced presentation equals its copy
+    "Presentation": (lambda: _TRACED,
+                     lambda: Presentation(2, list(_TRACED.relators))),
+    # the same coefficients written two ways
+    "CurvePoly": (lambda: CurvePoly.parse("y^2-x^4"),
+                  lambda: CurvePoly.parse("(y+x^2)*(y-x^2)")),
+    "SimplifyResult": _twice(lambda: SimplifyResult(
+        Presentation(2, [(1, 2)]), (), False)),
+    "ComparisonVerdict": _twice(lambda: ComparisonVerdict(
+        "distinct", ("abelianization", 1, 2))),
+    "BignessReport": _twice(lambda: BignessReport(
+        (("torus", "done"),), Presentation(2, [(1, 1)]), ())),
+    "TrackedBraid": _twice(lambda: TrackedBraid(
+        BraidWord(2, [1]), (2, 1), 0.5, 3)),
+    "VerificationReport": _twice(lambda: VerificationReport(
+        "conic-pair", "two conics", ("encode",), "equivalent", None, None,
+        ("torus",))),
+}
+
+
+@pytest.mark.parametrize("kind", EQUAL_PAIRS)
+def test_immutable(kind):
+    make_a, make_b = EQUAL_PAIRS[kind]
+    a, b = make_a(), make_b()
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    for name in type(a).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
     with pytest.raises(AttributeError):
-        CONIC.ngen = 3
+        a.extra = 1
+    assert a == b
+    if kind == "Presentation":
+        assert a.trace and not b.trace
 
 
 def test_substitute_eliminates_generator():

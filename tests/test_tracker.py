@@ -41,9 +41,9 @@ def cold_discriminants():
     """The discriminant memo, empty before and after the test: a test that
     patches what the roots are computed with neither reads a stored value
     nor leaves one behind."""
-    tracker._discriminant_roots.cache_clear()
+    tracker.singular_x_values.cache_clear()
     yield
-    tracker._discriminant_roots.cache_clear()
+    tracker.singular_x_values.cache_clear()
 
 
 def test_singular_values_are_memoised_by_value(monkeypatch,
